@@ -240,23 +240,32 @@ workload::WorkloadConfig perf_workload() {
 }
 
 /// Cold arrival-stream synthesis through the source layer: build the
-/// full source stack and drain it to the horizon across distinct seeds
-/// (no cache involved).  ns/job of workload generation — the cost the
-/// ArrivalCache takes off every structural rebuild.
-Sample workload_generation() {
+/// full source stack for `spec` and drain it to the horizon across
+/// distinct seeds (no cache involved).  ns/job of workload generation —
+/// the cost the ArrivalCache takes off every structural rebuild.  With
+/// a modulator in `spec` it adds the per-job time warp.
+Sample workload_generation(const std::string& name,
+                           const workload::SourceSpec& spec) {
   const workload::WorkloadConfig wl = perf_workload();
   constexpr double kHorizon = 1500.0;
   constexpr std::uint64_t kSeeds = 16;
-  return timed("workload_generation", 5, [&] {
+  return timed(name, 5, [&] {
     std::uint64_t jobs = 0;
     for (std::uint64_t s = 0; s < kSeeds; ++s) {
-      jobs += workload::make_source(workload::SourceSpec{}, wl, 1000 + s,
-                                    kHorizon)
+      jobs += workload::make_source(spec, wl, 1000 + s, kHorizon)
                   ->generate_until(kHorizon)
                   .size();
     }
     return jobs;
   });
+}
+
+/// The diurnal wave of the streaming benchmark workload.
+workload::SourceSpec diurnal_spec() {
+  workload::SourceSpec spec;
+  spec.modulators =
+      workload::parse_modulators("diurnal:amplitude=0.6,period=500");
+  return spec;
 }
 
 /// The same streams recalled from a primed ArrivalCache: ns/job of a
@@ -478,7 +487,9 @@ int main(int argc, char** argv) {
   samples.push_back(routing_queries());
   samples.push_back(shared_tree_sweep());
   samples.push_back(aggregation_churn());
-  samples.push_back(workload_generation());
+  samples.push_back(workload_generation("workload_generation", {}));
+  samples.push_back(
+      workload_generation("workload_generation_diurnal", diurnal_spec()));
   samples.push_back(workload_generation_warm());
   samples.push_back(eval_cache_warm_disk());
   double macro_total = 0.0;

@@ -1,10 +1,15 @@
 #include "core/eval_store.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -188,9 +193,23 @@ std::size_t save_eval_cache(const EvalCache& cache, const std::string& path,
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return key_less(a.first, b.first); });
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // Write a uniquely named sibling, then rename it over the target: a
+  // killed run leaves at most a stray temp file, and a reader or a
+  // concurrent writer only ever sees a whole file.
+  static std::atomic<std::uint64_t> next_temp{0};
+  const std::string temp = path + ".tmp-" + std::to_string(::getpid()) +
+                           "-" + std::to_string(next_temp.fetch_add(1));
+  struct TempFile {  // removed on every path that does not rename it
+    const std::string& path;
+    bool renamed = false;
+    ~TempFile() {
+      if (!renamed) std::remove(path.c_str());
+    }
+  } temp_file{temp};
+
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    throw std::runtime_error("eval_store: cannot write " + path);
+    throw std::runtime_error("eval_store: cannot write " + temp);
   }
   Writer w{out};
   out.write(kMagic, sizeof(kMagic));
@@ -210,10 +229,14 @@ std::size_t save_eval_cache(const EvalCache& cache, const std::string& path,
     // loaders leave it null.
     visit_value(w, value);
   }
-  out.flush();
+  out.close();
   if (!w.ok()) {
-    throw std::runtime_error("eval_store: short write to " + path);
+    throw std::runtime_error("eval_store: short write to " + temp);
   }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("eval_store: cannot replace " + path);
+  }
+  temp_file.renamed = true;
   return entries.size();
 }
 

@@ -38,9 +38,12 @@ struct EvalStoreStats {
   bool version_mismatch = false;    ///< discarded: version/format/corrupt
 };
 
-/// Serialize every ready cache entry to `path` (binary, atomic within
-/// one write call; overwrites).  Returns the entry count written.
-/// Throws std::runtime_error when the file cannot be written.
+/// Serialize every ready cache entry to `path` (binary; overwrites).
+/// The bytes go to a uniquely named sibling temp file that is renamed
+/// over `path`, so the target is always absent or whole, even under a
+/// killed run or concurrent writers.  Returns the entry count written.
+/// Throws std::runtime_error (leaving no temp file) when the file cannot
+/// be written or renamed.
 std::size_t save_eval_cache(const EvalCache& cache, const std::string& path,
                             const std::string& code_version);
 std::size_t save_eval_cache(const EvalCache& cache, const std::string& path);

@@ -33,12 +33,13 @@ std::shared_ptr<const std::vector<Job>> ArrivalCache::store(
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = entries_.try_emplace(key, std::move(jobs));
   if (inserted) {
-    bytes_ += payload_bytes(*it->second);
+    // Copied before the budget check, which may evict (erase) this very
+    // entry: the returned pointer keeps the payload alive, it just is
+    // not memoized.
+    auto canonical = it->second;
+    bytes_ += payload_bytes(*canonical);
     insertion_order_.push_back(key);
     enforce_budget_locked();
-    // The canonical pointer outlives a same-call eviction: the caller's
-    // shared_ptr keeps the payload alive, it just is not memoized.
-    const auto canonical = it->second;
     return canonical;
   }
   return it->second;

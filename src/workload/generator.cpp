@@ -40,8 +40,11 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadConfig& config,
       !(config_.requested_factor_max >= 1.0)) {
     throw std::invalid_argument("WorkloadGenerator: bad configuration");
   }
-  if (config_.diurnal_amplitude < 0.0 || config_.diurnal_amplitude >= 1.0 ||
-      (config_.diurnal_amplitude > 0.0 && !(config_.diurnal_period > 0.0))) {
+  // Written so that NaN fails; a wave needs a finite positive period.
+  if (!(config_.diurnal_amplitude >= 0.0 && config_.diurnal_amplitude < 1.0) ||
+      (config_.diurnal_amplitude > 0.0 &&
+       !(config_.diurnal_period > 0.0 &&
+         std::isfinite(config_.diurnal_period)))) {
     throw std::invalid_argument("WorkloadGenerator: bad diurnal modulation");
   }
   if (config_.origin_hotspot_weight < 0.0 ||

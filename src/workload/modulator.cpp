@@ -1,6 +1,9 @@
 #include "workload/modulator.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <limits>
 #include <numbers>
 #include <sstream>
 #include <stdexcept>
@@ -32,6 +35,14 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
+constexpr double kTwoPi = 2.0 * std::numbers::pi;
+
+/// Lambda(s) = s + c * (1 - cos(2*pi*s/period)) exactly as the diurnal
+/// bisection evaluates it: every computed comparison goes through here.
+double diurnal_lambda(double s, double c, double period) {
+  return s + c * (1.0 - std::cos(kTwoPi * s / period));
+}
+
 /// Trims trailing ".000000" noise from default double formatting.
 std::string fmt(double v) {
   std::ostringstream out;
@@ -51,11 +62,21 @@ std::string to_string(ModulatorKind kind) {
 }
 
 void ModulatorSpec::validate() const {
+  // Every check is written so that NaN fails it.
+  const auto finite = [](std::initializer_list<double> fields) {
+    for (const double v : fields) {
+      if (!std::isfinite(v)) return false;
+    }
+    return true;
+  };
   switch (kind) {
     case ModulatorKind::kDiurnal:
+      if (!finite({amplitude, period})) {
+        bad("diurnal parameters must be finite");
+      }
       // amplitude < 1 keeps the rate profile strictly positive, so the
       // warp stays strictly monotone (invertible).
-      if (amplitude < 0.0 || amplitude >= 1.0) {
+      if (!(amplitude >= 0.0 && amplitude < 1.0)) {
         bad("diurnal amplitude must be in [0, 1)");
       }
       if (amplitude > 0.0 && !(period > 0.0)) {
@@ -63,8 +84,11 @@ void ModulatorSpec::validate() const {
       }
       break;
     case ModulatorKind::kFlash:
+      if (!finite({at, width, factor})) {
+        bad("flash parameters must be finite");
+      }
       if (!(factor >= 1.0)) bad("flash factor must be >= 1");
-      if (at < 0.0 || width < 0.0) {
+      if (!(at >= 0.0 && width >= 0.0)) {
         bad("flash at/width must be non-negative");
       }
       if (factor > 1.0 && !(width > 0.0)) {
@@ -72,6 +96,9 @@ void ModulatorSpec::validate() const {
       }
       break;
     case ModulatorKind::kBurst:
+      if (!finite({every, mean_width, alpha, max_factor})) {
+        bad("burst parameters must be finite");
+      }
       if (!(every > 0.0) || !(mean_width > 0.0)) {
         bad("burst every/width must be positive");
       }
@@ -192,27 +219,89 @@ double TimeWarp::warp(double t) {
   return t;
 }
 
-double TimeWarp::invert_diurnal(double t) const {
+double TimeWarp::invert_diurnal(double t) {
   if (spec_.amplitude <= 0.0) return t;
   // Lambda(s) = s + c * (1 - cos(2*pi*s/period)), c = amplitude*period/2pi,
   // so Lambda(s) - s is in [0, 2c]: the root lies in [t - 2c, t].  A
-  // fixed-iteration bisection reaches double resolution deterministically
-  // (no tolerance-dependent branching).
-  const double two_pi = 2.0 * std::numbers::pi;
-  const double c = spec_.amplitude * spec_.period / two_pi;
+  // bisection of at most 80 steps reaches double resolution
+  // deterministically (no tolerance-dependent branching).
+  const double c = spec_.amplitude * spec_.period / kTwoPi;
   double lo = t - 2.0 * c;
   if (lo < 0.0) lo = 0.0;
   double hi = t;
+  // Only midpoints inside the doubt window pay for a cos; outside it the
+  // comparison's outcome is certified, so the (lo, hi) sequence and the
+  // returned bits are the plain loop's.
+  const auto [doubt_lo, doubt_hi] = diurnal_doubt_window(t, c, lo, hi);
   for (int i = 0; i < 80; ++i) {
     const double mid = 0.5 * (lo + hi);
-    const double lam = mid + c * (1.0 - std::cos(two_pi * mid / spec_.period));
-    if (lam < t) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
+    const bool below =
+        mid < doubt_lo ||
+        (!(mid > doubt_hi) && diurnal_lambda(mid, c, spec_.period) < t);
+    // Each step is a pure function of (lo, hi): once one leaves them
+    // unchanged, so does every later step.
+    if (mid == (below ? lo : hi)) break;
+    (below ? lo : hi) = mid;
   }
-  return 0.5 * (lo + hi);
+  const double s = 0.5 * (lo + hi);
+  if (std::isfinite(s)) {
+    diurnal_t_ = t;
+    diurnal_root_ = s;
+  }
+  return s;
+}
+
+std::pair<double, double> TimeWarp::diurnal_doubt_window(double t, double c,
+                                                         double lo,
+                                                         double hi) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double period = spec_.period;
+  const double slack = 1.0 - spec_.amplitude;
+  // Not covered: non-finite t, an argument 2*pi*t/period that overflows
+  // (cos would return NaN), and a slope floor too close to rounding noise.
+  if (!std::isfinite(t) || !std::isfinite(kTwoPi * t / period) ||
+      !(slack >= 0x1p-20)) {
+    return {-kInf, kInf};
+  }
+
+  // Error bound E on f(m) = diurnal_lambda(m) against the exact
+  // g(m) = m + c * (1 - cos(theta)), theta = kTwoPi * m / period, for
+  // m in [0, t], with u = 2^-53 and the computed c as given:
+  //   argument:  two roundings, |x - theta| <= 2.0001 u theta, and
+  //              c * kTwoPi / period <= amplitude (1 + u)^2, so the
+  //              cos shift is at most 2.001 u t;
+  //   cos:       libm's error is at most 1 ulp <= 2u, times c;
+  //   1 - cos:   a result in [0, 2], rounding <= 2u, times c;
+  //   c * (.):   a product <= 2c, rounding <= 2.01 u c;
+  //   m + (.):   a sum <= t + 2.01c, rounding <= u (t + 2.01c);
+  // total u (3.01 t + 8.1 c), plus under 2^-1072 (1 + c) if anything
+  // underflows.  E below is over 4.9x the first part and 2^50x the
+  // second; the surplus also absorbs the roundings of d and s -/+ d.
+  const double err = 0x1p-50 * (2.0 * t + 5.0 * c) + 0x1p-1022 * (1.0 + c);
+  // g'(m) = 1 + (c * kTwoPi / period) sin(theta) >= 1 - amplitude - 3u,
+  // which this floor stays below because slack >= 2^-20.
+  const double k = slack * (1.0 - 0x1p-20);
+
+  // Newton toward the root, warm-started from the previous arrival's
+  // (inputs are nondecreasing).  Its accuracy only sets the window width.
+  const double w = c * kTwoPi / period;
+  double s = std::clamp(diurnal_root_ + (t - diurnal_t_) / diurnal_slope_,
+                        lo, hi);
+  for (int step = 0; step < 2; ++step) {
+    diurnal_slope_ = 1.0 + w * std::sin(kTwoPi * s / period);
+    const double delta = (diurnal_lambda(s, c, period) - t) / diurnal_slope_;
+    s = std::clamp(s - delta, lo, hi);
+    if (std::abs(delta) <= err) break;
+  }
+
+  // With s, m in [0, t]:  f(m) <= f(s) + 2E - k (s - m) for m < s, which
+  // is < t once s - m > d;  f(m) >= f(s) - 2E + k (m - s) for m > s,
+  // which is >= t once m - s > d.
+  const double d =
+      (std::abs(diurnal_lambda(s, c, period) - t) + 2.0 * err) / k;
+  // A NaN or bracket-wide window certifies nothing.
+  if (!(d < hi - lo)) return {-kInf, kInf};
+  return {s - d, s + d};
 }
 
 double TimeWarp::invert_flash(double t) const {

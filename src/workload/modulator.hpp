@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/seed_sequence.hpp"
@@ -89,7 +90,12 @@ class TimeWarp {
   double warp(double t);
 
  private:
-  double invert_diurnal(double t) const;
+  double invert_diurnal(double t);
+  /// The bisection midpoints whose comparison Lambda(mid) < t is in
+  /// doubt: below the interval it certifiably holds, above it it
+  /// certifiably fails.  {-inf, +inf} when nothing is certified.
+  std::pair<double, double> diurnal_doubt_window(double t, double c,
+                                                 double lo, double hi);
   double invert_flash(double t) const;
   double invert_burst(double t);
   /// Extend the lazily realized burst profile until Lambda covers
@@ -99,6 +105,13 @@ class TimeWarp {
   ModulatorSpec spec_;
   util::RandomStream rng_;
   double last_input_ = 0.0;
+
+  // Diurnal Newton warm start: the last finite input, the root
+  // returned for it, and Lambda's slope near that root.  They only move
+  // the certified window, never the returned bits.
+  double diurnal_t_ = 0.0;
+  double diurnal_root_ = 0.0;
+  double diurnal_slope_ = 1.0;
 
   // Burst-train state: the current piecewise-constant-rate segment
   // [seg_start_, seg_end_) with Lambda(seg_start_) = seg_lambda_.

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/tuner.hpp"
@@ -32,6 +37,40 @@ struct TempFile {
   }
   std::string str() const { return path.string(); }
 };
+
+/// Fresh directory under the system temp dir, removed with its contents
+/// on destruction; lets a test see every file a save leaves behind.
+struct TempDir {
+  fs::path path;
+  explicit TempDir(const std::string& name)
+      : path(fs::temp_directory_path() /
+             (name + "-" + std::to_string(::getpid()))) {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+    fs::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+  std::string str(const std::string& file) const {
+    return (path / file).string();
+  }
+  std::set<std::string> listing() const {
+    std::set<std::string> names;
+    for (const auto& entry : fs::directory_iterator(path)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  }
+};
+
+/// Whole file contents; empty when the file is missing.
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
 opt::EvalKey key(double a, double b, std::uint64_t d0 = 11,
                  std::uint64_t d1 = 22) {
@@ -315,6 +354,90 @@ TEST(EvalStore, SaveSkipsInFlightClaims) {
   ASSERT_TRUE(cache.acquire(key(2.0, 2.0)).owner);  // never fulfilled
   EXPECT_EQ(save_eval_cache(cache, file.str(), "test-v1"), 1u);
   cache.abandon(key(2.0, 2.0));
+}
+
+/// Inserts `entries` results keyed at points (base + i, base - i).
+void fill(EvalCache& cache, double base, int entries) {
+  for (int i = 0; i < entries; ++i) {
+    cache.insert(key(base + i, base - i), make_result(base + i));
+  }
+}
+
+TEST(EvalStore, SecondSaveReplacesTheFirstAndLeavesNoTempFile) {
+  TempDir dir("eval_store_replace");
+  const std::string path = dir.str("cache.evc");
+  EvalCache first;
+  fill(first, 1.0, 3);
+  EvalCache second;
+  fill(second, 100.0, 2);
+  ASSERT_EQ(save_eval_cache(first, path, "test-v1"), 3u);
+  ASSERT_EQ(save_eval_cache(second, path, "test-v1"), 2u);
+
+  EvalCache loaded;
+  const auto stats = load_eval_cache(loaded, path, "test-v1");
+  EXPECT_FALSE(stats.version_mismatch);
+  EXPECT_EQ(stats.loaded, 2u);
+  EXPECT_TRUE(loaded.lookup(key(101.0, 99.0)).value.has_value());
+  EXPECT_FALSE(loaded.lookup(key(1.0, 1.0)).value.has_value());
+  EXPECT_EQ(dir.listing(), std::set<std::string>{"cache.evc"});
+}
+
+TEST(EvalStore, FailedRenameThrowsAndLeavesNoTempFile) {
+  TempDir dir("eval_store_rename");
+  // A directory in the target's place: the temp file is written, but
+  // renaming it over the target fails.
+  fs::create_directory(dir.path / "cache.evc");
+  EvalCache cache;
+  fill(cache, 1.0, 3);
+  EXPECT_THROW(save_eval_cache(cache, dir.str("cache.evc"), "test-v1"),
+               std::runtime_error);
+  EXPECT_EQ(dir.listing(), std::set<std::string>{"cache.evc"});
+  EXPECT_TRUE(fs::is_directory(dir.path / "cache.evc"));
+}
+
+TEST(EvalStore, ConcurrentSavesNeverLeaveATornFile) {
+  TempDir dir("eval_store_concurrent");
+  // Large enough that one save takes many write calls.
+  EvalCache a;
+  fill(a, 1.0, 300);
+  EvalCache b;
+  fill(b, 1000.0, 200);
+  save_eval_cache(a, dir.str("a.evc"), "test-v1");
+  save_eval_cache(b, dir.str("b.evc"), "test-v1");
+  const std::string bytes_a = read_bytes(dir.str("a.evc"));
+  const std::string bytes_b = read_bytes(dir.str("b.evc"));
+  ASSERT_NE(bytes_a, bytes_b);
+
+  const std::string shared = dir.str("shared.evc");
+  std::atomic<bool> writing{true};
+  std::atomic<int> torn{0};
+  std::thread reader([&] {
+    while (writing.load()) {
+      const std::string bytes = read_bytes(shared);
+      if (!bytes.empty() && bytes != bytes_a && bytes != bytes_b) ++torn;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < 25; ++i) {
+        save_eval_cache((i + w) % 2 == 0 ? a : b, shared, "test-v1");
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  writing = false;
+  reader.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  const std::string final_bytes = read_bytes(shared);
+  EXPECT_TRUE(final_bytes == bytes_a || final_bytes == bytes_b);
+  EvalCache loaded;
+  const auto stats = load_eval_cache(loaded, shared, "test-v1");
+  EXPECT_FALSE(stats.version_mismatch);
+  EXPECT_TRUE(stats.loaded == 300u || stats.loaded == 200u);
+  EXPECT_EQ(dir.listing(),
+            (std::set<std::string>{"a.evc", "b.evc", "shared.evc"}));
 }
 
 /// Analytic stand-in with a known interior optimum (mirrors

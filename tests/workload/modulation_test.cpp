@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "workload/generator.hpp"
 
@@ -61,6 +62,15 @@ TEST(DiurnalModulation, RejectsBadParameters) {
                std::invalid_argument);
   config = modulated_config();
   config.diurnal_period = 0.0;
+  EXPECT_THROW(WorkloadGenerator(config, util::RandomStream(1, "m")),
+               std::invalid_argument);
+  // NaN fails the range check instead of silently disabling the wave.
+  config = modulated_config();
+  config.diurnal_amplitude = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(WorkloadGenerator(config, util::RandomStream(1, "m")),
+               std::invalid_argument);
+  config = modulated_config();
+  config.diurnal_period = std::numeric_limits<double>::infinity();
   EXPECT_THROW(WorkloadGenerator(config, util::RandomStream(1, "m")),
                std::invalid_argument);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "workload/arrival_cache.hpp"
 #include "workload/generator.hpp"
@@ -112,6 +113,57 @@ TEST(Modulators, RejectsBadGrammarAndParameters) {
                std::invalid_argument);
   EXPECT_THROW(parse_modulators("burst:every=0,width=10"),
                std::invalid_argument);
+  // Non-finite values: NaN passes a plain range test such as
+  // `a < 0 || a >= 1`, and an infinity passes most range tests.
+  EXPECT_THROW(parse_modulators("diurnal:amplitude=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("diurnal:amplitude=0.6,period=inf"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("diurnal:amplitude=0,period=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("flash:at=nan,width=60,factor=8"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("flash:at=600,width=60,factor=inf"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("flash:at=600,width=nan,factor=8"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("burst:every=inf,width=25"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("burst:every=300,width=25,alpha=nan"),
+               std::invalid_argument);
+  EXPECT_THROW(parse_modulators("burst:every=300,width=25,max=inf"),
+               std::invalid_argument);
+}
+
+TEST(TimeWarp, RejectsNonFiniteHandBuiltSpecs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ModulatorSpec diurnal;
+  diurnal.kind = ModulatorKind::kDiurnal;
+  diurnal.amplitude = nan;
+  diurnal.period = 500.0;
+  EXPECT_THROW(TimeWarp(diurnal, util::RandomStream(1)),
+               std::invalid_argument);
+  diurnal.amplitude = 0.6;
+  diurnal.period = inf;
+  EXPECT_THROW(TimeWarp(diurnal, util::RandomStream(1)),
+               std::invalid_argument);
+
+  ModulatorSpec flash;
+  flash.kind = ModulatorKind::kFlash;
+  flash.at = nan;
+  flash.width = 60.0;
+  flash.factor = 8.0;
+  EXPECT_THROW(TimeWarp(flash, util::RandomStream(1)), std::invalid_argument);
+  flash.at = 600.0;
+  flash.factor = inf;
+  EXPECT_THROW(TimeWarp(flash, util::RandomStream(1)), std::invalid_argument);
+
+  ModulatorSpec burst;
+  burst.kind = ModulatorKind::kBurst;
+  burst.every = 300.0;
+  burst.mean_width = nan;
+  EXPECT_THROW(TimeWarp(burst, util::RandomStream(1)), std::invalid_argument);
 }
 
 TEST(TimeWarp, DiurnalInvertsItsRateIntegral) {
