@@ -1,7 +1,8 @@
 // Perf smoke suite: the standing fixed-seed benchmark that gives every
-// PR a perf trajectory (docs/PERFORMANCE.md).  Three micro kernels
-// (event churn, cancel churn, routing) plus one Case-1 macro point per
-// RMS kind, all serial, all deterministic in their pinned seeds.  Emits
+// PR a perf trajectory (docs/PERFORMANCE.md).  Micro kernels (event
+// churn at 64 and 1,024 pending events, cancel churn, routing, ...) plus
+// one Case-1 macro point per RMS kind, all serial, all deterministic in
+// their pinned seeds.  Emits
 // machine-readable BENCH_<label>.json with ns/item, items/s, wall time,
 // and peak RSS; tools/check_perf_regression.py compares two such files.
 //
@@ -99,6 +100,31 @@ Sample event_churn() {
       if (fired + kChains <= kEvents) sim.schedule_in(1.0, tick);
     };
     for (std::size_t i = 0; i < kChains; ++i) sim.schedule_in(1.0, tick);
+    sim.run();
+    return sim.dispatched_events();
+  });
+}
+
+/// event_churn at the depth simulations run at (a mean of ~450 pending
+/// events on the Case-1 base, ~1,460 on the Case-2 base): 1,024 chains
+/// with seeded exponential delays, so sift paths are long and their
+/// direction is unpredictable.
+Sample event_churn_deep() {
+  constexpr std::uint64_t kEvents = 1'000'000;
+  constexpr std::size_t kChains = 1024;
+  return timed("event_churn_deep", 5, [] {
+    sim::Simulator sim;
+    util::RandomStream rng(42, "perf-smoke-churn-deep");
+    std::uint64_t fired = 0;
+    std::function<void()> tick = [&] {
+      ++fired;
+      if (fired + kChains <= kEvents) {
+        sim.schedule_in(rng.exponential(1.0), tick);
+      }
+    };
+    for (std::size_t i = 0; i < kChains; ++i) {
+      sim.schedule_in(rng.exponential(1.0), tick);
+    }
     sim.run();
     return sim.dispatched_events();
   });
@@ -483,6 +509,7 @@ int main(int argc, char** argv) {
   std::vector<Sample> samples;
   samples.push_back(calibration_spin());
   samples.push_back(event_churn());
+  samples.push_back(event_churn_deep());
   samples.push_back(event_cancel_churn());
   samples.push_back(routing_queries());
   samples.push_back(shared_tree_sweep());

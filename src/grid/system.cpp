@@ -669,12 +669,13 @@ void GridSystem::schedule_next_arrival() {
     return;
   }
   stream_stats_.add(*slot);
+  pending_arrival_ = slot;
   sim_.schedule_at(slot->arrival, [this, slot]() {
     const workload::Job job = *slot;
     arrival_arena_.release(slot);
+    pending_arrival_ = nullptr;
     // Chain the successor before delivering, so on a shared arrival time
-    // the next job's event is enqueued ahead of anything delivery spawns
-    // — matching the materialized path's pre-scheduled order.
+    // the next job's event is enqueued ahead of anything delivery spawns.
     schedule_next_arrival();
     deliver_arrival(job);
   });
@@ -692,39 +693,37 @@ void GridSystem::schedule_arrivals() {
     spec.path = config_.trace_path;
   }
 
+  // Every run keeps one arrival pending: each arrival event pulls its
+  // successor from arrival_stream_ through an arena slot.
   if (config_.result_mode == ResultMode::kStreaming) {
-    // Pull-based path: jobs flow one at a time through an arena slot, so
-    // peak memory is independent of the job count.  A cache hit replays
-    // the materialized vector; a miss streams live and is NOT stored
-    // (one-shot scale runs must not leave a multi-GB vector behind).
+    // A cache hit replays the materialized vector; a miss streams live
+    // and is NOT stored (one-shot scale runs must not leave a multi-GB
+    // vector behind), so peak memory is independent of the job count.
     obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
     workload::PulledArrivals pulled = workload::cached_stream(
         workload_digest(config_), spec, wl, config_.seed, config_.horizon,
         /*reusable=*/false);
     arrival_stream_ = std::move(pulled.stream);
     workload_from_cache_ = pulled.from_cache;
-    stream_stats_ = workload::TraceStatsAccumulator{};
-    schedule_next_arrival();
-    return;
+  } else {
+    // Full mode materializes the stream once per system: it depends only
+    // on the structural config (never the tuning enablers), so one
+    // generation serves every reset cycle.
+    if (!arrivals_cached_) {
+      obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
+      workload::ArrivalStream stream = workload::cached_arrivals(
+          workload_digest(config_), spec, wl, config_.seed, config_.horizon);
+      arrival_jobs_ = std::move(stream.jobs);
+      workload_from_cache_ = stream.from_cache;
+      arrivals_cached_ = true;
+    }
+    SCAL_INFO("grid: " << arrival_jobs_->size() << " jobs over horizon "
+                       << config_.horizon);
+    arrival_stream_ =
+        std::make_unique<workload::VectorReplayStream>(arrival_jobs_);
   }
-
-  // Materialized path: the stream depends only on the structural config
-  // (never the tuning enablers), so one generation serves every reset
-  // cycle.
-  if (!arrivals_cached_) {
-    obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-    workload::ArrivalStream stream = workload::cached_arrivals(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
-    arrival_jobs_ = std::move(stream.jobs);
-    workload_from_cache_ = stream.from_cache;
-    arrivals_cached_ = true;
-  }
-  const std::vector<workload::Job>& jobs = *arrival_jobs_;
-  SCAL_INFO("grid: " << jobs.size() << " jobs over horizon "
-                     << config_.horizon);
-  for (const auto& job : jobs) {
-    sim_.schedule_at(job.arrival, [this, job]() { deliver_arrival(job); });
-  }
+  stream_stats_ = workload::TraceStatsAccumulator{};
+  schedule_next_arrival();
 }
 
 SimulationResult GridSystem::run() {
@@ -732,9 +731,16 @@ SimulationResult GridSystem::run() {
   ran_ = true;
 
   obs::Telemetry* telemetry = config_.telemetry;
+  // Log lines carry the simulated clock for the duration of the run; the
+  // clock is detached on every exit, also when an event throws.
+  struct DetachLogClock {
+    bool attached;
+    ~DetachLogClock() {
+      if (attached) util::set_log_time_source(nullptr);
+    }
+  } log_clock{telemetry != nullptr};
   if (telemetry != nullptr) {
     telemetry->mark_run_start();
-    // Log lines carry the simulated clock for the duration of the run.
     util::set_log_time_source([this]() { return sim_.now(); });
     if (telemetry->probe() != nullptr) {
       sim_.schedule_at(0.0, [this]() { probe_tick(); });
@@ -778,10 +784,7 @@ SimulationResult GridSystem::run() {
     }
   }
   SimulationResult result = assemble_result();
-  if (telemetry != nullptr) {
-    finish_telemetry(result);
-    util::set_log_time_source(nullptr);
-  }
+  if (telemetry != nullptr) finish_telemetry(result);
   return result;
 }
 
@@ -815,6 +818,13 @@ void GridSystem::reset(const GridConfig& next) {
   metrics_.reset();
   sink_->log().clear();
   arrival_stream_.reset();
+  // The run ended with its next arrival still pending; take the slot
+  // back so the arena's counters restart like a fresh build's.
+  if (pending_arrival_ != nullptr) {
+    arrival_arena_.release(pending_arrival_);
+    pending_arrival_ = nullptr;
+  }
+  arrival_arena_.clear();
 
   network_->reset_counters();
   network_->set_delay_scale(config_.tuning.link_delay_scale);
@@ -964,11 +974,7 @@ SimulationResult GridSystem::assemble_result() {
   // which would change the mean's summation order (and its last bits).
   r.mean_response = metrics_.response_mean();
   r.p95_response = metrics_.response_p95();
-  if (config_.result_mode == ResultMode::kStreaming) {
-    r.workload_stats = stream_stats_.stats();
-  } else if (arrival_jobs_) {
-    r.workload_stats = workload::summarize(*arrival_jobs_);
-  }
+  r.workload_stats = stream_stats_.stats();
   r.workload_from_cache = workload_from_cache_;
   r.result_mode = config_.result_mode;
   r.job_log_records = sink_->log().size();

@@ -199,20 +199,22 @@ class GridSystem {
   sim::EntityId injector_entity_id_ = 0;
   bool injector_id_assigned_ = false;
   sim::EntityId sampler_entity_id_ = 0;
-  // The arrival stream is a pure function of (config minus tuning), so
-  // it is resolved once — through the process-wide ArrivalCache — and
-  // replayed by every reset cycle (invalidated only when a rate-only
-  // reset moves the interarrival mean).  Shared and immutable: other
-  // systems replaying the same workload alias the same vector.
+  // Full mode: the arrival stream is a pure function of (config minus
+  // tuning), so it is resolved once — through the process-wide
+  // ArrivalCache — and replayed by every reset cycle (invalidated only
+  // when a rate-only reset moves the interarrival mean).  Shared and
+  // immutable: other systems replaying the same workload alias the same
+  // vector.
   std::shared_ptr<const std::vector<workload::Job>> arrival_jobs_;
   bool arrivals_cached_ = false;
   bool workload_from_cache_ = false;
-  // Streaming arrival path (result_mode == kStreaming): jobs are pulled
-  // one at a time from this stream into arena slots, so per-job memory
-  // stays O(1); the accumulator folds the workload stats that the
-  // materialized path computes from the full vector.
+  // The one arrival path: jobs are pulled one at a time from this stream
+  // (a replay of arrival_jobs_ in full mode) into an arena slot, so one
+  // arrival event is pending at a time; the accumulator folds the
+  // workload stats in stream order.
   std::unique_ptr<workload::JobStream> arrival_stream_;
   workload::JobArena arrival_arena_;
+  workload::Job* pending_arrival_ = nullptr;  ///< slot of the pending arrival
   workload::TraceStatsAccumulator stream_stats_;
   /// Per-resource heterogeneity multipliers in build order, kept so a
   /// rate-only reset re-rates the pool exactly like a fresh build.

@@ -17,7 +17,14 @@ grid::SimulationResult SimulationSession::run(const grid::GridConfig& config) {
         effective, scheduler_factory(effective.rms));
     ++rebuilds_;
   }
-  return system_->run();
+  try {
+    return system_->run();
+  } catch (...) {
+    // A run that threw (e.g. a malformed trace row pulled mid-run) left
+    // the system half-advanced; the next call must rebuild, not reset.
+    system_.reset();
+    throw;
+  }
 }
 
 }  // namespace scal::rms

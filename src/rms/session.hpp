@@ -32,6 +32,8 @@ class SimulationSession {
   /// Run one simulation of `config`, reusing the previously built system
   /// when structurally compatible.  Configs with telemetry attached are
   /// never reset-compatible, so instrumented runs always build fresh.
+  /// If the run throws, the system is dropped and the next call builds
+  /// a new one.
   grid::SimulationResult run(const grid::GridConfig& config);
 
   /// Times run() had to construct a system (diagnostics).

@@ -1,131 +1,188 @@
 #include "sim/event_queue.hpp"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace scal::sim {
 
+EventQueue::EventQueue() : heap_(kArity - 1, kPadKey) {}
+
+std::uint64_t EventQueue::time_key(Time at) noexcept {
+  const auto bits = std::bit_cast<std::uint64_t>(at + 0.0);
+  const auto negative = static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(bits) >> 63);
+  return bits ^ (negative | kSignBit);
+}
+
+Time EventQueue::key_time(std::uint64_t key) noexcept {
+  const auto negative = ~static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(key) >> 63);
+  return std::bit_cast<Time>(key ^ (negative | kSignBit));
+}
+
 EventId EventQueue::push(Time at, EventFn fn) {
-  std::uint32_t slot;
-  if (free_head_ != kNoFree) {
-    slot = free_head_;
-    free_head_ = slots_[slot].heap_pos;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  if (pushed_ >= kMaxPushes) {
+    throw std::length_error("EventQueue: too many pushes since clear()");
   }
-  Slot& s = slots_[slot];
-  s.fn = std::move(fn);
-  s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{at, pushed_++, slot});
-  sift_up(heap_.size() - 1);
-  return make_id(s.gen, slot);
+  // Keep kArity - 1 pads past the new last entry.  Grown before the slot
+  // is taken, so a failed allocation leaves the queue unchanged.
+  if (heap_.size() < size_ + kArity) heap_.push_back(kPadKey);
+  const std::uint32_t slot = acquire_slot();
+  fn_at(slot) = std::move(fn);
+  const Key key = (Key{time_key(at)} << 64) |
+                  (pushed_++ << kSlotBits | slot);
+  sift_up(size_++, key);
+  return make_id(gen_[slot], slot);
 }
 
 bool EventQueue::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return false;
   // The generation is bumped every time a slot is released, so it matches
-  // the handle exactly while (and only while) the event is still pending.
-  if (slots_[slot].gen != gen) return false;
-  heap_erase(slots_[slot].heap_pos);
+  // an issued handle exactly while (and only while) its event is pending.
+  // The position check also rejects a forged id naming a free slot or the
+  // slot whose closure fire_top() is running.
+  if (slot >= gen_.size() || gen_[slot] != gen) return false;
+  const std::uint32_t pos = pos_[slot];
+  if (pos >= size_ || slot_of(heap_[pos]) != slot) return false;
+  erase_at(pos);
   release_slot(slot);
   return true;
 }
 
 Time EventQueue::next_time() const {
-  if (heap_.empty()) throw std::logic_error("EventQueue::next_time: empty");
-  return heap_.front().at;
+  if (empty()) throw std::logic_error("EventQueue::next_time: empty");
+  return peek_time();
 }
 
 EventQueue::Popped EventQueue::pop() {
-  if (heap_.empty()) throw std::logic_error("EventQueue::pop: empty");
-  const HeapEntry top = heap_.front();
-  Slot& s = slots_[top.slot];
-  Popped out{top.at, make_id(s.gen, top.slot), std::move(s.fn)};
-  heap_erase(0);
-  release_slot(top.slot);
+  if (empty()) throw std::logic_error("EventQueue::pop: empty");
+  const Time at = peek_time();
+  const std::uint32_t slot = remove_top();
+  Popped out{at, make_id(gen_[slot], slot), std::move(fn_at(slot))};
+  release_slot(slot);
   return out;
 }
 
-void EventQueue::sift_up(std::size_t pos) {
-  const HeapEntry moving = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / kArity;
-    if (!before(moving, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
-    pos = parent;
-  }
-  heap_[pos] = moving;
-  slots_[moving.slot].heap_pos = static_cast<std::uint32_t>(pos);
+void EventQueue::fire_top() {
+  assert(!empty());
+  struct Release {
+    EventQueue& queue;
+    std::uint32_t slot;
+    ~Release() { queue.release_slot(slot); }
+  } release{*this, remove_top()};
+  fn_at(release.slot)();
 }
 
-void EventQueue::sift_down(std::size_t pos) {
-  const HeapEntry moving = heap_[pos];
-  const std::size_t n = heap_.size();
+void EventQueue::sift_up(std::size_t pos, Key moving) noexcept {
+  Key* const heap = heap_.data();
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / kArity;
+    if (!(moving < heap[parent])) break;
+    heap[pos] = heap[parent];
+    pos_[slot_of(heap[pos])] = static_cast<std::uint32_t>(pos);
+    pos = parent;
+  }
+  heap[pos] = moving;
+  pos_[slot_of(moving)] = static_cast<std::uint32_t>(pos);
+}
+
+void EventQueue::sift_down(std::size_t pos, Key moving) noexcept {
+  Key* const heap = heap_.data();
+  const std::size_t n = size_;
   for (;;) {
     const std::size_t first = kArity * pos + 1;
     if (first >= n) break;
-    std::size_t child = first;
-    const std::size_t last = first + kArity < n ? first + kArity : n;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (before(heap_[c], heap_[child])) child = c;
-    }
-    if (!before(heap_[child], moving)) break;
-    heap_[pos] = heap_[child];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
+    // Pads stand in for missing children, so all four are always
+    // readable.  Index arithmetic on compare results compiles to
+    // conditional moves; ties keep the lower index.
+    const std::size_t a = first + (heap[first + 1] < heap[first]);
+    const std::size_t b = first + 2 + (heap[first + 3] < heap[first + 2]);
+    const std::size_t child = heap[b] < heap[a] ? b : a;
+    if (!(heap[child] < moving)) break;
+    heap[pos] = heap[child];
+    pos_[slot_of(heap[pos])] = static_cast<std::uint32_t>(pos);
     pos = child;
   }
-  heap_[pos] = moving;
-  slots_[moving.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  heap[pos] = moving;
+  pos_[slot_of(moving)] = static_cast<std::uint32_t>(pos);
 }
 
-void EventQueue::heap_erase(std::size_t pos) {
-  assert(pos < heap_.size());
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
-    heap_.pop_back();
-    // The replacement came from the bottom, so it can only need to move
-    // down — unless its new parent is later than it (possible when it
-    // came from a different subtree), in which case sift up.
-    if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / kArity])) {
-      sift_up(pos);
-    } else {
-      sift_down(pos);
-    }
+void EventQueue::erase_at(std::size_t pos) noexcept {
+  assert(pos < size_);
+  const std::size_t last = --size_;
+  const Key moved = heap_[last];
+  heap_[last] = kPadKey;
+  if (pos == last) return;
+  // The replacement came from the bottom, so it can only need to move
+  // down — unless its new parent is later than it (possible when it
+  // came from a different subtree), in which case sift up.
+  if (pos > 0 && moved < heap_[(pos - 1) / kArity]) {
+    sift_up(pos, moved);
   } else {
-    heap_.pop_back();
+    sift_down(pos, moved);
   }
+}
+
+std::uint32_t EventQueue::remove_top() noexcept {
+  const std::uint32_t slot = slot_of(heap_[0]);
+  const std::size_t last = --size_;
+  const Key moved = heap_[last];
+  heap_[last] = kPadKey;
+  if (last != 0) sift_down(0, moved);
+  return slot;
+}
+
+std::uint32_t EventQueue::acquire_slot() {
+  if (free_head_ != kNoFree) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = pos_[slot];
+    return slot;
+  }
+  const std::size_t slot = gen_.size();
+  if (slot >= kMaxPending) {
+    throw std::length_error("EventQueue: too many pending events");
+  }
+  if ((slot >> kChunkShift) == chunks_.size()) {
+    chunks_.push_back(
+        std::make_unique_for_overwrite<EventFn[]>(std::size_t{1}
+                                                  << kChunkShift));
+  }
+  pos_.push_back(0);
+  try {
+    gen_.push_back(0);
+  } catch (...) {
+    pos_.pop_back();  // keep the two per-slot arrays the same length
+    throw;
+  }
+  return static_cast<std::uint32_t>(slot);
+}
+
+void EventQueue::release_slot(std::uint32_t slot) noexcept {
+  fn_at(slot).reset();
+  ++gen_[slot];  // invalidate outstanding handles
+  pos_[slot] = free_head_;
+  free_head_ = slot;
 }
 
 void EventQueue::clear() {
-  for (const HeapEntry& entry : heap_) {
-    Slot& s = slots_[entry.slot];
-    s.fn.reset();
-    ++s.gen;
+  for (std::size_t i = 0; i < size_; ++i) {
+    const std::uint32_t slot = slot_of(heap_[i]);
+    fn_at(slot).reset();
+    ++gen_[slot];
+    heap_[i] = kPadKey;
   }
-  heap_.clear();
-  // Rebuild the free list ascending so the next run pops slots 0, 1, 2,
-  // ... — the same order a fresh queue allocates them in.
+  size_ = 0;
+  // Rebuild the free list ascending so the next run takes slots 0, 1,
+  // 2, ... — the same order a fresh queue allocates them in.
   free_head_ = kNoFree;
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    slots_[i].heap_pos = free_head_;
+  for (std::size_t i = pos_.size(); i-- > 0;) {
+    pos_[i] = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);
   }
   pushed_ = 0;
-}
-
-void EventQueue::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.fn.reset();
-  ++s.gen;  // invalidate outstanding handles
-  s.heap_pos = free_head_;
-  free_head_ = slot;
 }
 
 }  // namespace scal::sim

@@ -5,17 +5,25 @@
 // deterministic function of the schedule order — the property the whole
 // scalability procedure's reproducibility rests on.
 //
-// Layout: an indexed binary min-heap of slot indices over a pooled,
-// free-listed event arena.  Event closures live in a small-buffer
-// callable inside the slot, so steady-state churn performs no per-event
-// allocation; each slot records its heap position, so cancel() removes
-// the event eagerly in O(log n) with no hash lookups.  An EventId packs
-// (generation << 32 | slot); the generation is bumped whenever a slot is
-// released, which makes stale handles (already fired or cancelled)
-// detectable in O(1).
+// Layout (docs/PERFORMANCE.md, "Event queue"):
+//   - heap_: a 4-ary min-heap of 16-byte integer keys.  The high word is
+//     the timestamp's IEEE bits mapped to an order-preserving unsigned
+//     integer; the low word is (insertion seq << 24 | slot).  One 128-bit
+//     compare orders two events by (time, seq), and the smallest of four
+//     children is picked with conditional moves, not branches.
+//   - pos_: each slot's heap position (while pending) in a compact uint32
+//     array, so cancel() removes an event eagerly in O(log n) and a sift
+//     step writes 4 bytes instead of touching the closure's slot.
+//   - chunks_: the closures, in fixed-size chunks whose addresses never
+//     move.  fire_top() runs a closure where it is stored, then releases
+//     the slot — no per-event move of the capture.
+// An EventId packs (generation << 32 | slot); the generation is bumped
+// whenever a slot is released, which makes stale handles (already fired
+// or cancelled) detectable in O(1).
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -34,20 +42,35 @@ using EventFn = util::InlineFn<kEventInlineCapacity>;
 
 class EventQueue {
  public:
-  /// Insert an event; returns its id (usable with cancel()).
+  /// Slot indices take the low 24 bits of a key: at most 2^24 events may
+  /// be pending at once.
+  static constexpr std::size_t kMaxPending = std::size_t{1} << 24;
+  /// Insertion sequences take the other 40 bits: at most 2^40 pushes
+  /// between clear() calls.
+  static constexpr std::uint64_t kMaxPushes = std::uint64_t{1} << 40;
+
+  EventQueue();
+
+  /// Insert an event; returns its id (usable with cancel()).  Throws
+  /// std::length_error past kMaxPending pending events or kMaxPushes
+  /// pushes.  Times order as doubles, -0.0 equal to +0.0; a NaN time has
+  /// no defined place (the Simulator rejects it).
   EventId push(Time at, EventFn fn);
 
   /// Cancel a pending event, removing it from the heap immediately.
-  /// Safe to call on ids that already fired or were already cancelled;
-  /// returns true only if the event was still pending.
+  /// Returns true only if `id` names a pending event; any other id
+  /// (fired, cancelled, from before a clear(), or made up) returns false
+  /// and changes nothing.
   bool cancel(EventId id);
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t size() const noexcept { return heap_.size(); }
+  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_; }
 
   Time next_time() const;
   /// next_time() without the emptiness check; precondition: !empty().
-  Time peek_time() const noexcept { return heap_.front().at; }
+  Time peek_time() const noexcept {
+    return key_time(static_cast<std::uint64_t>(heap_[0] >> 64));
+  }
 
   /// Pop the earliest live event.  Precondition: !empty().
   struct Popped {
@@ -57,10 +80,16 @@ class EventQueue {
   };
   Popped pop();
 
+  /// Dispatch the earliest event in place: take it off the heap, run its
+  /// closure where it is stored, then release its slot — also when the
+  /// closure throws.  The closure may push and cancel events; it must
+  /// not clear() the queue.  Precondition: !empty().
+  void fire_top();
+
   std::uint64_t total_pushed() const noexcept { return pushed_; }
 
   /// Drop every pending event and rewind to the just-constructed state,
-  /// keeping the arena allocation.  Live closures are destroyed, every
+  /// keeping the slot allocation.  Live closures are destroyed, every
   /// generation of a previously-live slot is bumped (stale EventIds from
   /// the cleared run cannot cancel events of the next one), and the
   /// insertion sequence restarts at zero so timestamp tie-breaking — and
@@ -68,54 +97,62 @@ class EventQueue {
   /// constructed queue bit for bit.
   void clear();
 
-  /// Arena slots currently held (live + free-listed); exposed for tests.
-  std::size_t arena_size() const noexcept { return slots_.size(); }
+  /// Slots currently held (live + free-listed); exposed for tests.
+  std::size_t arena_size() const noexcept { return gen_.size(); }
 
  private:
-  static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
+  __extension__ using Key = unsigned __int128;
 
-  /// 4-ary heap: half the levels of a binary heap, and the children of
-  /// a node are contiguous, so the extra comparisons per level stay in
-  /// the same cache lines.  Pop-heavy discrete-event churn is dominated
-  /// by sift-down, which this favors.
   static constexpr std::size_t kArity = 4;
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
+  static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
+  /// Fills heap_ past the last live entry, so every node always has four
+  /// readable children and the min-child pick needs no bounds branch.
+  static constexpr Key kPadKey = ~Key{0};
+  /// Slots per chunk: 64 closures of 208 bytes, 13 KiB.
+  static constexpr unsigned kChunkShift = 6;
 
-  struct Slot {
-    EventFn fn;
-    std::uint32_t gen = 0;  // bumped on release; stale ids mismatch
-    // Position of this slot's entry in heap_ while live; while free,
-    // reused as the next-free link of the arena free list.
-    std::uint32_t heap_pos = 0;
-  };
+  static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
-  /// The ordering keys live in the heap entries themselves, so sifting
-  /// touches only the contiguous heap array — never the (much larger)
-  /// slots — keeping the comparison path cache-resident.
-  struct HeapEntry {
-    Time at;
-    std::uint64_t seq;   // insertion sequence; breaks timestamp ties
-    std::uint32_t slot;  // arena index of the event's callable
-  };
+  /// Order-preserving map of a double onto an unsigned integer: flip the
+  /// sign bit of non-negative values and every bit of negative ones.
+  /// `at + 0.0` first turns -0.0 into +0.0.
+  static std::uint64_t time_key(Time at) noexcept;
+  static Time key_time(std::uint64_t key) noexcept;
 
+  static std::uint32_t slot_of(Key key) noexcept {
+    return static_cast<std::uint32_t>(key) & kSlotMask;
+  }
   static EventId make_id(std::uint32_t gen, std::uint32_t slot) noexcept {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  /// True if heap entry `a` fires before `b`.
-  static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    if (a.at != b.at) return a.at < b.at;
-    return a.seq < b.seq;
+  EventFn& fn_at(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkShift][slot & ((1u << kChunkShift) - 1)];
   }
 
-  void sift_up(std::size_t pos);
-  void sift_down(std::size_t pos);
+  /// Place `moving` at `pos` or above it (heap order restored).
+  void sift_up(std::size_t pos, Key moving) noexcept;
+  /// Place `moving` at `pos` or below it (heap order restored).
+  void sift_down(std::size_t pos, Key moving) noexcept;
   /// Remove the heap entry at `pos` (swap-with-last + re-sift).
-  void heap_erase(std::size_t pos);
-  /// Return a slot to the free list and invalidate outstanding ids.
-  void release_slot(std::uint32_t slot);
+  void erase_at(std::size_t pos) noexcept;
+  /// Take the earliest entry off the heap and return its slot, whose
+  /// closure is still in place.  The removal path of pop() and
+  /// fire_top().
+  std::uint32_t remove_top() noexcept;
+  /// A slot for a new event: the free list's head, or a new slot.
+  std::uint32_t acquire_slot();
+  /// Destroy the slot's closure, invalidate outstanding ids, and return
+  /// the slot to the free list.
+  void release_slot(std::uint32_t slot) noexcept;
 
-  std::vector<HeapEntry> heap_;  // binary min-heap by (at, seq)
-  std::vector<Slot> slots_;      // pooled arena of callables
+  std::vector<Key> heap_;                          // live entries + pads
+  std::size_t size_ = 0;                           // live entries
+  std::vector<std::uint32_t> pos_;                 // heap position / free link
+  std::vector<std::uint32_t> gen_;                 // per-slot generation
+  std::vector<std::unique_ptr<EventFn[]>> chunks_;  // stable closure storage
   std::uint32_t free_head_ = kNoFree;
   std::uint64_t pushed_ = 0;
 };

@@ -32,13 +32,19 @@ void Simulator::reset() {
 std::uint64_t Simulator::run(Time until) {
   if (running_) throw std::logic_error("Simulator::run is not reentrant");
   running_ = true;
+  // Cleared on every exit, including an exception thrown by an event, so
+  // the kernel stays resettable (fire_top releases the event's slot).
+  struct ClearRunning {
+    bool& running;
+    ~ClearRunning() { running = false; }
+  } clear_running{running_};
   stop_requested_ = false;
   std::uint64_t count = 0;
   while (!queue_.empty() && !stop_requested_) {
-    if (queue_.peek_time() > until) break;
-    auto ev = queue_.pop();
-    now_ = ev.at;
-    ev.fn();
+    const Time at = queue_.peek_time();
+    if (at > until) break;
+    now_ = at;
+    queue_.fire_top();
     ++count;
     ++dispatched_;
     if (observe_every_ != 0 && dispatched_ % observe_every_ == 0) {
@@ -50,7 +56,6 @@ std::uint64_t Simulator::run(Time until) {
   if (!stop_requested_ && until < kTimeInfinity && now_ < until) {
     now_ = until;
   }
-  running_ = false;
   return count;
 }
 

@@ -126,9 +126,9 @@ TraceSource::TraceSource(const std::string& path, sim::Time horizon,
 }
 
 bool TraceSource::produce(Job& out) {
-  // Skip-and-continue on the horizon filter: the legacy path erased
-  // every at-or-past-horizon row from the whole (possibly unsorted)
-  // file, so a later in-horizon row must still be emitted.
+  // Skip-and-continue on the horizon filter: the reader requires
+  // nondecreasing arrivals, so every row after the first one past the
+  // horizon is skipped too — but it is still read, and still validated.
   while (reader_.next(out)) {
     if (out.arrival >= horizon_) continue;
     out.origin_cluster =

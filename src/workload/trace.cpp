@@ -1,10 +1,14 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace scal::workload {
 
@@ -77,39 +81,89 @@ TraceReader::TraceReader(std::istream& in) : in_(&in) {
     in_ = nullptr;  // empty input: a valid, already-exhausted trace
     return;
   }
+  line_ = 1;
   if (line != kHeader) {
     throw std::runtime_error("load_trace: unexpected header: " + line);
   }
 }
 
+namespace {
+
+/// The whole cell as a T, or nullopt if any of it is not part of the
+/// number or the value does not fit T.  std::from_chars takes no
+/// leading space or '+', and no '-' for an unsigned T.
+template <typename T>
+std::optional<T> parse_cell(std::string_view cell) {
+  T value{};
+  const char* const end = cell.data() + cell.size();
+  const auto [stop, ec] = std::from_chars(cell.data(), end, value);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 bool TraceReader::next(Job& out) {
   if (in_ == nullptr) return false;
   std::string line;
   while (std::getline(*in_, line)) {
+    ++line_;
     if (line.empty()) continue;
-    std::istringstream row(line);
-    std::string cell;
-    Job j;
-    auto next_cell = [&]() {
-      if (!std::getline(row, cell, ',')) {
-        throw std::runtime_error("load_trace: truncated row: " + line);
-      }
+    const auto fail = [&](const std::string& what) {
+      return std::runtime_error("load_trace: line " + std::to_string(line_) +
+                                ": " + what + ": " + line);
+    };
+    std::string_view rest = line;
+    bool more = true;
+    const auto next_cell = [&]() {
+      if (!more) throw fail("truncated row");
+      const auto comma = rest.find(',');
+      const std::string_view cell = rest.substr(0, comma);
+      more = comma != std::string_view::npos;
+      if (more) rest.remove_prefix(comma + 1);
       return cell;
     };
-    j.id = std::stoull(next_cell());
-    j.arrival = std::stod(next_cell());
-    j.exec_time = std::stod(next_cell());
-    j.requested_time = std::stod(next_cell());
-    j.partition_size = static_cast<std::uint32_t>(std::stoul(next_cell()));
-    j.cancellable = next_cell() == "1";
-    const std::string cls = next_cell();
-    if (cls != "LOCAL" && cls != "REMOTE") {
-      throw std::runtime_error("load_trace: bad job class: " + cls);
+    const auto bad = [&](const char* field, std::string_view cell) {
+      return fail(std::string("bad ") + field + " '" + std::string(cell) +
+                  "'");
+    };
+    const auto integer = [&]<typename T>(T, const char* field) {
+      const std::string_view cell = next_cell();
+      const std::optional<T> value = parse_cell<T>(cell);
+      if (!value) throw bad(field, cell);
+      return *value;
+    };
+    // Times and benefit fields: finite and non-negative.
+    const auto amount = [&](const char* field) {
+      const std::string_view cell = next_cell();
+      const std::optional<double> value = parse_cell<double>(cell);
+      if (!value || !std::isfinite(*value) || *value < 0.0) {
+        throw bad(field, cell);
+      }
+      return *value;
+    };
+    Job j;
+    j.id = integer(std::uint64_t{}, "id");
+    j.arrival = amount("arrival");
+    if (j.arrival < last_arrival_) {
+      throw fail("arrival earlier than the previous row's");
     }
+    j.exec_time = amount("exec_time");
+    j.requested_time = amount("requested_time");
+    j.partition_size = integer(std::uint32_t{}, "partition_size");
+    const std::string_view cancellable = next_cell();
+    if (cancellable != "0" && cancellable != "1") {
+      throw bad("cancellable", cancellable);
+    }
+    j.cancellable = cancellable == "1";
+    const std::string_view cls = next_cell();
+    if (cls != "LOCAL" && cls != "REMOTE") throw bad("job class", cls);
     j.job_class = cls == "LOCAL" ? JobClass::kLocal : JobClass::kRemote;
-    j.benefit_factor = std::stod(next_cell());
-    j.benefit_deadline = std::stod(next_cell());
-    j.origin_cluster = static_cast<std::uint32_t>(std::stoul(next_cell()));
+    j.benefit_factor = amount("benefit_factor");
+    j.benefit_deadline = amount("benefit_deadline");
+    j.origin_cluster = integer(std::uint32_t{}, "origin_cluster");
+    if (more) throw fail("extra cells");
+    last_arrival_ = j.arrival;
     out = j;
     return true;
   }

@@ -54,11 +54,16 @@ class TraceReader {
   explicit TraceReader(std::istream& in);
 
   /// Parse the next row into `out`; false at end of input.  Blank lines
-  /// are skipped; malformed rows throw std::runtime_error.
+  /// are skipped.  A malformed row throws std::runtime_error naming its
+  /// line: every cell must parse completely, integers must fit their
+  /// field, time and benefit fields must be finite and non-negative, and
+  /// arrivals must be nondecreasing (the simulator pulls them in order).
   bool next(Job& out);
 
  private:
   std::istream* in_;
+  std::size_t line_ = 0;  ///< lines read so far, header included
+  double last_arrival_ = 0.0;
 };
 
 /// CSV round-trip: header + one row per job, exact field preservation

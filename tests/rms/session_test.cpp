@@ -2,9 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iostream>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "net/tree_cache.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/factory.hpp"
+#include "util/log.hpp"
+#include "workload/generator.hpp"
+#include "workload/trace.hpp"
 
 namespace scal::rms {
 namespace {
@@ -99,6 +110,79 @@ TEST(SimulationSession, TelemetryKeepsSharingOff) {
   (void)session.run(config);
   EXPECT_EQ(net::SharedTreeCache::instance().publishes(), 0u);
   EXPECT_EQ(net::SharedTreeCache::instance().size(), 0u);
+}
+
+// small_config() replaying a 200-row trace in streaming mode, so rows
+// are pulled mid-run; row 101's arrival cell is "x" (line 102).
+grid::GridConfig bad_trace_config(const std::string& path) {
+  workload::WorkloadConfig wl;
+  wl.mean_interarrival = 1.0;
+  wl.clusters = 4;
+  workload::WorkloadGenerator gen(wl, util::RandomStream(42, "session"));
+  const std::vector<workload::Job> jobs = gen.generate_until(295.0, 200);
+  EXPECT_EQ(jobs.size(), 200u);
+  std::stringstream text;
+  workload::save_trace(jobs, text);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  const std::string& row = lines.at(101);
+  const std::size_t from = row.find(',') + 1;
+  lines[101] = row.substr(0, from) + "x" + row.substr(row.find(',', from));
+  std::ofstream out(path);
+  for (const std::string& line : lines) out << line << '\n';
+
+  grid::GridConfig config = small_config();
+  config.result_mode = grid::ResultMode::kStreaming;
+  config.workload_source.kind = workload::SourceKind::kTrace;
+  config.workload_source.path = path;
+  return config;
+}
+
+TEST(SimulationSession, ThrowingRunForcesRebuild) {
+  // A malformed row throws out of an event.  The session must drop that
+  // half-run system: the next call rebuilds and reports the trace error
+  // again, instead of failing to reset a kernel stuck "during run".
+  const std::string path =
+      ::testing::TempDir() + "/scal_session_bad_trace.csv";
+  const grid::GridConfig config = bad_trace_config(path);
+
+  SimulationSession session;
+  for (std::size_t attempt = 1; attempt <= 2; ++attempt) {
+    try {
+      (void)session.run(config);
+      ADD_FAILURE() << "run " << attempt << " should have thrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 102"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(session.rebuilds(), attempt);
+  }
+  // And the session is still good for a valid config.
+  expect_identical(session.run(small_config()), simulate(small_config()));
+  EXPECT_EQ(session.rebuilds(), 3u);
+  std::remove(path.c_str());
+}
+
+TEST(SimulationSession, ThrowingInstrumentedRunDetachesLogClock) {
+  // An instrumented run stamps log lines with its simulated clock.  When
+  // it throws, the clock must be detached with it: the dropped system's
+  // clock would otherwise be called by the next log line.
+  const std::string path =
+      ::testing::TempDir() + "/scal_session_bad_trace_telemetry.csv";
+  grid::GridConfig config = bad_trace_config(path);
+  obs::Telemetry telemetry{{}};
+  config.telemetry = &telemetry;
+  {
+    SimulationSession session;
+    EXPECT_THROW((void)session.run(config), std::runtime_error);
+  }
+  std::ostringstream captured;
+  std::streambuf* old = std::clog.rdbuf(captured.rdbuf());
+  SCAL_WARN("after the failed run");
+  std::clog.rdbuf(old);
+  EXPECT_NE(captured.str().find("after the failed run"), std::string::npos);
+  EXPECT_EQ(captured.str().find("t="), std::string::npos) << captured.str();
+  std::remove(path.c_str());
 }
 
 TEST(SessionPool, SlotsAreLazyAndStable) {

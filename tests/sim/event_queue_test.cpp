@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace scal::sim {
@@ -252,6 +257,183 @@ TEST(EventQueue, ClearReleasesCallables) {
   EXPECT_FALSE(weak.expired());
   q.clear();
   EXPECT_TRUE(weak.expired());
+}
+
+// ---------------------------------------------------------------------
+// Differential test: a seeded random sequence of push / cancel / pop /
+// fire / clear operations checked against a reference that shares no
+// code with the kernel — a std::map ordered by (time, insertion seq).
+// Times come from a coarse grid so ties are common, plus the awkward
+// doubles: -0.0 next to +0.0, subnormals, values around 2^60, +-inf and
+// negatives.
+
+class SplitMix {
+ public:
+  explicit SplitMix(std::uint64_t seed) : state_(seed) {}
+  std::uint64_t next() {
+    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  }
+  std::size_t below(std::size_t n) {
+    return static_cast<std::size_t>(next() % n);
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
+std::vector<double> awkward_times() {
+  std::vector<double> t;
+  for (int k = 0; k < 48; ++k) t.push_back(0.5 * k);  // coarse grid
+  const double two60 = std::ldexp(1.0, 60);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x :
+       {-0.0, 0.0, denorm, 2 * denorm,
+        std::numeric_limits<double>::min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::nextafter(two60, 0.0), two60, std::nextafter(two60, inf),
+        3 * two60, std::numeric_limits<double>::max(), inf, -1.0, -0.5,
+        -denorm, -two60, -inf}) {
+    t.push_back(x);
+  }
+  return t;
+}
+
+struct Reference {
+  // (time, insertion seq) -> tag; std::pair compares doubles with <, so
+  // -0.0 and +0.0 tie and fall back to the sequence.
+  std::map<std::pair<double, std::uint64_t>, int> live;
+  std::uint64_t seq = 0;
+};
+
+struct Issued {
+  EventId id;
+  std::pair<double, std::uint64_t> key;
+  int tag;
+};
+
+// Apply `ops` random operations to `q` and a fresh reference, checking
+// every observable; returns the popped (time, tag) sequence.
+std::vector<std::pair<double, int>> run_differential(EventQueue& q,
+                                                     std::uint64_t seed,
+                                                     std::size_t ops,
+                                                     bool allow_clear) {
+  const std::vector<double> times = awkward_times();
+  SplitMix rng(seed);
+  Reference ref;
+  std::vector<Issued> issued;  // every id handed out, stale ones too
+  std::vector<std::pair<double, int>> popped;
+  int next_tag = 0;
+  int fired = -1;
+
+  auto check_top = [&] {
+    EXPECT_EQ(q.size(), ref.live.size());
+    EXPECT_EQ(q.empty(), ref.live.empty());
+    if (!ref.live.empty()) {
+      // Times come back as at + 0.0: compare values, not sign bits.
+      EXPECT_EQ(q.peek_time(), ref.live.begin()->first.first);
+      EXPECT_EQ(q.next_time(), q.peek_time());
+    }
+  };
+  auto take_ref_top = [&] {
+    const auto top = ref.live.begin();
+    const std::pair<double, int> out{top->first.first, top->second};
+    ref.live.erase(top);
+    return out;
+  };
+
+  for (std::size_t op = 0; op < ops; ++op) {
+    const std::size_t roll = rng.below(1000);
+    // Alternating phases of 10k operations grow the queue to ~2,500
+    // events and drain it back to a few dozen.
+    const bool up = ref.live.size() < 64 || (op / 10000) % 2 == 0;
+    if (allow_clear && roll == 999 && rng.below(20) == 0) {
+      q.clear();
+      ref = Reference{};
+      EXPECT_EQ(q.total_pushed(), 0u);
+    } else if (roll < (up ? 550u : 250u)) {
+      const double at = times[rng.below(times.size())];
+      const int tag = next_tag++;
+      const EventId id = q.push(at, [&fired, tag] { fired = tag; });
+      const std::pair<double, std::uint64_t> key{at, ref.seq++};
+      ref.live.emplace(key, tag);
+      issued.push_back({id, key, tag});
+      EXPECT_EQ(q.total_pushed(), ref.seq);
+    } else if (roll < 850) {
+      if (ref.live.empty()) {
+        EXPECT_THROW(q.pop(), std::logic_error);
+        continue;
+      }
+      const auto expect = take_ref_top();
+      const double at = q.peek_time();
+      fired = -1;
+      if (rng.below(2) == 0) {
+        EventQueue::Popped out = q.pop();
+        EXPECT_EQ(out.at, at);
+        EXPECT_EQ(out.id, issued[static_cast<std::size_t>(expect.second)].id);
+        out.fn();
+      } else {
+        q.fire_top();
+      }
+      EXPECT_EQ(at, expect.first);
+      EXPECT_EQ(fired, expect.second);
+      popped.emplace_back(at, fired);
+    } else if (roll < 960) {
+      // Cancel an issued id: pending ones succeed, stale ones (fired,
+      // cancelled, or from before a clear()) are rejected.
+      if (issued.empty()) continue;
+      const Issued& pick = issued[rng.below(issued.size())];
+      const auto it = ref.live.find(pick.key);
+      const bool pending = it != ref.live.end() && it->second == pick.tag;
+      EXPECT_EQ(q.cancel(pick.id), pending);
+      if (pending) ref.live.erase(it);
+    } else {
+      // Foreign ids: a slot no queue hands out, or a generation no slot
+      // reaches within this run.
+      const EventId forged =
+          rng.below(2) == 0
+              ? (rng.next() << 32) | (0x01000000u + rng.below(1u << 20))
+              : (EventId{0x80000000u + rng.below(1u << 30)} << 32) |
+                    rng.below(4096);
+      EXPECT_FALSE(q.cancel(forged));
+    }
+    check_top();
+    if (::testing::Test::HasFailure()) break;  // one report, not 100k
+  }
+  // Drain: the rest must come out in reference order too.
+  while (!ref.live.empty() && !::testing::Test::HasFailure()) {
+    const auto expect = take_ref_top();
+    const double at = q.peek_time();
+    fired = -1;
+    q.fire_top();
+    EXPECT_EQ(at, expect.first);
+    EXPECT_EQ(fired, expect.second);
+    popped.emplace_back(at, fired);
+  }
+  EXPECT_TRUE(q.empty());
+  return popped;
+}
+
+TEST(EventQueueDifferential, MatchesOrderedMapReference) {
+  EventQueue q;
+  const auto popped = run_differential(q, 20240611, 150000, true);
+  EXPECT_GT(popped.size(), 30000u);
+}
+
+TEST(EventQueueDifferential, ClearedQueueReplaysLikeFresh) {
+  EventQueue used;
+  run_differential(used, 7, 40000, false);
+  for (int i = 0; i < 100; ++i) used.push(1.0 * i, [] {});
+  const EventId stale = used.push(0.0, [] {});
+  used.clear();
+  EXPECT_FALSE(used.cancel(stale));
+  EventQueue fresh;
+  const auto a = run_differential(used, 99, 60000, false);
+  const auto b = run_differential(fresh, 99, 60000, false);
+  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace scal::sim {
@@ -152,6 +155,59 @@ TEST(Simulator, ResetDuringRunThrows) {
   Simulator sim;
   sim.schedule_in(1.0, [&] { EXPECT_THROW(sim.reset(), std::logic_error); });
   sim.run();
+}
+
+TEST(Simulator, ThrowingEventLeavesKernelResettable) {
+  // An exception out of an event unwinds run(); the kernel must not stay
+  // "running", and the in-flight event's slot must be released, so a
+  // reset() plus a second run dispatches exactly like a fresh simulator.
+  auto record = [](Simulator& sim, std::vector<std::pair<Time, int>>& log) {
+    for (int i = 0; i < 40; ++i) {
+      sim.schedule_at(static_cast<Time>(i % 7), [&sim, &log, i] {
+        log.emplace_back(sim.now(), i);
+        if (i % 5 == 0) {
+          sim.schedule_in(0.5, [&sim, &log, i] {
+            log.emplace_back(sim.now(), 100 + i);
+          });
+        }
+      });
+    }
+    return sim.run();
+  };
+
+  Simulator sim;
+  auto token = std::make_shared<int>(1);
+  std::weak_ptr<int> watch = token;
+  sim.schedule_in(1.0, [] {});
+  sim.schedule_in(2.0, [token] { throw std::runtime_error("boom"); });
+  sim.schedule_in(3.0, [] {});
+  token.reset();
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_TRUE(watch.expired());  // the throwing closure was destroyed
+  EXPECT_EQ(sim.dispatched_events(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  sim.reset();
+  std::vector<std::pair<Time, int>> reused;
+  const std::uint64_t reused_count = record(sim, reused);
+
+  Simulator fresh;
+  std::vector<std::pair<Time, int>> expected;
+  EXPECT_EQ(reused_count, record(fresh, expected));
+  EXPECT_EQ(reused, expected);
+  EXPECT_EQ(sim.dispatched_events(), fresh.dispatched_events());
+}
+
+TEST(Simulator, EventCannotCancelItselfWhileRunning) {
+  // In-place dispatch keeps the closure in its slot while it runs; its
+  // own id must already be stale, as it was when pop() moved it out.
+  Simulator sim;
+  EventId self = 0;
+  bool cancelled = true;
+  self = sim.schedule_in(1.0, [&] { cancelled = sim.cancel(self); });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.dispatched_events(), 1u);
 }
 
 }  // namespace
