@@ -29,17 +29,17 @@ void MetricsCollector::observe_staleness(double age) {
 void MetricsCollector::record_arrival(const workload::Job& job) {
   record_job_event(job.id, JobEvent::kArrival, job.arrival,
                    job.origin_cluster);
-  ++arrived_;
-  if (job.job_class == workload::JobClass::kLocal) ++local_;
-  else ++remote_;
+  ++counts_.jobs_arrived;
+  if (job.job_class == workload::JobClass::kLocal) ++counts_.jobs_local;
+  else ++counts_.jobs_remote;
 }
 
 void MetricsCollector::record_completion(const workload::Job& job,
                                          sim::Time completion,
                                          double service_time,
                                          double control_cost) {
-  ++completed_;
-  control_overhead_ += control_cost;
+  ++counts_.jobs_completed;
+  counts_.control_overhead += control_cost;
   const double response = completion - job.arrival;
   sink_->record_response(response);
   if (response_hist_ != nullptr) response_hist_->record(response);
@@ -50,85 +50,26 @@ void MetricsCollector::record_completion(const workload::Job& job,
   // Success per the paper's user-benefit function U_b: the response must
   // be within benefit_factor times the job's actual run time.
   if (response <= job.benefit_factor * service_time) {
-    ++succeeded_;
-    useful_work_ += service_time;
+    ++counts_.jobs_succeeded;
+    counts_.useful_work += service_time;
   } else {
-    ++missed_;
-    wasted_work_ += service_time;
+    ++counts_.jobs_missed_deadline;
+    counts_.wasted_work += service_time;
   }
 }
 
 void MetricsCollector::record_unfinished(double partial_service_time) {
-  ++unfinished_;
-  wasted_work_ += partial_service_time;
+  ++counts_.jobs_unfinished;
+  counts_.wasted_work += partial_service_time;
 }
 
 void MetricsCollector::record_job_killed(double partial_service_time) {
-  ++killed_;
-  wasted_work_ += partial_service_time;
-}
-
-MetricsSnapshot MetricsCollector::snapshot() const noexcept {
-  MetricsSnapshot s;
-  s.useful_work = useful_work_;
-  s.wasted_work = wasted_work_;
-  s.control_overhead = control_overhead_;
-  s.jobs_arrived = arrived_;
-  s.jobs_local = local_;
-  s.jobs_remote = remote_;
-  s.jobs_completed = completed_;
-  s.jobs_succeeded = succeeded_;
-  s.jobs_missed_deadline = missed_;
-  s.jobs_unfinished = unfinished_;
-  s.polls = polls_;
-  s.transfers = transfers_;
-  s.auctions = auctions_;
-  s.adverts = adverts_;
-  s.updates_received = updates_received_;
-  s.updates_suppressed = updates_suppressed_;
-  s.jobs_killed = killed_;
-  s.jobs_requeued = requeued_;
-  s.jobs_lost = lost_;
-  s.round_retries = round_retries_;
-  s.status_evictions = status_evictions_;
-  s.blackout_drops = blackout_drops_;
-  return s;
-}
-
-void MetricsCollector::merge(const MetricsCollector& other) {
-  useful_work_ += other.useful_work_;
-  wasted_work_ += other.wasted_work_;
-  control_overhead_ += other.control_overhead_;
-  arrived_ += other.arrived_;
-  local_ += other.local_;
-  remote_ += other.remote_;
-  completed_ += other.completed_;
-  succeeded_ += other.succeeded_;
-  missed_ += other.missed_;
-  unfinished_ += other.unfinished_;
-  polls_ += other.polls_;
-  transfers_ += other.transfers_;
-  auctions_ += other.auctions_;
-  adverts_ += other.adverts_;
-  updates_received_ += other.updates_received_;
-  updates_suppressed_ += other.updates_suppressed_;
-  killed_ += other.killed_;
-  requeued_ += other.requeued_;
-  lost_ += other.lost_;
-  round_retries_ += other.round_retries_;
-  status_evictions_ += other.status_evictions_;
-  blackout_drops_ += other.blackout_drops_;
-  sink_->merge_responses(*other.sink_);
+  ++counts_.jobs_killed;
+  counts_.wasted_work += partial_service_time;
 }
 
 void MetricsCollector::reset() {
-  useful_work_ = wasted_work_ = control_overhead_ = 0.0;
-  arrived_ = local_ = remote_ = 0;
-  completed_ = succeeded_ = missed_ = unfinished_ = 0;
-  polls_ = transfers_ = auctions_ = adverts_ = 0;
-  updates_received_ = updates_suppressed_ = 0;
-  killed_ = requeued_ = lost_ = 0;
-  round_retries_ = status_evictions_ = blackout_drops_ = 0;
+  counts_ = MetricsSnapshot{};
   sink_->clear_responses();
 }
 

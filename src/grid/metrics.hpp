@@ -14,11 +14,11 @@
 #include <cstdint>
 
 #include "grid/joblog.hpp"
+#include "grid/result_schema.hpp"
 #include "grid/result_sink.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
 #include "workload/job.hpp"
-#include "workload/trace.hpp"
 
 namespace scal::obs {
 class Telemetry;
@@ -27,9 +27,9 @@ class Histogram;
 
 namespace scal::grid {
 
-/// Value snapshot of every MetricsCollector counter, so probes and
-/// exporters can read a consistent mid-run view without reaching into
-/// the collector's internals.
+/// Every MetricsCollector counter.  The collector keeps its counts in
+/// one of these, so probes and exporters read a consistent mid-run view
+/// through MetricsCollector::snapshot().
 struct MetricsSnapshot {
   double useful_work = 0.0;
   double wasted_work = 0.0;
@@ -122,47 +122,25 @@ class MetricsCollector {
   void record_job_killed(double partial_service_time);
 
   // Protocol counters (incremented by the RMS implementations).
-  void count_poll() { ++polls_; }
-  void count_transfer() { ++transfers_; }
-  void count_auction() { ++auctions_; }
-  void count_advert() { ++adverts_; }
-  void count_update_received() { ++updates_received_; }
-  void count_update_suppressed() { ++updates_suppressed_; }
+  void count_poll() { ++counts_.polls; }
+  void count_transfer() { ++counts_.transfers; }
+  void count_auction() { ++counts_.auctions; }
+  void count_advert() { ++counts_.adverts; }
+  void count_update_received() { ++counts_.updates_received; }
+  void count_update_suppressed() { ++counts_.updates_suppressed; }
 
   // Fault/robustness counters (see docs/FAULTS.md).
-  void count_job_requeued() { ++requeued_; }
-  void count_job_lost() { ++lost_; }
-  void count_round_retry() { ++round_retries_; }
-  void count_status_evictions(std::uint64_t n) { status_evictions_ += n; }
-  void count_blackout_drop() { ++blackout_drops_; }
-
-  // Accessors (F/H here exclude G, which GridSystem reads off servers).
-  double useful_work() const noexcept { return useful_work_; }
-  double wasted_work() const noexcept { return wasted_work_; }
-  double control_overhead() const noexcept { return control_overhead_; }
-
-  std::uint64_t jobs_arrived() const noexcept { return arrived_; }
-  std::uint64_t jobs_local() const noexcept { return local_; }
-  std::uint64_t jobs_remote() const noexcept { return remote_; }
-  std::uint64_t jobs_completed() const noexcept { return completed_; }
-  std::uint64_t jobs_succeeded() const noexcept { return succeeded_; }
-  std::uint64_t jobs_missed_deadline() const noexcept { return missed_; }
-  std::uint64_t jobs_unfinished() const noexcept { return unfinished_; }
-
-  std::uint64_t polls() const noexcept { return polls_; }
-  std::uint64_t transfers() const noexcept { return transfers_; }
-  std::uint64_t auctions() const noexcept { return auctions_; }
-  std::uint64_t adverts() const noexcept { return adverts_; }
-  std::uint64_t updates_received() const noexcept { return updates_received_; }
-  std::uint64_t updates_suppressed() const noexcept {
-    return updates_suppressed_;
+  void count_job_requeued() { ++counts_.jobs_requeued; }
+  void count_job_lost() { ++counts_.jobs_lost; }
+  void count_round_retry() { ++counts_.round_retries; }
+  void count_status_evictions(std::uint64_t n) {
+    counts_.status_evictions += n;
   }
-  std::uint64_t jobs_killed() const noexcept { return killed_; }
-  std::uint64_t jobs_requeued() const noexcept { return requeued_; }
-  std::uint64_t jobs_lost() const noexcept { return lost_; }
-  std::uint64_t round_retries() const noexcept { return round_retries_; }
-  std::uint64_t status_evictions() const noexcept { return status_evictions_; }
-  std::uint64_t blackout_drops() const noexcept { return blackout_drops_; }
+  void count_blackout_drop() { ++counts_.blackout_drops; }
+
+  /// Every counter (F/H parts here exclude G, which GridSystem reads off
+  /// the servers); valid mid-run.
+  const MetricsSnapshot& snapshot() const noexcept { return counts_; }
 
   /// The exact response-time samples (full mode only; throws
   /// std::logic_error when the attached sink folds online — use
@@ -178,30 +156,12 @@ class MetricsCollector {
   /// approximate in streaming mode.
   double response_p95() const { return sink_->response_p95(); }
 
-  /// Consistent value copy of all counters (valid mid-run).
-  MetricsSnapshot snapshot() const noexcept;
-
-  /// Fold another collector's counts into this one: sums every counter
-  /// and appends the response samples in `other`'s order.  Merging
-  /// per-task collectors in task order equals accumulating serially —
-  /// the deterministic reduction for sharded/parallel collection.  The
-  /// attached job logs are not merged.
-  void merge(const MetricsCollector& other);
-
   /// Zero every counter and drop the response samples; the attached job
   /// log (if any) is left untouched.
   void reset();
 
  private:
-  double useful_work_ = 0.0;
-  double wasted_work_ = 0.0;
-  double control_overhead_ = 0.0;
-  std::uint64_t arrived_ = 0, local_ = 0, remote_ = 0;
-  std::uint64_t completed_ = 0, succeeded_ = 0, missed_ = 0, unfinished_ = 0;
-  std::uint64_t polls_ = 0, transfers_ = 0, auctions_ = 0, adverts_ = 0;
-  std::uint64_t updates_received_ = 0, updates_suppressed_ = 0;
-  std::uint64_t killed_ = 0, requeued_ = 0, lost_ = 0;
-  std::uint64_t round_retries_ = 0, status_evictions_ = 0, blackout_drops_ = 0;
+  MetricsSnapshot counts_;
   FullResultSink default_sink_;
   ResultSink* sink_ = &default_sink_;
   JobLog* external_log_ = nullptr;
@@ -212,33 +172,19 @@ class MetricsCollector {
   obs::Histogram* staleness_hist_ = nullptr;
 };
 
-/// Final outcome of one simulation run.
+/// Final outcome of one simulation run.  The stored fields are declared
+/// by the result schema (grid/result_schema.hpp); this struct adds the
+/// derived terms and the telemetry handle.
 struct SimulationResult {
-  // The paper's three work terms.
-  double F = 0.0;
-  double G_scheduler = 0.0;
-  double G_estimator = 0.0;
-  double G_middleware = 0.0;
-  /// Control-plane aggregation-tree work (0 when the control plane is
-  /// off or bypassed; docs/CONTROL_PLANE.md).  Charged to G like every
-  /// other RMS server: the tree must pay for itself in coalesced
-  /// est/sched work, not hide its own cost.
-  double G_aggregator = 0.0;
-  double H_control = 0.0;
-  double H_wasted = 0.0;
+#define SCAL_RESULT_MEMBER(type, name, init, block, key) type name = init;
+#define SCAL_RESULT_NO_MEMBER(expr, block, key)
+  SCAL_RESULT_SCHEMA(SCAL_RESULT_MEMBER, SCAL_RESULT_NO_MEMBER)
+#undef SCAL_RESULT_MEMBER
+#undef SCAL_RESULT_NO_MEMBER
 
   double G() const noexcept {
     return G_scheduler + G_estimator + G_middleware + G_aggregator;
   }
-
-  /// Bottleneck isolation (the paper's motivation for component-level
-  /// scalability analysis): the largest single scheduler's share of
-  /// G_scheduler.  1.0 for CENTRAL by construction; ~1/#clusters for a
-  /// well-balanced distributed RMS; rising values pinpoint an emerging
-  /// manager hot spot.
-  double G_scheduler_max_share = 0.0;
-  /// The busiest scheduler's own work-in-system time.
-  double G_scheduler_max = 0.0;
   double H() const noexcept { return H_control + H_wasted; }
   /// E = F / (F + G + H); 0 when no work was done.
   double efficiency() const noexcept {
@@ -246,35 +192,6 @@ struct SimulationResult {
     return total > 0.0 ? F / total : 0.0;
   }
 
-  // Figure 6/7 measures.
-  double throughput = 0.0;  ///< jobs completed per unit time
-  double mean_response = 0.0;
-  double p95_response = 0.0;
-
-  // Bookkeeping.
-  std::uint64_t jobs_arrived = 0;
-  std::uint64_t jobs_local = 0;
-  std::uint64_t jobs_remote = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_succeeded = 0;
-  std::uint64_t jobs_missed_deadline = 0;
-  std::uint64_t jobs_unfinished = 0;
-  std::uint64_t polls = 0;
-  std::uint64_t transfers = 0;
-  std::uint64_t auctions = 0;
-  std::uint64_t adverts = 0;
-  std::uint64_t updates_received = 0;
-  std::uint64_t updates_suppressed = 0;
-  std::uint64_t network_messages = 0;
-  std::uint64_t messages_dropped = 0;  ///< failure injection casualties
-  std::uint64_t events_dispatched = 0;
-  double horizon = 0.0;
-
-  // Control-plane aggregation (all zero when off or bypassed).
-  std::uint64_t ctrl_updates_in = 0;        ///< updates entering the trees
-  std::uint64_t ctrl_updates_coalesced = 0; ///< absorbed before forwarding
-  std::uint64_t ctrl_batches = 0;           ///< batches shipped tree-hops
-  std::uint64_t ctrl_tree_depth = 0;        ///< deepest tree in the forest
   /// Fraction of tree traffic absorbed by coalescing (the G-reduction
   /// mechanism's direct readout).
   double ctrl_coalescing_ratio() const noexcept {
@@ -284,21 +201,6 @@ struct SimulationResult {
                : 0.0;
   }
 
-  // Fault subsystem (zero / 1.0 on a fault-free run; see docs/FAULTS.md).
-  std::uint64_t resource_crashes = 0;
-  std::uint64_t resource_recoveries = 0;
-  std::uint64_t jobs_killed = 0;    ///< in-flight jobs a crash destroyed
-  std::uint64_t jobs_requeued = 0;  ///< killed jobs re-entering a scheduler
-  std::uint64_t jobs_lost = 0;      ///< killed jobs past the requeue budget
-  std::uint64_t round_retries = 0;  ///< protocol rounds retried on timeout
-  std::uint64_t status_evictions = 0;  ///< stale views skipped in scans
-  std::uint64_t blackout_drops = 0;    ///< control work lost to blackouts
-  std::uint64_t aggregator_blackouts = 0;  ///< agg-blackout windows opened
-  std::uint64_t messages_delayed = 0;
-  std::uint64_t messages_duplicated = 0;
-  double resource_downtime = 0.0;  ///< summed down-state resource-time
-  /// Fraction of resource-time actually up: 1 - downtime / (R * horizon).
-  double availability = 1.0;
   /// Availability-adjusted efficiency E_A = E / A: efficiency per unit of
   /// capacity that actually existed, so churn runs compare to fault-free
   /// runs on equal footing (can exceed E when the RMS exploits the
@@ -307,28 +209,11 @@ struct SimulationResult {
     return availability > 0.0 ? efficiency() / availability : 0.0;
   }
 
-  // Workload provenance (src/workload source subsystem): summary stats
-  // of the arrival stream the run consumed, and whether the process-wide
-  // ArrivalCache already held it (docs/WORKLOADS.md).
-  workload::TraceStats workload_stats;
-  bool workload_from_cache = false;
-
-  // Memory tier (docs/PERFORMANCE.md): which result path the run used
-  // and what its bounded stores did.  All defaults on a full-mode run
-  // with the job log off — the common case stays indistinguishable from
-  // the pre-streaming seed.
-  ResultMode result_mode = ResultMode::kFull;
-  std::uint64_t job_log_records = 0;  ///< lifecycle records kept
-  std::uint64_t job_log_dropped = 0;  ///< records past the capacity bound
-  std::uint64_t arena_high_water = 0;  ///< peak in-flight arrival slots
-  std::uint64_t arena_reuses = 0;      ///< arrival slot recycles
-  std::uint64_t arrival_cache_evictions = 0;  ///< byte-budget FIFO evictions
-  std::uint64_t arrival_cache_store_skips = 0;  ///< one-shot stores skipped
-
   /// The telemetry handle the run was instrumented with (null when
   /// telemetry was off); points at the object the caller attached to
   /// GridConfig::telemetry, so `result.telemetry->export_all()` works
-  /// even through convenience wrappers like rms::simulate.
+  /// even through convenience wrappers like rms::simulate.  Not part of
+  /// the schema: it is process-local and never serialized or compared.
   obs::Telemetry* telemetry = nullptr;
 };
 

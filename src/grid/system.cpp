@@ -462,9 +462,10 @@ void GridSystem::probe_tick() {
   obs::TimeSeriesProbe* probe = config_.telemetry->probe();
   obs::ProbeSample sample;
   sample.at = sim_.now();
-  sample.F = metrics_.useful_work();
+  const MetricsSnapshot& m = metrics_.snapshot();
+  sample.F = m.useful_work;
   sample.G = current_overhead_work();
-  sample.H = metrics_.control_overhead() + metrics_.wasted_work();
+  sample.H = m.control_overhead + m.wasted_work;
   fill_probe_state(sample);
   probe->add(sample);
   // The final row lands exactly at the horizon (appended from the
@@ -522,8 +523,8 @@ void GridSystem::fill_probe_state(obs::ProbeSample& sample) {
   probe_prev_est_busy_ = est_busy;
   probe_prev_mw_busy_ = mw_busy;
 
-  sample.jobs_arrived = metrics_.jobs_arrived();
-  sample.jobs_completed = metrics_.jobs_completed();
+  sample.jobs_arrived = metrics_.snapshot().jobs_arrived;
+  sample.jobs_completed = metrics_.snapshot().jobs_completed;
   sample.events_dispatched = sim_.dispatched_events();
 }
 
@@ -883,10 +884,11 @@ void GridSystem::reset(const GridConfig& next) {
 }
 
 SimulationResult GridSystem::assemble_result() {
+  const MetricsSnapshot& m = metrics_.snapshot();
   SimulationResult r;
-  r.F = metrics_.useful_work();
-  r.H_wasted = metrics_.wasted_work();
-  r.H_control = metrics_.control_overhead();
+  r.F = m.useful_work;
+  r.H_wasted = m.wasted_work;
+  r.H_control = m.control_overhead;
   for (const auto& sched : schedulers_) {
     const double work = sched->work_in_system_time();
     r.G_scheduler += work;
@@ -916,19 +918,19 @@ SimulationResult GridSystem::assemble_result() {
     }
   }
 
-  r.jobs_arrived = metrics_.jobs_arrived();
-  r.jobs_local = metrics_.jobs_local();
-  r.jobs_remote = metrics_.jobs_remote();
-  r.jobs_completed = metrics_.jobs_completed();
-  r.jobs_succeeded = metrics_.jobs_succeeded();
-  r.jobs_missed_deadline = metrics_.jobs_missed_deadline();
-  r.jobs_unfinished = metrics_.jobs_arrived() - metrics_.jobs_completed();
-  r.polls = metrics_.polls();
-  r.transfers = metrics_.transfers();
-  r.auctions = metrics_.auctions();
-  r.adverts = metrics_.adverts();
-  r.updates_received = metrics_.updates_received();
-  r.updates_suppressed = metrics_.updates_suppressed();
+  r.jobs_arrived = m.jobs_arrived;
+  r.jobs_local = m.jobs_local;
+  r.jobs_remote = m.jobs_remote;
+  r.jobs_completed = m.jobs_completed;
+  r.jobs_succeeded = m.jobs_succeeded;
+  r.jobs_missed_deadline = m.jobs_missed_deadline;
+  r.jobs_unfinished = m.jobs_arrived - m.jobs_completed;
+  r.polls = m.polls;
+  r.transfers = m.transfers;
+  r.auctions = m.auctions;
+  r.adverts = m.adverts;
+  r.updates_received = m.updates_received;
+  r.updates_suppressed = m.updates_suppressed;
   r.network_messages = network_->messages_sent();
   r.messages_dropped = network_->messages_dropped();
   r.events_dispatched = sim_.dispatched_events();
@@ -938,16 +940,16 @@ SimulationResult GridSystem::assemble_result() {
     r.resource_crashes = injector_->counters().crashes;
     r.resource_recoveries = injector_->counters().recoveries;
     r.aggregator_blackouts = injector_->counters().aggregator_blackouts;
-    r.jobs_killed = metrics_.jobs_killed();
-    r.jobs_requeued = metrics_.jobs_requeued();
-    r.jobs_lost = metrics_.jobs_lost();
-    r.round_retries = metrics_.round_retries();
-    r.status_evictions = metrics_.status_evictions();
+    r.jobs_killed = m.jobs_killed;
+    r.jobs_requeued = m.jobs_requeued;
+    r.jobs_lost = m.jobs_lost;
+    r.round_retries = m.round_retries;
+    r.status_evictions = m.status_evictions;
     r.messages_delayed = network_->messages_delayed();
     r.messages_duplicated = network_->messages_duplicated();
     // Scheduler-side drops are counted by the mixin; estimator-side
     // drops are the items their down servers discarded.
-    r.blackout_drops = metrics_.blackout_drops();
+    r.blackout_drops = m.blackout_drops;
     for (const auto& cluster : estimators_) {
       for (const auto& est : cluster) {
         r.blackout_drops += est->items_discarded();

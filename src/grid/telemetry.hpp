@@ -18,8 +18,10 @@ namespace scal::grid {
 void export_job_spans(const JobLog& log, obs::TraceRecorder& trace,
                       obs::TraceTid tid, double horizon);
 
-/// Snapshot config, result scalars, and every protocol counter into the
-/// manifest (label / git / wall-clock fields are owned by obs).
+/// Render the run's blocks (config, result scalars, every protocol
+/// counter, and the faults / workload / memory / ctrl blocks when those
+/// features ran) into manifest.run_blocks, replacing any earlier run's.
+/// Label / git / wall-clock fields are owned by obs.
 void fill_manifest(obs::RunManifest& manifest, const GridConfig& config,
                    const SimulationResult& result);
 

@@ -11,8 +11,7 @@
 // measurements and therefore differ between runs; the *call counts*
 // are pure functions of the simulated execution, so counts_json() is
 // bit-identical across runs and at any --jobs count when per-worker
-// profilers are merged in slot order (merge() accumulates by name, the
-// same reduction CounterRegistry uses).
+// profilers are merged in slot order (merge() accumulates by name).
 //
 // Threading: one PhaseProfiler serves one thread.  Parallel stages run
 // one profiler per worker slot and merge on the coordinating thread

@@ -19,7 +19,6 @@
 #include <string>
 
 #include "obs/anneal_log.hpp"
-#include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/manifest.hpp"
 #include "obs/phase_profiler.hpp"
@@ -86,7 +85,6 @@ class Telemetry {
   const TimeSeriesProbe* probe() const noexcept {
     return probe_enabled_ ? &probe_ : nullptr;
   }
-  CounterRegistry& counters() noexcept { return manifest_.counters; }
   RunManifest& manifest() noexcept { return manifest_; }
   const RunManifest& manifest() const noexcept { return manifest_; }
   AnnealLog& anneal() noexcept { return anneal_; }

@@ -11,15 +11,23 @@
 
 namespace scal::workload {
 
+/// Summary of an arrival stream.  The X-macro is the struct's only field
+/// list; grid/result_schema.hpp walks it wherever a SimulationResult's
+/// workload_stats is serialized or compared field by field.
+#define SCAL_TRACE_STATS_FIELDS(X)                              \
+  X(std::size_t, jobs)                                          \
+  X(std::size_t, local_jobs)                                    \
+  X(std::size_t, remote_jobs)                                   \
+  X(double, mean_interarrival)                                  \
+  X(double, mean_exec_time)                                     \
+  X(double, max_exec_time)                                      \
+  X(double, total_demand) /* sum of exec times */               \
+  X(double, span)         /* last arrival - first arrival */
+
 struct TraceStats {
-  std::size_t jobs = 0;
-  std::size_t local_jobs = 0;
-  std::size_t remote_jobs = 0;
-  double mean_interarrival = 0.0;
-  double mean_exec_time = 0.0;
-  double max_exec_time = 0.0;
-  double total_demand = 0.0;  ///< sum of exec times
-  double span = 0.0;          ///< last arrival - first arrival
+#define SCAL_TRACE_STATS_MEMBER(type, name) type name{};
+  SCAL_TRACE_STATS_FIELDS(SCAL_TRACE_STATS_MEMBER)
+#undef SCAL_TRACE_STATS_MEMBER
 };
 
 TraceStats summarize(const std::vector<Job>& jobs);

@@ -20,6 +20,7 @@
 #include "grid/telemetry.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/factory.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::grid {
 namespace {
@@ -44,27 +45,10 @@ GridConfig aggregating_config(RmsKind rms = RmsKind::kSenderInitiated) {
   return config;
 }
 
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.G_estimator, b.G_estimator);
-  EXPECT_EQ(a.G_middleware, b.G_middleware);
-  EXPECT_EQ(a.G_aggregator, b.G_aggregator);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.H_wasted, b.H_wasted);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_local, b.jobs_local);
-  EXPECT_EQ(a.jobs_remote, b.jobs_remote);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.updates_received, b.updates_received);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.p95_response, b.p95_response);
-  EXPECT_EQ(a.ctrl_updates_in, b.ctrl_updates_in);
-  EXPECT_EQ(a.ctrl_updates_coalesced, b.ctrl_updates_coalesced);
-  EXPECT_EQ(a.ctrl_batches, b.ctrl_batches);
-}
+/// Degenerate knobs still build the forest, and ctrl_tree_depth reports
+/// it, but the status path bypasses the trees.
+constexpr test::Skip kBypassedDepth{"ctrl_tree_depth",
+                                    "the bypassed forest is still built"};
 
 class ControlPlane : public ::testing::TestWithParam<RmsKind> {};
 
@@ -77,7 +61,8 @@ TEST_P(ControlPlane, DegenerateKnobsAreBitIdenticalToOff) {
   ASSERT_TRUE(degenerate.tuning.aggregation_degenerate());
   const SimulationResult bypassed = rms::simulate(degenerate);
 
-  expect_identical(plain, bypassed);
+  test::expect_same_result(plain, bypassed,
+                           {kBypassedDepth, test::kFromCache});
   EXPECT_EQ(bypassed.G_aggregator, 0.0);
   EXPECT_EQ(bypassed.ctrl_updates_in, 0u);
 }
@@ -100,7 +85,7 @@ TEST_P(ControlPlane, AggregationPopulatesTreeCountersAndChargesG) {
 TEST_P(ControlPlane, AggregationRunsAreReproducible) {
   const SimulationResult a = rms::simulate(aggregating_config(GetParam()));
   const SimulationResult b = rms::simulate(aggregating_config(GetParam()));
-  expect_identical(a, b);
+  test::expect_same_result(a, b, {test::kFromCache});
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ControlPlane,
@@ -131,7 +116,7 @@ TEST(ControlPlaneReset, KnobResetMatchesFreshBuild) {
   const SimulationResult warm = system.run();
 
   GridSystem fresh(second, rms::scheduler_factory(second.rms));
-  expect_identical(fresh.run(), warm);
+  test::expect_same_result(fresh.run(), warm, {test::kFromCache});
 }
 
 TEST(ControlPlaneReset, CrossingTheDegenerateBoundaryBothWays) {
@@ -146,12 +131,13 @@ TEST(ControlPlaneReset, CrossingTheDegenerateBoundaryBothWays) {
   system.reset(aggregating);
   const SimulationResult warm_on = system.run();
   GridSystem fresh_on(aggregating, rms::scheduler_factory(aggregating.rms));
-  expect_identical(fresh_on.run(), warm_on);
+  test::expect_same_result(fresh_on.run(), warm_on, {test::kFromCache});
 
   // Aggregating -> degenerate (must match plain control_plane=false too).
   system.reset(degenerate);
   const SimulationResult warm_off = system.run();
-  expect_identical(rms::simulate(base_config()), warm_off);
+  test::expect_same_result(rms::simulate(base_config()), warm_off,
+                           {kBypassedDepth, test::kFromCache});
 }
 
 TEST(ControlPlaneReset, ControlPlaneFlagIsStructural) {
@@ -188,11 +174,15 @@ TEST(ControlPlaneObs, HistogramsMatchManifestCounters) {
 
   obs::RunManifest manifest;
   fill_manifest(manifest, config, result);
-  EXPECT_TRUE(manifest.control_plane);
-  EXPECT_EQ(manifest.ctrl_updates_in, result.ctrl_updates_in);
-  EXPECT_EQ(manifest.ctrl_batches, result.ctrl_batches);
-  EXPECT_EQ(manifest.ctrl_tree_depth, result.ctrl_tree_depth);
   const std::string json = manifest.to_json();
+  EXPECT_NE(json.find("\"control_plane\":true"), std::string::npos);
+  const auto has = [&json](const std::string& key, std::uint64_t value) {
+    return json.find("\"" + key + "\":" + std::to_string(value)) !=
+           std::string::npos;
+  };
+  EXPECT_TRUE(has("updates_in", result.ctrl_updates_in));
+  EXPECT_TRUE(has("batches", result.ctrl_batches));
+  EXPECT_TRUE(has("tree_depth", result.ctrl_tree_depth));
   EXPECT_NE(json.find("\"ctrl\""), std::string::npos);
   EXPECT_NE(json.find("\"agg_fanout\""), std::string::npos);
 
@@ -213,7 +203,7 @@ TEST(ControlPlaneObs, MetricsInstrumentationIsObservational) {
   instrumented.telemetry = &telemetry;
   const SimulationResult probed = rms::simulate(instrumented);
 
-  expect_identical(plain, probed);
+  test::expect_same_result(plain, probed, {test::kFromCache});
 }
 
 TEST(ControlPlaneFaults, AggregatorBlackoutsFlushAndRecover) {

@@ -14,6 +14,7 @@
 #include "obs/anneal_log.hpp"
 #include "obs/telemetry.hpp"
 #include "util/rng.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::exec {
 namespace {
@@ -60,16 +61,6 @@ grid::GridConfig base_config() {
   return config;
 }
 
-void expect_identical(const grid::SimulationResult& a,
-                      const grid::SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-}
-
 void expect_identical(const core::CaseResult& a, const core::CaseResult& b) {
   EXPECT_EQ(a.rms, b.rms);
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -84,7 +75,7 @@ void expect_identical(const core::CaseResult& a, const core::CaseResult& b) {
               b.points[i].tuning.link_delay_scale);
     EXPECT_EQ(a.points[i].tuning.volunteer_interval,
               b.points[i].tuning.volunteer_interval);
-    expect_identical(a.points[i].sim, b.points[i].sim);
+    test::expect_same_result(a.points[i].sim, b.points[i].sim);
   }
 }
 

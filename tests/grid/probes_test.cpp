@@ -13,6 +13,7 @@
 
 #include "obs/telemetry.hpp"
 #include "rms/factory.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::grid {
 namespace {
@@ -34,21 +35,6 @@ obs::TelemetryConfig metrics_config() {
   return tc;
 }
 
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.G_estimator, b.G_estimator);
-  EXPECT_EQ(a.G_middleware, b.G_middleware);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.H_wasted, b.H_wasted);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.p95_response, b.p95_response);
-}
-
 class MetricsProbes : public ::testing::TestWithParam<RmsKind> {};
 
 TEST_P(MetricsProbes, MetricsOnVersusOffIsBitIdentical) {
@@ -59,7 +45,7 @@ TEST_P(MetricsProbes, MetricsOnVersusOffIsBitIdentical) {
   instrumented.telemetry = &telemetry;
   const SimulationResult probed = rms::simulate(instrumented);
 
-  expect_identical(plain, probed);
+  test::expect_same_result(plain, probed, {test::kFromCache});
 }
 
 TEST_P(MetricsProbes, HistogramsArePopulatedAndConsistent) {
@@ -111,7 +97,7 @@ TEST_P(MetricsProbes, TwoInstrumentedRunsAgreeBitExactly) {
   c2.telemetry = &t2;
   const SimulationResult r2 = rms::simulate(c2);
 
-  expect_identical(r1, r2);
+  test::expect_same_result(r1, r2, {test::kFromCache});
   EXPECT_EQ(t1.histograms().to_json(), t2.histograms().to_json());
   EXPECT_EQ(t1.profiler().counts_json(), t2.profiler().counts_json());
 }

@@ -52,7 +52,7 @@ TEST(QueueingTheory, MM1MeanResponseMatchesFormula) {
     });
   }
   station.sim.run();
-  ASSERT_EQ(station.metrics.jobs_completed(), n);
+  ASSERT_EQ(station.metrics.snapshot().jobs_completed, n);
   EXPECT_NEAR(station.metrics.response_times().mean(), 1.0 / (1.0 - 0.7),
               0.25);
 }

@@ -10,6 +10,7 @@
 #include "grid/system.hpp"
 #include "rms/factory.hpp"
 #include "rms/session.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::grid {
 namespace {
@@ -30,22 +31,6 @@ SimulationResult run_fresh(const GridConfig& config) {
   return system.run();
 }
 
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.G_estimator, b.G_estimator);
-  EXPECT_EQ(a.G_middleware, b.G_middleware);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.H_wasted, b.H_wasted);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.updates_received, b.updates_received);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.p95_response, b.p95_response);
-}
-
 TEST(RateReset, ServiceRateDeltaIsResetCompatible) {
   GridConfig base = small_config();
   GridConfig faster = base;
@@ -55,7 +40,7 @@ TEST(RateReset, ServiceRateDeltaIsResetCompatible) {
   EXPECT_TRUE(system.reset_compatible(faster));
   system.run();
   system.reset(faster);
-  expect_identical(run_fresh(faster), system.run());
+  test::expect_same_result(run_fresh(faster), system.run(), {test::kFromCache});
 }
 
 TEST(RateReset, ServiceRateResetRespectsHeterogeneity) {
@@ -70,7 +55,7 @@ TEST(RateReset, ServiceRateResetRespectsHeterogeneity) {
   system.reset(faster);
   // The per-resource multipliers must be re-applied exactly as a fresh
   // build at the new base rate would draw them.
-  expect_identical(run_fresh(faster), system.run());
+  test::expect_same_result(run_fresh(faster), system.run(), {test::kFromCache});
 }
 
 TEST(RateReset, InterarrivalDeltaRegeneratesArrivals) {
@@ -84,7 +69,7 @@ TEST(RateReset, InterarrivalDeltaRegeneratesArrivals) {
   system.reset(loaded);
   const SimulationResult warm = system.run();
   EXPECT_GT(warm.jobs_arrived, first.jobs_arrived);
-  expect_identical(run_fresh(loaded), warm);
+  test::expect_same_result(run_fresh(loaded), warm, {test::kFromCache});
 }
 
 TEST(RateReset, CombinedRateAndTuningDelta) {
@@ -98,7 +83,7 @@ TEST(RateReset, CombinedRateAndTuningDelta) {
   system.run();
   ASSERT_TRUE(system.reset_compatible(next));
   system.reset(next);
-  expect_identical(run_fresh(next), system.run());
+  test::expect_same_result(run_fresh(next), system.run(), {test::kFromCache});
 }
 
 TEST(RateReset, RoundTripBackToBaseReplaysExactly) {
@@ -111,7 +96,7 @@ TEST(RateReset, RoundTripBackToBaseReplaysExactly) {
   system.reset(faster);
   system.run();
   system.reset(base);
-  expect_identical(first, system.run());
+  test::expect_same_result(first, system.run());
 }
 
 TEST(RateReset, StructuralDeltasStillRejected) {
@@ -158,7 +143,7 @@ TEST(RateReset, SessionReusesSystemAcrossRateSweep) {
     scaled.service_rate = config.service_rate * k;
     scaled.workload.mean_interarrival = config.workload.mean_interarrival / k;
     const SimulationResult warm = session.run(scaled);
-    expect_identical(run_fresh(scaled), warm);
+    test::expect_same_result(run_fresh(scaled), warm, {test::kFromCache});
   }
   // The entire sweep reuses a single build — rate deltas never rebuild.
   EXPECT_EQ(session.rebuilds(), 1u);

@@ -41,7 +41,7 @@ TEST_F(ResourceTest, ExecutesJobAtServiceRate) {
   EXPECT_DOUBLE_EQ(sim_.now(), 5.0);  // 10 / 2
   EXPECT_FALSE(res->busy());
   EXPECT_EQ(res->jobs_executed(), 1u);
-  EXPECT_EQ(metrics_.jobs_completed(), 1u);
+  EXPECT_EQ(metrics_.snapshot().jobs_completed, 1u);
 }
 
 TEST_F(ResourceTest, JobControlDelaysAndCounts) {
@@ -49,7 +49,7 @@ TEST_F(ResourceTest, JobControlDelaysAndCounts) {
   res->accept_job(make_job(1, 10.0));
   sim_.run();
   EXPECT_DOUBLE_EQ(sim_.now(), 10.5);
-  EXPECT_DOUBLE_EQ(metrics_.control_overhead(), 0.5);
+  EXPECT_DOUBLE_EQ(metrics_.snapshot().control_overhead, 0.5);
 }
 
 TEST_F(ResourceTest, FifoQueueing) {
@@ -60,7 +60,7 @@ TEST_F(ResourceTest, FifoQueueing) {
   EXPECT_DOUBLE_EQ(res->load(), 2.0);
   EXPECT_EQ(res->queue_length(), 1u);
   sim_.run();
-  EXPECT_EQ(metrics_.jobs_completed(), 2u);
+  EXPECT_EQ(metrics_.snapshot().jobs_completed, 2u);
   EXPECT_DOUBLE_EQ(sim_.now(), 8.0);
 }
 
@@ -72,10 +72,10 @@ TEST_F(ResourceTest, SuccessUsesBenefitFactorTimesRunTime) {
   // = 10 > 1.5 * 5 -> miss.
   res->accept_job(make_job(2, 10.0, 0.0, 1.5));
   sim_.run();
-  EXPECT_EQ(metrics_.jobs_succeeded(), 1u);
-  EXPECT_EQ(metrics_.jobs_missed_deadline(), 1u);
-  EXPECT_DOUBLE_EQ(metrics_.useful_work(), 5.0);
-  EXPECT_DOUBLE_EQ(metrics_.wasted_work(), 5.0);
+  EXPECT_EQ(metrics_.snapshot().jobs_succeeded, 1u);
+  EXPECT_EQ(metrics_.snapshot().jobs_missed_deadline, 1u);
+  EXPECT_DOUBLE_EQ(metrics_.snapshot().useful_work, 5.0);
+  EXPECT_DOUBLE_EQ(metrics_.snapshot().wasted_work, 5.0);
 }
 
 TEST_F(ResourceTest, StealTakesMostRecentQueuedJobOnly) {
@@ -99,7 +99,7 @@ TEST_F(ResourceTest, PeriodicReportingWithSuppression) {
   sim_.run(35.0);
   // First report sent, the rest suppressed (idle, unchanged).
   EXPECT_EQ(reports_.size(), 1u);
-  EXPECT_EQ(metrics_.updates_suppressed(), 3u);
+  EXPECT_EQ(metrics_.snapshot().updates_suppressed, 3u);
   EXPECT_DOUBLE_EQ(reports_[0].load, 0.0);
 }
 
@@ -121,7 +121,7 @@ TEST_F(ResourceTest, NoSuppressionSendsEveryTick) {
   res->start_reporting(10.0, 0.0, /*suppression=*/false);
   sim_.run(35.0);
   EXPECT_EQ(reports_.size(), 4u);
-  EXPECT_EQ(metrics_.updates_suppressed(), 0u);
+  EXPECT_EQ(metrics_.snapshot().updates_suppressed, 0u);
 }
 
 TEST_F(ResourceTest, ReportOffsetDelaysFirstReport) {

@@ -10,6 +10,7 @@
 #include "grid/digest.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/factory.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::grid {
 namespace {
@@ -37,50 +38,6 @@ SimulationResult run_fresh(const GridConfig& config) {
   return system.run();
 }
 
-/// Exact (bitwise, via ==) equality on every scalar the result carries.
-void expect_identical(const SimulationResult& a, const SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.G_estimator, b.G_estimator);
-  EXPECT_EQ(a.G_middleware, b.G_middleware);
-  EXPECT_EQ(a.G_scheduler_max_share, b.G_scheduler_max_share);
-  EXPECT_EQ(a.G_scheduler_max, b.G_scheduler_max);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.H_wasted, b.H_wasted);
-  EXPECT_EQ(a.throughput, b.throughput);
-  EXPECT_EQ(a.mean_response, b.mean_response);
-  EXPECT_EQ(a.p95_response, b.p95_response);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_local, b.jobs_local);
-  EXPECT_EQ(a.jobs_remote, b.jobs_remote);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_succeeded, b.jobs_succeeded);
-  EXPECT_EQ(a.jobs_missed_deadline, b.jobs_missed_deadline);
-  EXPECT_EQ(a.jobs_unfinished, b.jobs_unfinished);
-  EXPECT_EQ(a.polls, b.polls);
-  EXPECT_EQ(a.transfers, b.transfers);
-  EXPECT_EQ(a.auctions, b.auctions);
-  EXPECT_EQ(a.adverts, b.adverts);
-  EXPECT_EQ(a.updates_received, b.updates_received);
-  EXPECT_EQ(a.updates_suppressed, b.updates_suppressed);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.horizon, b.horizon);
-  EXPECT_EQ(a.resource_crashes, b.resource_crashes);
-  EXPECT_EQ(a.resource_recoveries, b.resource_recoveries);
-  EXPECT_EQ(a.jobs_killed, b.jobs_killed);
-  EXPECT_EQ(a.jobs_requeued, b.jobs_requeued);
-  EXPECT_EQ(a.jobs_lost, b.jobs_lost);
-  EXPECT_EQ(a.round_retries, b.round_retries);
-  EXPECT_EQ(a.status_evictions, b.status_evictions);
-  EXPECT_EQ(a.blackout_drops, b.blackout_drops);
-  EXPECT_EQ(a.messages_delayed, b.messages_delayed);
-  EXPECT_EQ(a.messages_duplicated, b.messages_duplicated);
-  EXPECT_EQ(a.resource_downtime, b.resource_downtime);
-  EXPECT_EQ(a.availability, b.availability);
-}
-
 TEST(GridSystemReset, ResetRerunMatchesFreshBuild) {
   const GridConfig base = small_config();
   GridConfig retuned = base;
@@ -92,7 +49,8 @@ TEST(GridSystemReset, ResetRerunMatchesFreshBuild) {
   system.run();
   ASSERT_TRUE(system.reset_compatible(retuned));
   system.reset(retuned);
-  expect_identical(system.run(), run_fresh(retuned));
+  test::expect_same_result(system.run(), run_fresh(retuned),
+                           {test::kFromCache});
 }
 
 TEST(GridSystemReset, SameTuningResetReplaysRun) {
@@ -100,7 +58,7 @@ TEST(GridSystemReset, SameTuningResetReplaysRun) {
   GridSystem system(config, rms::scheduler_factory(config.rms));
   const SimulationResult first = system.run();
   system.reset(config);
-  expect_identical(system.run(), first);
+  test::expect_same_result(system.run(), first);
 }
 
 TEST(GridSystemReset, ResetRerunMatchesFreshBuildWithFaults) {
@@ -114,7 +72,7 @@ TEST(GridSystemReset, ResetRerunMatchesFreshBuildWithFaults) {
   EXPECT_GT(warm.resource_crashes, 0u);
   system.reset(retuned);
   const SimulationResult reset_run = system.run();
-  expect_identical(reset_run, run_fresh(retuned));
+  test::expect_same_result(reset_run, run_fresh(retuned), {test::kFromCache});
   // The fault machinery must be genuinely live after the reset too.
   EXPECT_GT(reset_run.resource_crashes, 0u);
   EXPECT_GT(reset_run.messages_dropped, 0u);
@@ -128,12 +86,12 @@ TEST(GridSystemReset, RepeatedResetCyclesStayIdentical) {
   GridSystem system(base, rms::scheduler_factory(base.rms));
   const SimulationResult base_fresh = run_fresh(base);
   const SimulationResult other_fresh = run_fresh(other);
-  expect_identical(system.run(), base_fresh);
+  test::expect_same_result(system.run(), base_fresh, {test::kFromCache});
   for (int cycle = 0; cycle < 3; ++cycle) {
     system.reset(other);
-    expect_identical(system.run(), other_fresh);
+    test::expect_same_result(system.run(), other_fresh, {test::kFromCache});
     system.reset(base);
-    expect_identical(system.run(), base_fresh);
+    test::expect_same_result(system.run(), base_fresh, {test::kFromCache});
   }
 }
 

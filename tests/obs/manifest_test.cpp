@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "json_checker.hpp"
+#include "obs/json.hpp"
 
 namespace scal::obs {
 namespace {
@@ -19,22 +21,20 @@ RunManifest sample_manifest() {
   m.started_at = "2026-08-05T10:00:00Z";
   m.git_version = "deadbeef-dirty";
   m.wall_seconds = 1.25;
-  m.rms = "LOWEST";
-  m.seed = 424242;
-  m.horizon = 1500.0;
-  m.nodes = 250;
-  m.clusters = 12;
-  m.estimators_per_cluster = 2;
-  m.service_rate = 8.0;
-  m.mean_interarrival = 0.3125;
-  m.F = 12345.6789;
-  m.G = 234.5;
-  m.H = 56.25;
-  m.efficiency = 0.4012345678901234;
-  m.throughput = 1.5;
-  m.counters.set("polls", 321);
-  m.counters.set("transfers", 12);
-  m.counters.set_real("G_scheduler", 200.125);
+  // The run blocks arrive pre-rendered (grid::fill_manifest in a real
+  // run); the manifest emits them verbatim, in order, after "jobs".
+  JsonObject config;
+  config.field("rms", "LOWEST")
+      .field("seed", std::uint64_t{424242})
+      .field("nodes", std::uint64_t{250})
+      .field("mean_interarrival", 0.3125);
+  JsonObject result;
+  result.field("F", 12345.6789).field("efficiency", 0.4012345678901234);
+  JsonObject counters;
+  counters.field("polls", std::uint64_t{321}).field("G_scheduler", 200.125);
+  m.run_blocks = {{"config", config.str()},
+                  {"result", result.str()},
+                  {"counters", counters.str()}};
   m.anneal_iterations = 24;
   m.anneal_accepted = 10;
   m.anneal_best_objective = 199.0;
@@ -60,8 +60,8 @@ TEST(RunManifest, ToJsonRoundTripsFieldsAndCounters) {
   ASSERT_TRUE(result.is_object());
   // json_number emits shortest-round-trip decimals, so parsing returns
   // the exact double.
-  EXPECT_EQ(result.at("F").number, m.F);
-  EXPECT_EQ(result.at("efficiency").number, m.efficiency);
+  EXPECT_EQ(result.at("F").number, 12345.6789);
+  EXPECT_EQ(result.at("efficiency").number, 0.4012345678901234);
 
   const auto& counters = root.at("counters");
   ASSERT_TRUE(counters.is_object());
@@ -72,6 +72,19 @@ TEST(RunManifest, ToJsonRoundTripsFieldsAndCounters) {
   ASSERT_TRUE(anneal.is_object());
   EXPECT_EQ(anneal.at("iterations").number, 24.0);
   EXPECT_EQ(anneal.at("accepted").number, 10.0);
+}
+
+TEST(RunManifest, UnfilledManifestEmitsNoRunBlocks) {
+  // A manifest no simulation filled (e.g. a tuner-only bench) carries
+  // identity and obs blocks only: no zero-valued config/result/counters.
+  RunManifest m;
+  m.label = "tuner only";
+  m.tuner_evaluations = 4;
+  const testjson::Value root = testjson::parse(m.to_json());
+  EXPECT_FALSE(root.has("config"));
+  EXPECT_FALSE(root.has("result"));
+  EXPECT_FALSE(root.has("counters"));
+  EXPECT_EQ(root.at("tuner").at("evaluations").number, 4.0);
 }
 
 TEST(RunManifest, AppendJsonlWritesOneParsableLinePerRun) {

@@ -51,7 +51,7 @@ TEST(AuctionUnit, InviteWithoutBacklogDrawsNoBid) {
   // No bid messages: network only carried what we injected (plus status
   // traffic); the auction at cluster 0 never hears back.  Detectable
   // through the absence of any auction award / transfer.
-  const auto r_metrics = grid.system->metrics().transfers();
+  const auto r_metrics = grid.system->metrics().snapshot().transfers;
   EXPECT_EQ(r_metrics, 0u);
 }
 
@@ -65,7 +65,7 @@ TEST(AuctionUnit, AwardWithEmptyQueueRepliesNoJob) {
   grid.sched(1).deliver_message(award);
   grid.system->simulator().run(50.0);
   // Nothing to steal: no transfer happened, nothing crashed.
-  EXPECT_EQ(grid.system->metrics().transfers(), 0u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 TEST(AuctionUnit, FullAuctionMovesABackloggedJob) {
@@ -90,8 +90,8 @@ TEST(AuctionUnit, FullAuctionMovesABackloggedJob) {
 
   // The idle transition at cluster 0 should have triggered at least one
   // auction; with cluster 1 backlogged, a job must have moved 1 -> 0.
-  EXPECT_GT(grid.system->metrics().auctions(), 0u);
-  EXPECT_GT(grid.system->metrics().transfers(), 0u);
+  EXPECT_GT(grid.system->metrics().snapshot().auctions, 0u);
+  EXPECT_GT(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 TEST(AuctionUnit, LateBidAfterCloseIsIgnored) {
@@ -106,7 +106,7 @@ TEST(AuctionUnit, LateBidAfterCloseIsIgnored) {
   bid.a = 5.0;
   grid.sched(0).deliver_message(bid);
   grid.system->simulator().run(50.0);
-  EXPECT_EQ(grid.system->metrics().transfers(), 0u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 }  // namespace

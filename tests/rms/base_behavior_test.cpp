@@ -79,7 +79,7 @@ TEST(DistributedBase, TransferDeliversJobAndCounts) {
             grid::MsgKind::kJobTransfer);
   ASSERT_TRUE(grid.scheds[1]->received[0].job.has_value());
   EXPECT_EQ(grid.scheds[1]->received[0].job->id, 5u);
-  EXPECT_EQ(grid.system->metrics().transfers(), 1u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 1u);
 }
 
 TEST(DistributedBase, DemandHandshakeTransfersWhenRemoteWins) {

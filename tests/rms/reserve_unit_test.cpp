@@ -48,7 +48,7 @@ TEST(ReserveUnit, ProbeAgainstIdleClusterSaysYes) {
   grid.sched(1).deliver_message(probe);
   grid.system->simulator().run(30.0);
   // No crash, no transfer (token unknown at cluster 0).
-  EXPECT_EQ(grid.system->metrics().transfers(), 0u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 TEST(ReserveUnit, ReservationsFlowFromIdleClusters) {
@@ -58,7 +58,7 @@ TEST(ReserveUnit, ReservationsFlowFromIdleClusters) {
   // sees busy fraction 0 < T_l and advertises reservations.
   sim.schedule_at(1.0, [] {});
   grid.system->run();
-  EXPECT_GT(grid.system->metrics().adverts(), 0u);
+  EXPECT_GT(grid.system->metrics().snapshot().adverts, 0u);
 }
 
 TEST(ReserveUnit, LoadedHolderUsesReservationToShedWork) {
@@ -73,8 +73,9 @@ TEST(ReserveUnit, LoadedHolderUsesReservationToShedWork) {
     }
   });
   grid.system->run();
-  EXPECT_GT(grid.system->metrics().polls(), 0u);      // probes
-  EXPECT_GT(grid.system->metrics().transfers(), 0u);  // accepted handoffs
+  const grid::MetricsSnapshot& m = grid.system->metrics().snapshot();
+  EXPECT_GT(m.polls, 0u);      // probes
+  EXPECT_GT(m.transfers, 0u);  // accepted handoffs
 }
 
 TEST(ReserveUnit, StaleReplyForUnknownTokenIsIgnored) {
@@ -87,7 +88,7 @@ TEST(ReserveUnit, StaleReplyForUnknownTokenIsIgnored) {
   reply.a = 1.0;
   grid.sched(0).deliver_message(reply);
   grid.system->simulator().run(20.0);
-  EXPECT_EQ(grid.system->metrics().transfers(), 0u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 }  // namespace

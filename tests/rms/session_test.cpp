@@ -16,6 +16,7 @@
 #include "util/log.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::rms {
 namespace {
@@ -31,20 +32,6 @@ grid::GridConfig small_config() {
   return config;
 }
 
-void expect_identical(const grid::SimulationResult& a,
-                      const grid::SimulationResult& b) {
-  EXPECT_EQ(a.F, b.F);
-  EXPECT_EQ(a.G_scheduler, b.G_scheduler);
-  EXPECT_EQ(a.G_estimator, b.G_estimator);
-  EXPECT_EQ(a.G_middleware, b.G_middleware);
-  EXPECT_EQ(a.H_control, b.H_control);
-  EXPECT_EQ(a.H_wasted, b.H_wasted);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-}
-
 TEST(SimulationSession, ReusesSystemAcrossTuningChanges) {
   grid::GridConfig base = small_config();
   grid::GridConfig retuned = base;
@@ -52,9 +39,12 @@ TEST(SimulationSession, ReusesSystemAcrossTuningChanges) {
   retuned.tuning.neighborhood_size = 2;
 
   SimulationSession session;
-  expect_identical(session.run(base), simulate(base));
-  expect_identical(session.run(retuned), simulate(retuned));
-  expect_identical(session.run(base), simulate(base));
+  test::expect_same_result(session.run(base), simulate(base),
+                           {test::kFromCache});
+  test::expect_same_result(session.run(retuned), simulate(retuned),
+                           {test::kFromCache});
+  test::expect_same_result(session.run(base), simulate(base),
+                           {test::kFromCache});
   // Three runs, one construction: the tuning-only changes were resets.
   EXPECT_EQ(session.rebuilds(), 1u);
 }
@@ -66,12 +56,14 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
 
   SimulationSession session;
   session.run(base);
-  expect_identical(session.run(bigger), simulate(bigger));
+  test::expect_same_result(session.run(bigger), simulate(bigger),
+                           {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 2u);
   // And the bigger system is itself reusable from here on.
   grid::GridConfig bigger_tuned = bigger;
   bigger_tuned.tuning.link_delay_scale = 1.4;
-  expect_identical(session.run(bigger_tuned), simulate(bigger_tuned));
+  test::expect_same_result(session.run(bigger_tuned), simulate(bigger_tuned),
+                           {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 2u);
 }
 
@@ -90,8 +82,8 @@ TEST(SimulationSession, TreeSharingIsResultInvisible) {
   isolated.set_tree_sharing(false);
   const auto without = isolated.run(config);
 
-  expect_identical(with, without);
-  expect_identical(with, simulate(config));
+  test::expect_same_result(with, without, {test::kFromCache});
+  test::expect_same_result(with, simulate(config), {test::kFromCache});
   // The sharing session really published trees for others to adopt.
   EXPECT_GT(net::SharedTreeCache::instance().publishes(), 0u);
   net::SharedTreeCache::instance().clear();
@@ -158,7 +150,9 @@ TEST(SimulationSession, ThrowingRunForcesRebuild) {
     EXPECT_EQ(session.rebuilds(), attempt);
   }
   // And the session is still good for a valid config.
-  expect_identical(session.run(small_config()), simulate(small_config()));
+  test::expect_same_result(session.run(small_config()),
+                           simulate(small_config()),
+                           {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 3u);
   std::remove(path.c_str());
 }

@@ -59,10 +59,10 @@ TEST(SymmetricUnit, FreshAdvertTriggersDemandHandshakeNotPoll) {
   });
   grid.system->run();
   // One demand request (counted as a poll), not an L_p-wide round.
-  EXPECT_EQ(grid.system->metrics().polls(), 1u);
+  EXPECT_EQ(grid.system->metrics().snapshot().polls, 1u);
   // Both clusters are idle, so the turnaround comparison keeps the job
   // local (transfer would only add delay) — no transfer is correct.
-  EXPECT_EQ(grid.system->metrics().transfers(), 0u);
+  EXPECT_EQ(grid.system->metrics().snapshot().transfers, 0u);
 }
 
 TEST(SymmetricUnit, NoAdvertFallsBackToPollRound) {
@@ -73,7 +73,7 @@ TEST(SymmetricUnit, NoAdvertFallsBackToPollRound) {
   });
   grid.system->run();
   // Full S-I round: L_p = 2 polls.
-  EXPECT_EQ(grid.system->metrics().polls(), 2u);
+  EXPECT_EQ(grid.system->metrics().snapshot().polls, 2u);
 }
 
 TEST(SymmetricUnit, AdvertIsConsumedOnce) {
@@ -89,7 +89,7 @@ TEST(SymmetricUnit, AdvertIsConsumedOnce) {
     grid.sched(0).deliver_job(grid.remote(2));
   });
   grid.system->run();
-  EXPECT_EQ(grid.system->metrics().polls(), 3u);
+  EXPECT_EQ(grid.system->metrics().snapshot().polls, 3u);
 }
 
 }  // namespace

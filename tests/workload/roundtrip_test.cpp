@@ -6,6 +6,7 @@
 #include "rms/scenario.hpp"
 #include "workload/source.hpp"
 #include "workload/trace.hpp"
+#include "support/result_equal.hpp"
 
 namespace scal::workload {
 namespace {
@@ -17,22 +18,6 @@ grid::GridConfig small_grid() {
   config.workload.mean_interarrival = 2.0;
   config.seed = 11;
   return config;
-}
-
-void expect_identical(const grid::SimulationResult& a,
-                      const grid::SimulationResult& b) {
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
-  EXPECT_EQ(a.jobs_completed, b.jobs_completed);
-  EXPECT_EQ(a.jobs_succeeded, b.jobs_succeeded);
-  EXPECT_EQ(a.transfers, b.transfers);
-  EXPECT_EQ(a.network_messages, b.network_messages);
-  EXPECT_DOUBLE_EQ(a.F, b.F);
-  EXPECT_DOUBLE_EQ(a.G(), b.G());
-  EXPECT_DOUBLE_EQ(a.H(), b.H());
-  EXPECT_DOUBLE_EQ(a.efficiency(), b.efficiency());
-  EXPECT_DOUBLE_EQ(a.mean_response, b.mean_response);
-  EXPECT_DOUBLE_EQ(a.p95_response, b.p95_response);
 }
 
 // The save_trace / trace-source round trip must be lossless at the
@@ -66,7 +51,7 @@ TEST(TraceRoundTrip, ReplayReproducesIdenticalRun) {
   auto replay_system = Scenario(replay_config).build();
   const grid::SimulationResult replay = replay_system->run();
 
-  expect_identical(direct, replay);
+  test::expect_same_result(direct, replay);
   const auto& direct_log = direct_system->job_log().records();
   const auto& replay_log = replay_system->job_log().records();
   ASSERT_EQ(replay_log.size(), direct_log.size());
@@ -96,7 +81,8 @@ TEST(TraceRoundTrip, TracePathAndTraceSourceAgree) {
   via_legacy.trace_path = path;
   grid::GridConfig via_source = small_grid();
   via_source.workload_source = SourceSpec::parse("trace:" + path);
-  expect_identical(Scenario(via_legacy).run(), Scenario(via_source).run());
+  test::expect_same_result(Scenario(via_legacy).run(),
+                           Scenario(via_source).run());
   std::remove(path.c_str());
 }
 
@@ -115,7 +101,7 @@ TEST(ModulatedDeterminism, RunKindsSerialMatchesPool) {
   const auto pooled = Scenario::run_kinds(base, kinds, &pool);
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(serial[i], pooled[i]);
+    test::expect_same_result(serial[i], pooled[i], {test::kFromCache});
   }
 }
 
@@ -136,7 +122,7 @@ TEST(ModulatedDeterminism, SwfRunsAreSeedStable) {
   ASSERT_EQ(serial.size(), pooled.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_GT(serial[i].jobs_arrived, 0u);
-    expect_identical(serial[i], pooled[i]);
+    test::expect_same_result(serial[i], pooled[i], {test::kFromCache});
   }
 }
 
