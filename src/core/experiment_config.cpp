@@ -1,8 +1,11 @@
 #include "core/experiment_config.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace scal::core {
 
@@ -46,7 +49,10 @@ net::TopologyKind topology_from_name(const std::string& name) {
                            "'");
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
+/// Trimmed comma-separated cells; blank cells are dropped unless
+/// `keep_blank`, which keeps them as empty strings.
+std::vector<std::string> split_csv(const std::string& text,
+                                   bool keep_blank = false) {
   std::vector<std::string> out;
   std::istringstream in(text);
   std::string cell;
@@ -54,9 +60,27 @@ std::vector<std::string> split_csv(const std::string& text) {
     // trim
     const auto b = cell.find_first_not_of(" \t");
     const auto e = cell.find_last_not_of(" \t");
-    if (b != std::string::npos) out.push_back(cell.substr(b, e - b + 1));
+    if (b != std::string::npos) {
+      out.push_back(cell.substr(b, e - b + 1));
+    } else if (keep_blank) {
+      out.emplace_back();
+    }
   }
   return out;
+}
+
+/// One procedure.scale_factors cell, parsed whole: a finite factor >= 1
+/// (the rule core::apply_scale enforces).
+double scale_factor(const std::string& cell) {
+  double v = 0.0;
+  const char* end = cell.data() + cell.size();
+  const auto [stop, ec] = std::from_chars(cell.data(), end, v);
+  if (ec != std::errc{} || stop != end || !std::isfinite(v) || !(v >= 1.0)) {
+    throw std::runtime_error(
+        "experiment config: procedure.scale_factors cell '" + cell +
+        "' is not a finite number >= 1");
+  }
+  return v;
 }
 
 /// The complete key vocabulary, used to reject typos.
@@ -158,8 +182,8 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   p.scase = case_from_name(ini.get_string("procedure.case", "case1"));
   if (const auto factors = ini.get("procedure.scale_factors")) {
     p.scale_factors.clear();
-    for (const std::string& cell : split_csv(*factors)) {
-      p.scale_factors.push_back(std::stod(cell));
+    for (const std::string& cell : split_csv(*factors, true)) {
+      p.scale_factors.push_back(scale_factor(cell));
     }
     if (p.scale_factors.empty()) {
       throw std::runtime_error(

@@ -1,5 +1,7 @@
 #include "fault/plan.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -16,15 +18,18 @@ namespace {
 double number(const std::string& key, const std::string& text) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    bad("'" + key + "' expects a number, got '" + text + "'");
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v)) {
+    bad("'" + key + "' expects a finite number, got '" + text + "'");
   }
   return v;
 }
 
 std::uint32_t count(const std::string& key, const std::string& text) {
   const double v = number(key, text);
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::uint32_t>(v))) {
+  // Range-check before the cast: converting an out-of-range double to
+  // an integer is undefined behavior.
+  if (!(v >= 0.0 && v <= static_cast<double>(UINT32_MAX)) ||
+      v != std::floor(v)) {
     bad("'" + key + "' expects a small non-negative integer, got '" + text +
         "'");
   }
@@ -39,8 +44,9 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
+// Every range check below is written to fail on NaN.
 void check_probability(const char* key, double p) {
-  if (p < 0.0 || p >= 1.0) {
+  if (!(p >= 0.0 && p < 1.0)) {
     bad(std::string(key) + " must be in [0, 1)");
   }
 }
@@ -55,32 +61,32 @@ std::string fmt(double v) {
 }  // namespace
 
 void FaultPlan::validate() const {
-  if (churn.mtbf < 0.0 || churn.mttr < 0.0) {
+  if (!(churn.mtbf >= 0.0 && churn.mttr >= 0.0)) {
     bad("churn mtbf/mttr must be non-negative");
   }
-  if (churn.enabled() && churn.mttr <= 0.0) {
+  if (churn.enabled() && !(churn.mttr > 0.0)) {
     bad("churn with mtbf > 0 requires mttr > 0");
   }
   check_probability("net drop", messages.drop);
   check_probability("net dup", messages.duplicate);
   check_probability("net delayp", messages.delay_probability);
-  if (messages.delay_probability > 0.0 && messages.delay_mean <= 0.0) {
+  if (messages.delay_probability > 0.0 && !(messages.delay_mean > 0.0)) {
     bad("net delayp > 0 requires delaym > 0");
   }
   for (const BlackoutSpec* b :
        {&estimator_blackout, &scheduler_blackout, &aggregator_blackout}) {
-    if (b->period < 0.0 || b->length < 0.0) {
+    if (!(b->period >= 0.0 && b->length >= 0.0)) {
       bad("blackout period/length must be non-negative");
     }
-    if (b->enabled() && b->length >= b->period) {
+    if (b->enabled() && !(b->length < b->period)) {
       bad("blackout length must be shorter than its period");
     }
   }
   if (any()) {
-    if (robustness.staleness_factor <= 1.0) {
+    if (!(robustness.staleness_factor > 1.0)) {
       bad("robust stale factor must exceed 1 (one update interval)");
     }
-    if (robustness.retry_backoff_base <= 0.0) {
+    if (!(robustness.retry_backoff_base > 0.0)) {
       bad("robust backoff must be positive");
     }
     if (robustness.retry_budget > 16) {

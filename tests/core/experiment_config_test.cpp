@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace scal::core {
 namespace {
 
@@ -70,6 +73,23 @@ TEST(ExperimentConfig, RejectsUnknownCaseAndTopologyAndRms) {
   EXPECT_THROW(experiment_from_ini(
                    util::IniFile::parse("[grid]\nrms = BOGUS\n")),
                std::invalid_argument);
+}
+
+TEST(ExperimentConfig, RejectsBadScaleFactorCells) {
+  // Each cell is parsed whole and must be a finite factor >= 1; the
+  // error names the key and the offending cell.
+  for (const std::string cell : {"1.5abc", "x", "", "nan", "inf", "0.5"}) {
+    try {
+      experiment_from_ini(util::IniFile::parse(
+          "[procedure]\nscale_factors = 1, " + cell + ", 4\n"));
+      ADD_FAILURE() << "accepted cell '" << cell << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("procedure.scale_factors"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("'" + cell + "'"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ExperimentConfig, CaseAliases) {

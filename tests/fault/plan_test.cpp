@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "fault/plan.hpp"
 
@@ -109,6 +111,24 @@ TEST(FaultPlan, ParseRejectsMalformed) {
   EXPECT_THROW(FaultPlan::parse("churn:nope=1"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse("churn:mtbf=abc"), std::invalid_argument);
   EXPECT_THROW(FaultPlan::parse(";"), std::invalid_argument);
+  // Counts are range-checked before their integer cast, and no number
+  // may be non-finite: a NaN must not parse into an empty plan.
+  for (const std::string v : {"1e20", "-1", "nan", "inf"}) {
+    EXPECT_THROW(FaultPlan::parse("robust:retries=" + v),
+                 std::invalid_argument)
+        << v;
+    EXPECT_THROW(FaultPlan::parse("robust:requeue=" + v),
+                 std::invalid_argument)
+        << v;
+  }
+  for (const char* spec :
+       {"net:drop=nan", "net:dup=nan", "net:delayp=nan,delaym=1",
+        "churn:mtbf=nan,mttr=1", "churn:mtbf=100,mttr=nan",
+        "est-blackout:period=nan,length=1",
+        "sched-blackout:period=100,length=nan",
+        "agg-blackout:period=nan,length=nan"}) {
+    EXPECT_THROW(FaultPlan::parse(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(FaultPlan, ValidateRejectsOutOfRange) {
@@ -134,6 +154,18 @@ TEST(FaultPlan, ValidateRejectsOutOfRange) {
   plan = FaultPlan{};
   plan.churn = ChurnSpec{100.0, 10.0};
   plan.robustness.staleness_factor = 1.0;  // would evict fresh entries
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+
+  // NaN fails every range check instead of reading as "inactive".
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  plan = FaultPlan{};
+  plan.messages.drop = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan = FaultPlan{};
+  plan.churn.mtbf = nan;
+  EXPECT_THROW(plan.validate(), std::invalid_argument);
+  plan = FaultPlan{};
+  plan.aggregator_blackout.period = nan;
   EXPECT_THROW(plan.validate(), std::invalid_argument);
 }
 
