@@ -127,7 +127,9 @@ class MetricsCollector {
   void count_auction() { ++counts_.auctions; }
   void count_advert() { ++counts_.adverts; }
   void count_update_received() { ++counts_.updates_received; }
-  void count_update_suppressed() { ++counts_.updates_suppressed; }
+  void count_update_suppressed(std::uint64_t n = 1) {
+    counts_.updates_suppressed += n;
+  }
 
   // Fault/robustness counters (see docs/FAULTS.md).
   void count_job_requeued() { ++counts_.jobs_requeued; }

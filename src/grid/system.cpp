@@ -361,6 +361,12 @@ void GridSystem::setup_faults() {
       agg_flat.size());
 }
 
+void GridSystem::credit_report_ticks() {
+  for (auto& cluster : resources_) {
+    for (auto& res : cluster) res->credit_skipped_ticks(sim_.now());
+  }
+}
+
 void GridSystem::setup_telemetry() {
   obs::Telemetry& telemetry = *config_.telemetry;
   const obs::TelemetryConfig& tc = telemetry.config();
@@ -459,6 +465,7 @@ void GridSystem::setup_telemetry() {
 }
 
 void GridSystem::probe_tick() {
+  credit_report_ticks();
   obs::TimeSeriesProbe* probe = config_.telemetry->probe();
   obs::ProbeSample sample;
   sample.at = sim_.now();
@@ -777,6 +784,7 @@ SimulationResult GridSystem::run() {
     obs::PhaseProfiler::Scope scope(profiler_, run_phase_);
     sim_.run(config_.horizon);
   }
+  credit_report_ticks();
 
   // Horizon sweep: work already invested in still-running jobs is waste.
   for (auto& cluster : resources_) {

@@ -143,6 +143,10 @@ class GridSystem {
   /// config.faults.any() — a fault-free run constructs none of it.
   void setup_faults();
 
+  /// Count the report ticks quiet resources skipped through now as
+  /// dispatched (and suppressed) before anything reads those counters.
+  void credit_report_ticks();
+
   // -- Telemetry plumbing (all no-ops when config_.telemetry is null).
   void setup_telemetry();
   void probe_tick();

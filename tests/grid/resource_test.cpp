@@ -97,6 +97,7 @@ TEST_F(ResourceTest, PeriodicReportingWithSuppression) {
   res->start_reporting(/*interval=*/10.0, /*offset=*/0.0,
                        /*suppression=*/true);
   sim_.run(35.0);
+  res->credit_skipped_ticks(sim_.now());
   // First report sent, the rest suppressed (idle, unchanged).
   EXPECT_EQ(reports_.size(), 1u);
   EXPECT_EQ(metrics_.snapshot().updates_suppressed, 3u);
