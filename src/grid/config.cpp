@@ -1,7 +1,10 @@
 #include "grid/config.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace scal::grid {
 
@@ -57,6 +60,17 @@ void GridConfig::validate() const {
   if (!(tuning.update_interval > 0.0) || tuning.neighborhood_size == 0 ||
       !(tuning.link_delay_scale > 0.0) || !(tuning.volunteer_interval > 0.0)) {
     throw std::invalid_argument("GridConfig: bad tuning values");
+  }
+  for (const auto& [interval, field] :
+       {std::pair{tuning.update_interval, "update_interval"},
+        std::pair{tuning.volunteer_interval, "volunteer_interval"}}) {
+    if (!std::isfinite(interval) ||
+        !(horizon / interval <= kMaxPeriodsPerHorizon)) {
+      throw std::invalid_argument(
+          std::string("GridConfig: tuning.") + field +
+          " must be finite with at most 2^24 periods over the horizon "
+          "(horizon / interval <= 16777216)");
+    }
   }
   if (tuning.agg_fanout == 0 || tuning.agg_fanout > 64 ||
       tuning.agg_batch == 0 || tuning.agg_batch > 4096 ||

@@ -45,6 +45,11 @@ inline constexpr RmsKind kAllRmsKinds[] = {
     RmsKind::kSymmetric,
 };
 
+/// The most periods of a periodic timer (the status-update and volunteer
+/// intervals) a run's horizon may hold: every period costs at least one
+/// event or one replayed tick, so a shorter interval stalls the clock.
+inline constexpr double kMaxPeriodsPerHorizon = 16777216.0;  // 2^24
+
 /// Scaling enablers (the y(k) knobs the simulated-annealing tuner adjusts,
 /// paper Tables 2-5).
 struct Tuning {

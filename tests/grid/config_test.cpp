@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace scal::grid {
 namespace {
 
@@ -68,6 +71,17 @@ TEST(GridConfig, ValidationCatchesNonsense) {
   c.tuning.update_interval = 0.0;
   expect_invalid(c);
 
+  // Intervals that would stall the clock, for both periodic timers.
+  for (const double stalls :
+       {std::numeric_limits<double>::infinity(), 1e-300, 1e-9}) {
+    c = good;
+    c.tuning.update_interval = stalls;
+    expect_invalid(c);
+    c = good;
+    c.tuning.volunteer_interval = stalls;
+    expect_invalid(c);
+  }
+
   c = good;
   c.tuning.neighborhood_size = 0;
   expect_invalid(c);
@@ -79,6 +93,30 @@ TEST(GridConfig, ValidationCatchesNonsense) {
   c = good;
   c.protocol.delta = 0.0;
   expect_invalid(c);
+}
+
+TEST(GridConfig, AcceptsShortAndHugeFiniteIntervals) {
+  GridConfig c;
+  c.horizon = 100.0;
+  for (const double interval : {1e-4, 1e300}) {
+    c.tuning.update_interval = interval;
+    c.tuning.volunteer_interval = interval;
+    EXPECT_NO_THROW(c.validate()) << interval;
+  }
+}
+
+TEST(GridConfig, IntervalErrorNamesFieldAndBound) {
+  GridConfig c;
+  c.horizon = 100.0;
+  c.tuning.volunteer_interval = 1e-9;
+  try {
+    c.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tuning.volunteer_interval"), std::string::npos);
+    EXPECT_NE(what.find("2^24"), std::string::npos);
+  }
 }
 
 TEST(GridConfig, AllSevenKindsEnumerated) {
