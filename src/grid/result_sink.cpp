@@ -20,28 +20,6 @@ ResultMode result_mode_from_string(const std::string& name) {
                               name + "' (expected full|streaming)");
 }
 
-void FullResultSink::merge_responses(const ResultSink& other) {
-  const util::Samples* theirs = other.samples();
-  if (theirs == nullptr) {
-    throw std::logic_error(
-        "FullResultSink::merge_responses: cannot merge a streaming sink "
-        "into a full one");
-  }
-  for (const double r : theirs->values()) response_.add(r);
-}
-
-void StreamingResultSink::merge_responses(const ResultSink& other) {
-  const auto* theirs = dynamic_cast<const StreamingResultSink*>(&other);
-  if (theirs == nullptr) {
-    throw std::logic_error(
-        "StreamingResultSink::merge_responses: cannot merge a full sink "
-        "into a streaming one");
-  }
-  count_ += theirs->count_;
-  sum_ += theirs->sum_;
-  hist_.merge(theirs->hist_);
-}
-
 std::unique_ptr<ResultSink> make_result_sink(ResultMode mode) {
   if (mode == ResultMode::kStreaming) {
     return std::make_unique<StreamingResultSink>();

@@ -50,11 +50,6 @@ class ResultSink {
   /// The exact sample store, or null when the sink folds online.
   virtual const util::Samples* samples() const noexcept { return nullptr; }
 
-  /// Fold another sink's responses into this one (deterministic shard
-  /// reduction).  Both sinks must be the same mode; throws
-  /// std::logic_error otherwise.
-  virtual void merge_responses(const ResultSink& other) = 0;
-
   /// Drop the folded responses; the job log is left untouched (the
   /// reset path clears it separately).
   virtual void clear_responses() = 0;
@@ -73,7 +68,6 @@ class FullResultSink final : public ResultSink {
   double response_mean() const override { return response_.mean(); }
   double response_p95() const override { return response_.percentile(95.0); }
   const util::Samples* samples() const noexcept override { return &response_; }
-  void merge_responses(const ResultSink& other) override;
   void clear_responses() override { response_ = util::Samples{}; }
 
  private:
@@ -101,7 +95,6 @@ class StreamingResultSink final : public ResultSink {
   double response_p95() const override {
     return count_ > 0 ? hist_.percentile(95.0) : 0.0;
   }
-  void merge_responses(const ResultSink& other) override;
   void clear_responses() override {
     count_ = 0;
     sum_ = 0.0;

@@ -1,8 +1,8 @@
 // ResultSink — the storage half of the streaming-tier API split.  The
 // load-bearing contracts: the streaming sink's mean is bitwise identical
 // to the full sink's (same 0.0-seeded fold in completion order), its p95
-// is a bounded-error histogram estimate, merges are mode-checked, and
-// every sink's JobLog honors the capacity bound.
+// is a bounded-error histogram estimate, and every sink's JobLog honors
+// the capacity bound.
 
 #include "grid/result_sink.hpp"
 
@@ -92,55 +92,6 @@ TEST(StreamingResultSink, EmptyReadsAsZero) {
   EXPECT_EQ(sink.response_count(), 0u);
   EXPECT_EQ(sink.response_mean(), 0.0);
   EXPECT_EQ(sink.response_p95(), 0.0);
-}
-
-TEST(ResultSinkMerge, FullAppendsInOrder) {
-  FullResultSink a;
-  FullResultSink b;
-  util::Samples expected;
-  for (const double v : {1.0, 2.0, 3.0}) {
-    a.record_response(v);
-    expected.add(v);
-  }
-  for (const double v : {10.0, 20.0}) {
-    b.record_response(v);
-  }
-  a.merge_responses(b);
-  expected.add(10.0);
-  expected.add(20.0);
-  EXPECT_EQ(a.response_count(), 5u);
-  EXPECT_EQ(a.samples()->values(), expected.values());
-}
-
-TEST(ResultSinkMerge, StreamingFoldsCountsSumsAndBuckets) {
-  StreamingResultSink a;
-  StreamingResultSink b;
-  StreamingResultSink serial;
-  const auto first = noisy_responses(300, 17);
-  const auto second = noisy_responses(200, 19);
-  for (const double v : first) {
-    a.record_response(v);
-    serial.record_response(v);
-  }
-  for (const double v : second) {
-    b.record_response(v);
-    serial.record_response(v);
-  }
-  a.merge_responses(b);
-  EXPECT_EQ(a.response_count(), serial.response_count());
-  // The merged mean is a sum-of-partial-sums, so it can differ from the
-  // serial fold in the last ULPs; what matters is that merging in task
-  // order is deterministic (same shards -> same bits at any pool width).
-  EXPECT_DOUBLE_EQ(a.response_mean(), serial.response_mean());
-  // Bucket-wise addition is exact integer arithmetic.
-  EXPECT_EQ(a.response_p95(), serial.response_p95());
-}
-
-TEST(ResultSinkMerge, CrossModeThrows) {
-  FullResultSink full;
-  StreamingResultSink streaming;
-  EXPECT_THROW(full.merge_responses(streaming), std::logic_error);
-  EXPECT_THROW(streaming.merge_responses(full), std::logic_error);
 }
 
 TEST(ResultSinkClear, DropsResponsesButNotTheLog) {
