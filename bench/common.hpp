@@ -37,11 +37,6 @@
 
 namespace scal::bench {
 
-/// Parse the bench CLI (flag inventory in options.hpp).
-/// Deprecated shim: use Options::parse(argc, argv, label).telemetry.
-obs::TelemetryConfig parse_telemetry_cli(int argc, char** argv,
-                                         const std::string& default_label);
-
 /// The job count of this bench process: --jobs if Options::parse saw
 /// one, else SCAL_JOBS, else 1.
 std::size_t job_count();

@@ -1,5 +1,6 @@
 #include "options.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -103,8 +104,9 @@ Options Options::parse(int argc, char** argv,
     const std::string text = value(i);
     char* end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0' || v <= 0.0) {
-      usage(flag + " expects a positive number, got '" + text + "'");
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(v) ||
+        v <= 0.0) {
+      usage(flag + " expects a finite positive number, got '" + text + "'");
     }
     return v;
   };
@@ -115,12 +117,7 @@ Options Options::parse(int argc, char** argv,
     } else if (flag == "--probe") {
       tc.probe_path = value(i);
     } else if (flag == "--probe-interval") {
-      const std::string text = value(i);
-      char* end = nullptr;
-      tc.probe_interval = std::strtod(text.c_str(), &end);
-      if (end == text.c_str() || *end != '\0') {
-        usage("--probe-interval expects a number, got '" + text + "'");
-      }
+      tc.probe_interval = real_value(i);
     } else if (flag == "--manifest") {
       tc.manifest_path = value(i);
     } else if (flag == "--anneal") {
@@ -187,11 +184,6 @@ Options Options::parse(int argc, char** argv,
                              ? g_eval_cache_path
                              : util::env_or("SCAL_BENCH_EVAL_CACHE", "");
   return opts;
-}
-
-obs::TelemetryConfig parse_telemetry_cli(int argc, char** argv,
-                                         const std::string& default_label) {
-  return Options::parse(argc, argv, default_label).telemetry;
 }
 
 }  // namespace scal::bench

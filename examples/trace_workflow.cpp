@@ -44,12 +44,12 @@ int main(int argc, char** argv) {
   grid::GridConfig config;
   config.topology.nodes = 200;
   config.horizon = stats.span + 200.0;
-  config.trace_path = path;
 
   Table table({"policy", "arrived", "succeeded", "missed", "G", "E"});
   for (const grid::RmsKind kind :
        {grid::RmsKind::kLowest, grid::RmsKind::kSymmetric}) {
-    const auto r = Scenario(config).rms(kind).run();
+    const auto r =
+        Scenario(config).workload("trace:" + path).rms(kind).run();
     table.add_row({
         grid::to_string(kind),
         std::to_string(r.jobs_arrived),

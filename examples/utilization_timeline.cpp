@@ -1,17 +1,17 @@
-// Watch the grid breathe: run one simulation with the state sampler and
-// a pulsing (diurnal) workload, then chart pool utilization, the
+// Watch the grid breathe: run one simulation with the time-series probe
+// and a pulsing (diurnal) workload, then chart pool utilization, the
 // hottest cluster, and the scheduler backlog over time.
 //
 //   ./utilization_timeline [RMS] [amplitude] [probe.csv]
 //
-// The optional third argument writes the run's time-series probe CSV
-// (cumulative F/G/H, windowed efficiency, utilizations) on the same
-// cadence as the charts below.
+// The probe's CSV (cumulative F/G/H, windowed efficiency, utilizations,
+// the state charted below) goes to the third argument, or to
+// utilization_timeline.csv in the working directory.
 
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
-#include "grid/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/scenario.hpp"
 #include "util/ascii_chart.hpp"
@@ -28,25 +28,20 @@ int main(int argc, char** argv) {
   config.workload.diurnal_amplitude =
       argc > 2 ? std::strtod(argv[2], nullptr) : 0.6;
   config.workload.diurnal_period = 600.0;
-  config.sample_interval = 20.0;
 
   obs::TelemetryConfig tc;
-  if (argc > 3) {
-    tc.probe_path = argv[3];
-    tc.probe_interval = config.sample_interval;
-  }
+  tc.probe_path = argc > 3 ? argv[3] : std::string("utilization_timeline.csv");
+  tc.probe_interval = 20.0;
   tc.label = "utilization_timeline";
   obs::Telemetry telemetry(tc);
 
-  auto system = Scenario(config)
-                    .telemetry(tc.any_enabled() ? &telemetry : nullptr)
-                    .build();
-  const grid::SimulationResult r = system->run();
-  const auto& samples = system->sampler()->samples();
+  const grid::SimulationResult r =
+      Scenario(config).telemetry(&telemetry).run();
+  const auto& samples = telemetry.probe()->samples();
 
   util::Series busy{"pool busy", {}, {}};
   util::Series hottest{"hottest cluster", {}, {}};
-  for (const grid::StateSample& s : samples) {
+  for (const obs::ProbeSample& s : samples) {
     busy.x.push_back(s.at);
     busy.y.push_back(s.pool_busy_fraction);
     hottest.x.push_back(s.at);
@@ -60,7 +55,7 @@ int main(int argc, char** argv) {
   std::cout << chart.render() << "\n";
 
   util::Series backlog{"scheduler backlog", {}, {}};
-  for (const grid::StateSample& s : samples) {
+  for (const obs::ProbeSample& s : samples) {
     backlog.x.push_back(s.at);
     backlog.y.push_back(static_cast<double>(s.scheduler_backlog));
   }
@@ -72,12 +67,10 @@ int main(int argc, char** argv) {
   std::cout << "jobs " << r.jobs_succeeded << "/" << r.jobs_arrived
             << " within deadline; E = " << r.efficiency() << "\n";
 
-  if (tc.any_enabled()) {
-    if (telemetry.export_all()) {
-      std::cout << "probe series written to " << tc.probe_path << "\n";
-    } else {
-      std::cout << "telemetry export failed (see warnings above)\n";
-    }
+  if (telemetry.export_all()) {
+    std::cout << "probe series written to " << tc.probe_path << "\n";
+  } else {
+    std::cout << "telemetry export failed (see warnings above)\n";
   }
   return 0;
 }

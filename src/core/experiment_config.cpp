@@ -92,7 +92,6 @@ const std::set<std::string>& known_keys() {
       "grid.trace_path", "grid.heterogeneity",
       "grid.control_loss_probability", "grid.job_log",
       "grid.job_log_capacity", "grid.result_mode",
-      "grid.sample_interval",
       "workload.mean_interarrival", "workload.t_cpu",
       "workload.benefit_lo", "workload.benefit_hi",
       "workload.diurnal_amplitude", "workload.diurnal_period",
@@ -140,7 +139,10 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   g.horizon = ini.get_double("grid.horizon", g.horizon);
   g.update_suppression =
       ini.get_bool("grid.update_suppression", g.update_suppression);
-  g.trace_path = ini.get_string("grid.trace_path", g.trace_path);
+  // The trace source's INI spelling.
+  if (const auto trace = ini.get("grid.trace_path"); trace && !trace->empty()) {
+    g.workload_source = workload::SourceSpec::parse("trace:" + *trace);
+  }
   g.heterogeneity = ini.get_double("grid.heterogeneity", g.heterogeneity);
   g.control_loss_probability = ini.get_double(
       "grid.control_loss_probability", g.control_loss_probability);
@@ -151,8 +153,6 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   if (const auto mode = ini.get("grid.result_mode")) {
     g.result_mode = grid::result_mode_from_string(*mode);
   }
-  g.sample_interval =
-      ini.get_double("grid.sample_interval", g.sample_interval);
 
   auto& wl = g.workload;
   wl.mean_interarrival =
@@ -233,7 +233,10 @@ util::IniFile experiment_to_ini(const ExperimentConfig& config) {
   ini.set_int("grid.seed", static_cast<std::int64_t>(g.seed));
   ini.set_double("grid.horizon", g.horizon);
   ini.set_bool("grid.update_suppression", g.update_suppression);
-  if (!g.trace_path.empty()) ini.set("grid.trace_path", g.trace_path);
+  if (g.workload_source.kind == workload::SourceKind::kTrace &&
+      g.workload_source.modulators.empty()) {
+    ini.set("grid.trace_path", g.workload_source.path);
+  }
   ini.set_double("grid.heterogeneity", g.heterogeneity);
   ini.set_double("grid.control_loss_probability",
                  g.control_loss_probability);
@@ -244,9 +247,6 @@ util::IniFile experiment_to_ini(const ExperimentConfig& config) {
   }
   if (g.result_mode != grid::ResultMode::kFull) {
     ini.set("grid.result_mode", grid::to_string(g.result_mode));
-  }
-  if (g.sample_interval > 0.0) {
-    ini.set_double("grid.sample_interval", g.sample_interval);
   }
 
   ini.set_double("workload.mean_interarrival",

@@ -9,14 +9,14 @@
 #include "obs/anneal_log.hpp"
 #include "obs/phase_profiler.hpp"
 #include "opt/annealing.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "rms/session.hpp"
 
 namespace scal::core {
 
 SimRunner default_runner() {
   return [](const grid::GridConfig& config) {
-    return rms::simulate(config);
+    return Scenario(config).run();
   };
 }
 

@@ -36,7 +36,7 @@ namespace scal::core {
 using SimRunner =
     std::function<grid::SimulationResult(const grid::GridConfig&)>;
 
-/// The production runner (rms::simulate), building a fresh system per
+/// The stateless runner, Scenario(config).run(): a fresh system per
 /// call.  Kept for callers that need stateless evaluations; the
 /// procedures now default to the empty-runner session backend instead.
 SimRunner default_runner();

@@ -4,7 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <utility>
+
+#include "obs/telemetry.hpp"
 
 namespace scal::grid {
 
@@ -61,16 +62,19 @@ void GridConfig::validate() const {
       !(tuning.link_delay_scale > 0.0) || !(tuning.volunteer_interval > 0.0)) {
     throw std::invalid_argument("GridConfig: bad tuning values");
   }
-  for (const auto& [interval, field] :
-       {std::pair{tuning.update_interval, "update_interval"},
-        std::pair{tuning.volunteer_interval, "volunteer_interval"}}) {
+  const auto check_periods = [this](double interval, const char* field) {
     if (!std::isfinite(interval) ||
         !(horizon / interval <= kMaxPeriodsPerHorizon)) {
       throw std::invalid_argument(
-          std::string("GridConfig: tuning.") + field +
+          std::string("GridConfig: ") + field +
           " must be finite with at most 2^24 periods over the horizon "
           "(horizon / interval <= 16777216)");
     }
+  };
+  check_periods(tuning.update_interval, "tuning.update_interval");
+  check_periods(tuning.volunteer_interval, "tuning.volunteer_interval");
+  if (telemetry != nullptr && telemetry->probe() != nullptr) {
+    check_periods(telemetry->probe()->interval(), "telemetry probe_interval");
   }
   if (tuning.agg_fanout == 0 || tuning.agg_fanout > 64 ||
       tuning.agg_batch == 0 || tuning.agg_batch > 4096 ||
@@ -96,11 +100,6 @@ void GridConfig::validate() const {
   }
   faults.validate();
   workload_source.validate();
-  if (!trace_path.empty() && !workload_source.is_default()) {
-    throw std::invalid_argument(
-        "GridConfig: trace_path and workload_source are mutually exclusive "
-        "(use workload_source kind=trace)");
-  }
 }
 
 std::size_t GridConfig::cluster_count() const {

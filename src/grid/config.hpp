@@ -45,9 +45,10 @@ inline constexpr RmsKind kAllRmsKinds[] = {
     RmsKind::kSymmetric,
 };
 
-/// The most periods of a periodic timer (the status-update and volunteer
-/// intervals) a run's horizon may hold: every period costs at least one
-/// event or one replayed tick, so a shorter interval stalls the clock.
+/// The most periods of a periodic timer (the status-update, volunteer
+/// and probe intervals) a run's horizon may hold: every period costs at
+/// least one event or one replayed tick, so a shorter interval stalls
+/// the clock.
 inline constexpr double kMaxPeriodsPerHorizon = 16777216.0;  // 2^24
 
 /// Scaling enablers (the y(k) knobs the simulated-annealing tuner adjusts,
@@ -183,8 +184,7 @@ struct GridConfig {
   /// Where arrivals come from (docs/WORKLOADS.md): the synthetic
   /// generator (default — byte-identical to the pre-source-layer
   /// seed path), a saved CSV trace, or a Standard Workload Format log,
-  /// optionally wrapped in composable load modulators.  Mutually
-  /// exclusive with the legacy trace_path shorthand below.
+  /// optionally wrapped in composable load modulators.
   workload::SourceSpec workload_source;
 
   std::uint64_t seed = 42;
@@ -203,10 +203,6 @@ struct GridConfig {
   /// come from dedicated substreams, so a plan with any() == false is
   /// bit-identical to a build without the subsystem.
   fault::FaultPlan faults;
-
-  /// When > 0, a StateSampler records true system state (utilization,
-  /// backlogs) on this cadence; read via GridSystem::sampler().
-  double sample_interval = 0.0;
 
   /// Record per-job lifecycle events (arrival, transfers, dispatch,
   /// start, completion) for post-run analysis.  Off by default: the
@@ -228,12 +224,6 @@ struct GridConfig {
   /// switches to the HDR-histogram approximation.  Structural (selects
   /// the sink and the arrival path), so it never survives a reset.
   ResultMode result_mode = ResultMode::kFull;
-
-  /// When non-empty, jobs are replayed from this trace file (see
-  /// workload::save_trace_file) instead of being generated; arrivals
-  /// past the horizon are dropped and origin clusters are remapped
-  /// modulo the cluster count.
-  std::string trace_path;
 
   /// Suppress a periodic update when the integer load is unchanged
   /// (paper: "if loading conditions ... did not change significantly from

@@ -139,11 +139,9 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
   mix.real(config.faults.robustness.retry_backoff_base);
   mix.word(config.faults.robustness.requeue_budget);
 
-  mix.real(config.sample_interval);
   mix.word(config.job_log ? 1u : 0u);
   mix.word(config.job_log_capacity);
   mix.word(static_cast<std::uint64_t>(config.result_mode));
-  mix.text(config.trace_path);
   mix.word(config.update_suppression ? 1u : 0u);
 
   const workload::SourceSpec& src = config.workload_source;
@@ -160,9 +158,8 @@ std::array<std::uint64_t, 2> workload_digest(const GridConfig& config) {
 
   // Everything schedule_arrivals feeds into the source stack: the
   // workload model (clusters resolves to cluster_count() at generation
-  // time, so hash that), the declared source, the legacy trace
-  // shorthand, the seed the substreams derive from, and the horizon
-  // that terminates the stream.
+  // time, so hash that), the declared source, the seed the substreams
+  // derive from, and the horizon that terminates the stream.
   const workload::WorkloadConfig& w = config.workload;
   mix.real(w.mean_interarrival);
   mix.word(static_cast<std::uint64_t>(w.exec_model));
@@ -187,7 +184,6 @@ std::array<std::uint64_t, 2> workload_digest(const GridConfig& config) {
   mix.text(src.path);
   mix.real(src.time_scale);
   mix.text(workload::modulators_to_spec(src.modulators));
-  mix.text(config.trace_path);
 
   mix.word(config.seed);
   mix.real(config.horizon);

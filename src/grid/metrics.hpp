@@ -214,7 +214,7 @@ struct SimulationResult {
   /// The telemetry handle the run was instrumented with (null when
   /// telemetry was off); points at the object the caller attached to
   /// GridConfig::telemetry, so `result.telemetry->export_all()` works
-  /// even through convenience wrappers like rms::simulate.  Not part of
+  /// even through wrappers like Scenario::run.  Not part of
   /// the schema: it is process-local and never serialized or compared.
   obs::Telemetry* telemetry = nullptr;
 };

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "grid/digest.hpp"
-#include "grid/sampler.hpp"
 #include "grid/telemetry.hpp"
 #include "net/tree_cache.hpp"
 #include "util/log.hpp"
@@ -168,12 +167,6 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
       workload::expected_exec_time(config_.workload) / config_.service_rate;
 
   if (config_.faults.any()) setup_faults();
-
-  if (config_.sample_interval > 0.0) {
-    sampler_entity_id_ = next_entity_id_++;
-    sampler_ = std::make_unique<StateSampler>(*this, sampler_entity_id_,
-                                              config_.sample_interval);
-  }
 
   if (config_.telemetry != nullptr) setup_telemetry();
 }
@@ -487,10 +480,20 @@ void GridSystem::fill_probe_state(obs::ProbeSample& sample) {
   std::size_t resources = 0, busy = 0;
   double load_sum = 0.0;
   for (const auto& cluster : resources_) {
+    std::size_t cluster_busy = 0;
     for (const auto& res : cluster) {
       ++resources;
-      if (res->busy()) ++busy;
+      if (res->busy()) ++cluster_busy;
       load_sum += res->load();
+      sample.max_resource_load =
+          std::max(sample.max_resource_load, res->load());
+    }
+    busy += cluster_busy;
+    if (!cluster.empty()) {
+      sample.hottest_cluster_busy =
+          std::max(sample.hottest_cluster_busy,
+                   static_cast<double>(cluster_busy) /
+                       static_cast<double>(cluster.size()));
     }
   }
   if (resources > 0) {
@@ -692,14 +695,7 @@ void GridSystem::schedule_next_arrival() {
 void GridSystem::schedule_arrivals() {
   workload::WorkloadConfig wl = config_.workload;
   wl.clusters = static_cast<std::uint32_t>(cluster_count());
-  workload::SourceSpec spec = config_.workload_source;
-  if (!config_.trace_path.empty()) {
-    // Legacy shorthand: trace_path is the trace source by another name
-    // (validate() forbids setting both).
-    spec = workload::SourceSpec{};
-    spec.kind = workload::SourceKind::kTrace;
-    spec.path = config_.trace_path;
-  }
+  const workload::SourceSpec& spec = config_.workload_source;
 
   // Every run keeps one arrival pending: each arrival event pulls its
   // successor from arrival_stream_ through an arena slot.
@@ -709,8 +705,7 @@ void GridSystem::schedule_arrivals() {
     // vector behind), so peak memory is independent of the job count.
     obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
     workload::PulledArrivals pulled = workload::cached_stream(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon,
-        /*reusable=*/false);
+        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
     arrival_stream_ = std::move(pulled.stream);
     workload_from_cache_ = pulled.from_cache;
   } else {
@@ -775,7 +770,6 @@ SimulationResult GridSystem::run() {
   }
   for (auto& sched : schedulers_) sched->on_start();
   if (injector_) injector_->start();
-  if (sampler_) sampler_->start();
 
   {
     // The event loop is the root scope: every instrumented phase below
@@ -882,11 +876,6 @@ void GridSystem::reset(const GridConfig& next) {
   // injector re-derives its substreams from the pinned entity id.
   injector_.reset();
   if (config_.faults.any()) setup_faults();
-
-  if (config_.sample_interval > 0.0) {
-    sampler_ = std::make_unique<StateSampler>(*this, sampler_entity_id_,
-                                              config_.sample_interval);
-  }
 
   ran_ = false;
 }

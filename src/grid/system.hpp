@@ -31,8 +31,6 @@
 
 namespace scal::grid {
 
-class StateSampler;
-
 /// Creates the policy scheduler for one cluster (or the single central
 /// scheduler).  Lives in the rms library (scal::rms::scheduler_factory);
 /// injected here so grid does not depend on the policies.
@@ -100,9 +98,6 @@ class GridSystem {
 
   /// The active result sink (full or streaming, per config.result_mode).
   const ResultSink& result_sink() const noexcept { return *sink_; }
-
-  /// Time-series sampler (null unless config.sample_interval > 0).
-  const StateSampler* sampler() const noexcept { return sampler_.get(); }
 
   /// Run telemetry handle (null unless config.telemetry was set).
   obs::Telemetry* telemetry() noexcept { return config_.telemetry; }
@@ -194,15 +189,13 @@ class GridSystem {
   std::vector<std::vector<ControlTree>> ctrl_trees_;  ///< [cluster][estimator]
   bool ctrl_active_ = false;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<StateSampler> sampler_;
   double mean_service_time_ = 1.0;
   bool ran_ = false;
   sim::EntityId next_entity_id_ = 0;
-  // Entity ids pinned at first assignment so a reset-recreated injector
-  // or sampler derives the same substreams as the original build.
+  // Entity id pinned at first assignment so a reset-recreated injector
+  // derives the same substreams as the original build.
   sim::EntityId injector_entity_id_ = 0;
   bool injector_id_assigned_ = false;
-  sim::EntityId sampler_entity_id_ = 0;
   // Full mode: the arrival stream is a pure function of (config minus
   // tuning), so it is resolved once — through the process-wide
   // ArrivalCache — and replayed by every reset cycle (invalidated only

@@ -1,7 +1,6 @@
 #include "net/tree_cache.hpp"
 
 #include <cstring>
-#include <mutex>
 
 #include "util/env.hpp"
 
@@ -63,114 +62,21 @@ SharedTreeCache& SharedTreeCache::instance() {
   return cache;
 }
 
+// Out of line, so the cache is instantiated here and not in every
+// router's hot translation unit.
 std::shared_ptr<const TreeSnapshot> SharedTreeCache::lookup(
     const Key& topology, NodeId src) {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  const auto it = entries_.find(EntryKey{topology, src});
-  if (it == entries_.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  shares_.fetch_add(1, std::memory_order_relaxed);
-  return it->second;
+  return TreeFifo::lookup(detail::TreeKey{topology, src});
 }
 
 std::shared_ptr<const TreeSnapshot> SharedTreeCache::publish(
     const Key& topology, NodeId src,
     std::shared_ptr<const TreeSnapshot> snapshot) {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  const EntryKey key{topology, src};
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // First-publish-wins unless the newcomer is strictly deeper: equal
-    // depths keep the canonical first entry (racing publishers of the
-    // same settle produce bit-identical snapshots anyway).
-    if (snapshot->settled_count <= it->second->settled_count) {
-      return it->second;
-    }
-    bytes_ -= it->second->bytes();
-    bytes_ += snapshot->bytes();
-    it->second = std::move(snapshot);
-    publishes_.fetch_add(1, std::memory_order_relaxed);
-    upgrades_.fetch_add(1, std::memory_order_relaxed);
-    enforce_budget_locked();
-    const auto again = entries_.find(key);
-    return again != entries_.end() ? again->second : nullptr;
-  }
-  const std::size_t cost = snapshot->bytes();
-  if (max_bytes_ != 0 && cost > max_bytes_) {
-    // Larger than the whole budget: hand the snapshot back unstored.
-    return snapshot;
-  }
-  entries_.emplace(key, snapshot);
-  insertion_order_.push_back(key);
-  bytes_ += cost;
-  publishes_.fetch_add(1, std::memory_order_relaxed);
-  enforce_budget_locked();
-  const auto again = entries_.find(key);
-  return again != entries_.end() ? again->second : snapshot;
-}
-
-void SharedTreeCache::enforce_budget_locked() {
-  if (max_bytes_ == 0) return;
-  while (bytes_ > max_bytes_ && !insertion_order_.empty()) {
-    const EntryKey victim = insertion_order_.front();
-    insertion_order_.pop_front();
-    const auto it = entries_.find(victim);
-    if (it == entries_.end()) continue;
-    bytes_ -= it->second->bytes();
-    entries_.erase(it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void SharedTreeCache::set_max_bytes(std::size_t bytes) {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  max_bytes_ = bytes;
-  enforce_budget_locked();
-}
-
-std::size_t SharedTreeCache::max_bytes() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return max_bytes_;
-}
-
-std::size_t SharedTreeCache::bytes() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::uint64_t SharedTreeCache::shares() const {
-  return shares_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::misses() const {
-  return misses_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::publishes() const {
-  return publishes_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::upgrades() const {
-  return upgrades_.load(std::memory_order_relaxed);
-}
-std::uint64_t SharedTreeCache::evictions() const {
-  return evictions_.load(std::memory_order_relaxed);
-}
-
-std::size_t SharedTreeCache::size() const {
-  const std::shared_lock<std::shared_mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void SharedTreeCache::clear() {
-  const std::unique_lock<std::shared_mutex> lock(mutex_);
-  entries_.clear();
-  insertion_order_.clear();
-  bytes_ = 0;
-  shares_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  publishes_.store(0, std::memory_order_relaxed);
-  upgrades_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
+  const std::size_t depth = snapshot->settled_count;
+  return insert(detail::TreeKey{topology, src}, std::move(snapshot),
+                [depth](const TreeSnapshot& existing) {
+                  return depth > existing.settled_count;
+                });
 }
 
 }  // namespace scal::net

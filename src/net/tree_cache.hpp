@@ -16,19 +16,17 @@
 // agrees on its settled prefix (Dijkstra finalizes in global distance
 // order), so which snapshot a reader adopts can never change a route.
 //
-// The memo is byte-budgeted like workload::ArrivalCache: set_max_bytes
-// (or SCAL_TREE_CACHE_BYTES at first use) caps the resident payload,
-// evicting oldest-first when a publish would exceed it.
+// A util::FifoCache keyed on (topology, source) in which a strictly
+// deeper snapshot replaces the entry: set_max_bytes (or
+// SCAL_TREE_CACHE_BYTES at first use) caps the resident payload,
+// oldest-first.
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "net/routing.hpp"
+#include "util/fifo_cache.hpp"
 
 namespace scal::net {
 
@@ -38,9 +36,31 @@ namespace scal::net {
 /// interchangeable.
 std::array<std::uint64_t, 2> graph_digest(const Graph& graph);
 
-class SharedTreeCache {
+namespace detail {
+struct TreeKey {
+  std::array<std::uint64_t, 2> topology{};
+  NodeId src = 0;
+  bool operator==(const TreeKey&) const = default;
+};
+struct TreeKeyHash {
+  std::size_t operator()(const TreeKey& k) const noexcept {
+    // The topology key is already a high-quality digest; fold in src.
+    return static_cast<std::size_t>(
+        k.topology[0] ^ (k.topology[1] * 0x9E3779B97F4A7C15ull) ^
+        (static_cast<std::uint64_t>(k.src) * 0xC2B2AE3D27D4EB4Full));
+  }
+};
+using TreeFifo = util::FifoCache<TreeKey, TreeSnapshot, TreeKeyHash>;
+}  // namespace detail
+
+class SharedTreeCache : private detail::TreeFifo {
+  using TreeFifo = detail::TreeFifo;
+
  public:
   using Key = std::array<std::uint64_t, 2>;
+
+  SharedTreeCache()
+      : TreeFifo([](const TreeSnapshot& s) { return s.bytes(); }) {}
 
   /// The process-wide instance every sharing Router consults.  The
   /// first call reads SCAL_TREE_CACHE_BYTES (bytes; unset or 0 keeps
@@ -48,7 +68,7 @@ class SharedTreeCache {
   static SharedTreeCache& instance();
 
   /// The cached snapshot for (topology, src), or null.  Counts a share
-  /// or a miss.  Read-mostly: concurrent lookups take a shared lock.
+  /// or a miss.
   std::shared_ptr<const TreeSnapshot> lookup(const Key& topology,
                                              NodeId src);
 
@@ -56,66 +76,24 @@ class SharedTreeCache {
   /// later snapshot replaces the entry only when strictly deeper
   /// (more settled nodes), so racing publishers of the same settle
   /// depth keep the canonical first entry.  Returns the entry now in
-  /// the cache (the prior one when the publish lost the race, possibly
-  /// `snapshot` unstored when the byte budget rejects it).
+  /// the cache (the prior one when the publish lost the race), or
+  /// `snapshot` unstored when the byte budget cannot keep it.
   std::shared_ptr<const TreeSnapshot> publish(
       const Key& topology, NodeId src,
       std::shared_ptr<const TreeSnapshot> snapshot);
 
-  /// Byte budget for resident snapshots; 0 = unbounded (the default).
-  void set_max_bytes(std::size_t bytes);
-  std::size_t max_bytes() const;
-  /// Total snapshot payload bytes currently resident.
-  std::size_t bytes() const;
+  /// Byte budget, resident bytes and entries, evictions (entries
+  /// dropped or snapshots refused for the budget), and clear() (drops
+  /// every entry and zeroes the counters; routers holding adopted
+  /// snapshots keep them alive; the budget is kept).
+  using TreeFifo::set_max_bytes, TreeFifo::max_bytes, TreeFifo::bytes,
+      TreeFifo::size, TreeFifo::misses, TreeFifo::evictions, TreeFifo::clear;
 
-  std::uint64_t shares() const;     ///< lookups answered (trees adopted)
-  std::uint64_t misses() const;     ///< lookups that found nothing
-  std::uint64_t publishes() const;  ///< snapshots accepted (incl. upgrades)
-  std::uint64_t upgrades() const;   ///< publishes replacing a shallower one
-  std::uint64_t evictions() const;  ///< entries dropped for the byte budget
-  std::size_t size() const;         ///< resident (topology, src) entries
-
-  /// Drop every entry and zero the counters (tests and benches; the
-  /// simulation never needs it — snapshots are pure functions of their
-  /// keys).  Routers holding adopted snapshots keep them alive; the
-  /// byte budget is kept.
-  void clear();
-
- private:
-  struct EntryKey {
-    Key topology{};
-    NodeId src = 0;
-    bool operator==(const EntryKey& other) const noexcept {
-      return topology == other.topology && src == other.src;
-    }
-  };
-  struct EntryKeyHash {
-    std::size_t operator()(const EntryKey& k) const noexcept {
-      // The topology key is already a high-quality digest; fold in src.
-      return static_cast<std::size_t>(
-          k.topology[0] ^ (k.topology[1] * 0x9E3779B97F4A7C15ull) ^
-          (static_cast<std::uint64_t>(k.src) * 0xC2B2AE3D27D4EB4Full));
-    }
-  };
-
-  /// Evict oldest-first until the payload fits the budget (lock held).
-  void enforce_budget_locked();
-
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<EntryKey, std::shared_ptr<const TreeSnapshot>,
-                     EntryKeyHash>
-      entries_;
-  std::deque<EntryKey> insertion_order_;  // FIFO eviction order
-  std::size_t bytes_ = 0;
-  std::size_t max_bytes_ = 0;  // 0 = unbounded
-  // Share/miss counters are bumped under the shared lock, so they are
-  // atomics; the rest only mutates under the exclusive lock but stays
-  // atomic for lock-free accessors.
-  std::atomic<std::uint64_t> shares_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> publishes_{0};
-  std::atomic<std::uint64_t> upgrades_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  std::uint64_t shares() const { return hits(); }  ///< lookups answered
+  /// Snapshots accepted, upgrades included.
+  std::uint64_t publishes() const { return inserts() + replacements(); }
+  /// Publishes that replaced a shallower snapshot.
+  std::uint64_t upgrades() const { return replacements(); }
 };
 
 }  // namespace scal::net

@@ -1,5 +1,6 @@
 #include "obs/probe.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -10,8 +11,9 @@
 namespace scal::obs {
 
 TimeSeriesProbe::TimeSeriesProbe(double interval) : interval_(interval) {
-  if (!(interval_ > 0.0)) {
-    throw std::invalid_argument("TimeSeriesProbe: interval must be positive");
+  if (!std::isfinite(interval_) || !(interval_ > 0.0)) {
+    throw std::invalid_argument(
+        "TimeSeriesProbe: interval must be finite and positive");
   }
 }
 
@@ -47,7 +49,9 @@ std::vector<std::string> TimeSeriesProbe::csv_header() {
           "middleware_util",
           "jobs_arrived",
           "jobs_completed",
-          "events_dispatched"};
+          "events_dispatched",
+          "max_resource_load",
+          "hottest_cluster_busy"};
 }
 
 void TimeSeriesProbe::write_csv(std::ostream& os) const {
@@ -71,7 +75,9 @@ void TimeSeriesProbe::write_csv(std::ostream& os) const {
        << json_number(s.scheduler_util) << ','
        << json_number(s.estimator_util) << ','
        << json_number(s.middleware_util) << ',' << s.jobs_arrived << ','
-       << s.jobs_completed << ',' << s.events_dispatched << '\n';
+       << s.jobs_completed << ',' << s.events_dispatched << ','
+       << json_number(s.max_resource_load) << ','
+       << json_number(s.hottest_cluster_busy) << '\n';
   }
 }
 

@@ -31,6 +31,9 @@ struct ProbeSample {
   // Instantaneous state.
   double pool_busy_fraction = 0.0;
   double mean_resource_load = 0.0;
+  double max_resource_load = 0.0;
+  /// Busy fraction of the single hottest cluster (hot-spot detection).
+  double hottest_cluster_busy = 0.0;
   std::uint64_t scheduler_backlog = 0;  ///< queued work items, all schedulers
   std::uint64_t middleware_backlog = 0;
 

@@ -17,7 +17,9 @@ double monotonic_seconds() {
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(std::move(config)),
       trace_(config_.trace_time_scale),
-      probe_(config_.probe_interval > 0.0 ? config_.probe_interval : 1.0),
+      // A probe path with a bad interval throws here (TimeSeriesProbe);
+      // without a path the interval is unused.
+      probe_(config_.probe_enabled() ? config_.probe_interval : 1.0),
       probe_enabled_(config_.probe_enabled()) {
   trace_.set_enabled(config_.trace_enabled());
   profiler_.set_enabled(config_.metrics_enabled());

@@ -40,7 +40,9 @@ struct TelemetryConfig {
   bool trace_messages = true;  ///< per-protocol message instants
   bool trace_jobs = true;      ///< job lifecycle async spans (needs job log)
 
-  /// Time-series CSV output; interval <= 0 disables the probe.
+  /// Time-series CSV output; empty disables the probe.  With a path
+  /// the interval must be finite and positive (Telemetry throws
+  /// otherwise).
   std::string probe_path;
   double probe_interval = 0.0;
 
@@ -60,9 +62,7 @@ struct TelemetryConfig {
   bool metrics = false;
 
   bool trace_enabled() const noexcept { return !trace_path.empty(); }
-  bool probe_enabled() const noexcept {
-    return probe_interval > 0.0 && !probe_path.empty();
-  }
+  bool probe_enabled() const noexcept { return !probe_path.empty(); }
   bool manifest_enabled() const noexcept { return !manifest_path.empty(); }
   bool anneal_enabled() const noexcept { return !anneal_path.empty(); }
   bool metrics_enabled() const noexcept { return metrics; }

@@ -1,7 +1,5 @@
 #include "rms/factory.hpp"
 
-#include "rms/scenario.hpp"
-
 #include "rms/auction.hpp"
 #include "rms/central.hpp"
 #include "rms/hierarchical.hpp"
@@ -44,14 +42,6 @@ grid::SchedulerFactory scheduler_factory(grid::RmsKind kind) {
     }
     throw std::invalid_argument("scheduler_factory: unknown RMS kind");
   };
-}
-
-std::unique_ptr<grid::GridSystem> make_grid(grid::GridConfig config) {
-  return Scenario(std::move(config)).build();
-}
-
-grid::SimulationResult simulate(grid::GridConfig config) {
-  return Scenario(std::move(config)).run();
 }
 
 }  // namespace scal::rms

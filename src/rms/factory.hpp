@@ -1,10 +1,6 @@
 #pragma once
-// Public entry point for building a managed grid with one of the seven
-// RMS policies from the paper.
-//
-// New code should prefer the scal::Scenario facade (rms/scenario.hpp),
-// which bundles config, telemetry, faults, and pool behind one builder;
-// the free functions below remain as thin shims over it for one release.
+// The policy factory behind scal::Scenario (rms/scenario.hpp): maps an
+// RMS kind from the paper onto its scheduler class.
 
 #include <memory>
 
@@ -14,13 +10,5 @@ namespace scal::rms {
 
 /// Factory creating policy schedulers of the given kind.
 grid::SchedulerFactory scheduler_factory(grid::RmsKind kind);
-
-/// Convenience: build a GridSystem for config.rms.
-/// Deprecated shim: use Scenario(config).build().
-std::unique_ptr<grid::GridSystem> make_grid(grid::GridConfig config);
-
-/// Convenience: build and run in one call.
-/// Deprecated shim: use Scenario(config).run().
-grid::SimulationResult simulate(grid::GridConfig config);
 
 }  // namespace scal::rms

@@ -4,32 +4,48 @@
 // input: workload config, source spec, seed, horizon, cluster count).
 // Structural rebuilds, session pools, and parallel tuner lanes all
 // replay the same streams; memoizing them takes workload synthesis off
-// the rebuild critical path (the PR 5 profiling carry-over).  Entries
-// are immutable shared vectors, so concurrent consumers alias one
-// allocation safely; insertion is first-insert-wins like opt::EvalCache
-// (racing generators produce bit-identical vectors, the first one
-// becomes canonical).
+// the rebuild critical path.  Entries are immutable shared vectors, so
+// concurrent consumers alias one allocation safely; insertion is
+// first-insert-wins (racing generators produce bit-identical vectors,
+// the first one becomes canonical).
 //
-// The memo is byte-budgeted: set_max_bytes (or SCAL_ARRIVAL_CACHE_BYTES
-// at first use) caps the resident payload, evicting oldest-first when a
-// store would exceed it.  One-shot streaming runs bypass the store
-// entirely (cached_stream with reusable=false) and only count the skip.
+// A util::FifoCache plus one count: set_max_bytes (or
+// SCAL_ARRIVAL_CACHE_BYTES at first use) caps the resident payload,
+// oldest-first.  One-shot streaming runs bypass the store entirely
+// (cached_stream) and only count the skip.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "util/fifo_cache.hpp"
 #include "workload/job.hpp"
 
 namespace scal::workload {
 
-class ArrivalCache {
+namespace detail {
+struct DigestHash {
+  std::size_t operator()(const std::array<std::uint64_t, 2>& k) const noexcept {
+    // The key is already a high-quality 128-bit digest; fold the lanes.
+    return static_cast<std::size_t>(k[0] ^ (k[1] * 0x9E3779B97F4A7C15ull));
+  }
+};
+using ArrivalFifo = util::FifoCache<std::array<std::uint64_t, 2>,
+                                    std::vector<Job>, DigestHash>;
+}  // namespace detail
+
+class ArrivalCache : private detail::ArrivalFifo {
+  using ArrivalFifo = detail::ArrivalFifo;
+
  public:
   using Key = std::array<std::uint64_t, 2>;
+
+  ArrivalCache()
+      : ArrivalFifo([](const std::vector<Job>& jobs) {
+          return jobs.size() * sizeof(Job);
+        }) {}
 
   /// The process-wide instance every GridSystem consults.  The first
   /// call reads SCAL_ARRIVAL_CACHE_BYTES (bytes; unset or 0 keeps the
@@ -40,59 +56,36 @@ class ArrivalCache {
   std::shared_ptr<const std::vector<Job>> lookup(const Key& key);
 
   /// Insert `jobs` for `key` unless already present; returns the
-  /// canonical entry (the prior one on a race).  When a byte budget is
-  /// set, oldest entries are evicted until the payload fits — possibly
-  /// including the new entry itself if it alone exceeds the budget (the
-  /// returned pointer stays valid either way; the stream just is not
-  /// memoized).
+  /// canonical entry (the prior one on a race, or `jobs` unstored when
+  /// it alone exceeds the budget — the stream still works, it just is
+  /// not memoized).
   std::shared_ptr<const std::vector<Job>> store(
       const Key& key, std::shared_ptr<const std::vector<Job>> jobs);
 
-  /// Byte budget for cached payloads; 0 = unbounded (the default).
-  void set_max_bytes(std::size_t bytes);
-  std::size_t max_bytes() const;
-  /// Total payload bytes currently resident.
-  std::size_t bytes() const;
+  /// evictions counts entries dropped (or streams refused) for the
+  /// budget.
+  using ArrivalFifo::set_max_bytes, ArrivalFifo::max_bytes,
+      ArrivalFifo::bytes, ArrivalFifo::size, ArrivalFifo::hits,
+      ArrivalFifo::misses, ArrivalFifo::evictions;
 
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  /// Entries dropped to honor the byte budget.
-  std::uint64_t evictions() const;
-  /// Stores skipped by one-shot streaming runs (cached_stream with
-  /// reusable=false).
-  std::uint64_t store_skips() const;
-  void count_store_skip();
-  std::size_t size() const;
+  /// Stores skipped by one-shot streaming runs (cached_stream misses).
+  std::uint64_t store_skips() const {
+    return store_skips_.load(std::memory_order_relaxed);
+  }
+  void count_store_skip() {
+    store_skips_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   /// Drop every entry and zero the counters (tests and benches; the
   /// simulation never needs it — entries are pure functions of their
   /// keys).  The byte budget is kept.
-  void clear();
+  void clear() {
+    ArrivalFifo::clear();
+    store_skips_.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      // The key is already a high-quality 128-bit digest; fold the lanes.
-      return static_cast<std::size_t>(k[0] ^ (k[1] * 0x9E3779B97F4A7C15ull));
-    }
-  };
-
-  static std::size_t payload_bytes(const std::vector<Job>& jobs) noexcept {
-    return jobs.size() * sizeof(Job);
-  }
-  /// Evict oldest-first until the payload fits the budget (lock held).
-  void enforce_budget_locked();
-
-  mutable std::mutex mutex_;
-  std::unordered_map<Key, std::shared_ptr<const std::vector<Job>>, KeyHash>
-      entries_;
-  std::deque<Key> insertion_order_;  // FIFO eviction order
-  std::size_t bytes_ = 0;
-  std::size_t max_bytes_ = 0;  // 0 = unbounded
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-  std::uint64_t store_skips_ = 0;
+  std::atomic<std::uint64_t> store_skips_{0};
 };
 
 }  // namespace scal::workload

@@ -1,6 +1,7 @@
 #include "workload/source.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -25,8 +26,9 @@ void SourceSpec::validate() const {
     throw std::invalid_argument("SourceSpec: " + to_string(kind) +
                                 " source needs a path");
   }
-  if (!(time_scale > 0.0)) {
-    throw std::invalid_argument("SourceSpec: time scale must be positive");
+  if (!std::isfinite(time_scale) || !(time_scale > 0.0)) {
+    throw std::invalid_argument(
+        "SourceSpec: time scale must be finite and positive");
   }
   for (const ModulatorSpec& m : modulators) m.validate();
 }
@@ -83,7 +85,8 @@ SourceSpec SourceSpec::parse(const std::string& text) {
       const std::string scale_text = spec.path.substr(at + 1);
       char* end = nullptr;
       const double scale = std::strtod(scale_text.c_str(), &end);
-      if (end == scale_text.c_str() || *end != '\0' || !(scale > 0.0)) {
+      if (end == scale_text.c_str() || *end != '\0' || !std::isfinite(scale) ||
+          !(scale > 0.0)) {
         throw std::invalid_argument(
             "SourceSpec: bad time scale '" + scale_text + "'");
       }
@@ -195,24 +198,16 @@ ArrivalStream cached_arrivals(const std::array<std::uint64_t, 2>& key,
 PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
                              const SourceSpec& spec,
                              const WorkloadConfig& workload,
-                             std::uint64_t seed, sim::Time horizon,
-                             bool reusable) {
+                             std::uint64_t seed, sim::Time horizon) {
   ArrivalCache& cache = ArrivalCache::instance();
   if (auto jobs = cache.lookup(key)) {
     return {std::make_unique<VectorReplayStream>(std::move(jobs)), true};
   }
-  if (!reusable) {
-    // One-shot run: keep the generator live instead of materializing —
-    // the whole point of the streaming tier (the skipped store is
-    // visible on the cache for the manifest's workload block).
-    cache.count_store_skip();
-    return {make_stream(spec, workload, seed, horizon), false};
-  }
-  auto generated = std::make_shared<const std::vector<Job>>(
-      make_source(spec, workload, seed, horizon)->generate_until(horizon));
-  return {std::make_unique<VectorReplayStream>(
-              cache.store(key, std::move(generated))),
-          false};
+  // One-shot run: keep the generator live instead of materializing —
+  // the whole point of the streaming tier (the skipped store is visible
+  // on the cache for the manifest's workload block).
+  cache.count_store_skip();
+  return {make_stream(spec, workload, seed, horizon), false};
 }
 
 }  // namespace scal::workload

@@ -92,12 +92,10 @@ class SyntheticSource : public WorkloadSource {
 };
 
 /// Replay of a CSV trace written by save_trace, streamed row by row —
-/// the file is never materialized.  Emission applies the legacy
-/// GridConfig::trace_path semantics exactly: rows with arrivals at or
-/// past `horizon` are skipped (not terminal — the legacy path filtered
-/// the whole, possibly unsorted, file) and origin clusters are remapped
-/// modulo `clusters`; ids, order, and every other field come straight
-/// from the file.
+/// the file is never materialized.  Rows with arrivals at or past
+/// `horizon` are skipped (not terminal: every row is still read and
+/// validated) and origin clusters are remapped modulo `clusters`; ids,
+/// order, and every other field come straight from the file.
 class TraceSource : public WorkloadSource {
  public:
   TraceSource(const std::string& path, sim::Time horizon,
@@ -171,16 +169,13 @@ struct PulledArrivals {
 };
 
 /// Stream-or-recall the arrivals for `key`.  A cache hit replays the
-/// memoized vector (free, O(1) state).  On a miss, `reusable` decides
-/// the trade: true materializes and stores the stream for later runs
-/// (the session-pool / tuner path — exactly cached_arrivals), false
-/// returns the live generator without storing anything, keeping per-job
-/// memory O(1) for one-shot runs (the store skip is counted on the
-/// cache).  Thread-safe.
+/// memoized vector (free, O(1) state).  A miss returns the live
+/// generator without storing anything, keeping per-job memory O(1) for
+/// one-shot runs (the store skip is counted on the cache); callers that
+/// want the stream memoized use cached_arrivals.  Thread-safe.
 PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
                              const SourceSpec& spec,
                              const WorkloadConfig& workload,
-                             std::uint64_t seed, sim::Time horizon,
-                             bool reusable);
+                             std::uint64_t seed, sim::Time horizon);
 
 }  // namespace scal::workload

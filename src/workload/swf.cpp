@@ -1,6 +1,7 @@
 #include "workload/swf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -35,21 +36,29 @@ enum SwfField : std::size_t {
   kFieldCount = 18,
 };
 
-double parse_field(const std::string& text, std::size_t line_no) {
+[[noreturn]] void bad_cell(std::size_t line_no, std::size_t field,
+                           const std::string& text, const char* why) {
+  throw std::runtime_error("swf: line " + std::to_string(line_no) +
+                           ": field " + std::to_string(field + 1) + " '" +
+                           text + "' " + why);
+}
+
+double parse_field(const std::string& text, std::size_t line_no,
+                   std::size_t field) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
-    throw std::runtime_error("swf: line " + std::to_string(line_no) +
-                             ": bad field '" + text + "'");
+    bad_cell(line_no, field, text, "is not a number");
   }
+  if (!std::isfinite(v)) bad_cell(line_no, field, text, "is not finite");
   return v;
 }
 
 }  // namespace
 
 std::vector<Job> load_swf(std::istream& in, const SwfMapping& mapping) {
-  if (!(mapping.time_scale > 0.0)) {
-    throw std::invalid_argument("swf: time scale must be positive");
+  if (!std::isfinite(mapping.time_scale) || !(mapping.time_scale > 0.0)) {
+    throw std::invalid_argument("swf: time scale must be finite and positive");
   }
   if (mapping.clusters == 0) {
     throw std::invalid_argument("swf: need at least one cluster");
@@ -77,7 +86,14 @@ std::vector<Job> load_swf(std::istream& in, const SwfMapping& mapping) {
     std::string cell;
     std::size_t count = 0;
     while (row >> cell) {
-      if (count < kFieldCount) fields[count] = parse_field(cell, line_no);
+      if (count < kFieldCount) {
+        fields[count] = parse_field(cell, line_no, count);
+        // The origin mapping casts the user id to an integer: range-check
+        // it first, since an out-of-range cast is undefined behavior.
+        if (count == kUserId && !(fields[count] < 0x1p64)) {
+          bad_cell(line_no, count, cell, "is out of range for a user id");
+        }
+      }
       ++count;
     }
     if (count < kRunTime + 1) {

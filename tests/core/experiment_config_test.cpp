@@ -130,6 +130,26 @@ TEST(ExperimentConfig, RoundTripsThroughIni) {
   EXPECT_EQ(reparsed.csv_path, "/tmp/x.csv");
 }
 
+TEST(ExperimentConfig, TracePathKeyIsTheTraceSource) {
+  const auto config = experiment_from_ini(
+      util::IniFile::parse("[grid]\ntrace_path = runs/jobs.csv\n"));
+  EXPECT_EQ(config.grid.workload_source.kind, workload::SourceKind::kTrace);
+  EXPECT_EQ(config.grid.workload_source.path, "runs/jobs.csv");
+  EXPECT_TRUE(config.grid.workload_source.modulators.empty());
+
+  // A plain trace source writes the key back and reads it again.
+  const util::IniFile ini = experiment_to_ini(config);
+  EXPECT_EQ(ini.get("grid.trace_path").value_or(""), "runs/jobs.csv");
+  const auto reparsed = experiment_from_ini(ini);
+  EXPECT_EQ(reparsed.grid.workload_source.kind, workload::SourceKind::kTrace);
+  EXPECT_EQ(reparsed.grid.workload_source.path, "runs/jobs.csv");
+
+  // The synthetic default writes no trace key.
+  EXPECT_FALSE(experiment_to_ini(ExperimentConfig{})
+                   .get("grid.trace_path")
+                   .has_value());
+}
+
 TEST(ExperimentConfig, SampleConfigsInRepoParse) {
   // The shipped example configs must stay loadable.
   for (const char* path : {"examples/configs/small_case1.ini",

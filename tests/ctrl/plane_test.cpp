@@ -20,6 +20,7 @@
 #include "grid/telemetry.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "support/result_equal.hpp"
 
 namespace scal::grid {
@@ -54,12 +55,12 @@ class ControlPlane : public ::testing::TestWithParam<RmsKind> {};
 
 TEST_P(ControlPlane, DegenerateKnobsAreBitIdenticalToOff) {
   GridConfig off = base_config(GetParam());
-  const SimulationResult plain = rms::simulate(off);
+  const SimulationResult plain = Scenario(off).run();
 
   GridConfig degenerate = base_config(GetParam());
   degenerate.control_plane = true;  // knobs stay at fan-out 1/batch 1/flush 0
   ASSERT_TRUE(degenerate.tuning.aggregation_degenerate());
-  const SimulationResult bypassed = rms::simulate(degenerate);
+  const SimulationResult bypassed = Scenario(degenerate).run();
 
   test::expect_same_result(plain, bypassed,
                            {kBypassedDepth, test::kFromCache});
@@ -68,7 +69,7 @@ TEST_P(ControlPlane, DegenerateKnobsAreBitIdenticalToOff) {
 }
 
 TEST_P(ControlPlane, AggregationPopulatesTreeCountersAndChargesG) {
-  const SimulationResult r = rms::simulate(aggregating_config(GetParam()));
+  const SimulationResult r = Scenario(aggregating_config(GetParam())).run();
   EXPECT_GT(r.ctrl_updates_in, 0u);
   EXPECT_GT(r.ctrl_batches, 0u);
   EXPECT_GE(r.ctrl_tree_depth, 1u);
@@ -83,8 +84,8 @@ TEST_P(ControlPlane, AggregationPopulatesTreeCountersAndChargesG) {
 }
 
 TEST_P(ControlPlane, AggregationRunsAreReproducible) {
-  const SimulationResult a = rms::simulate(aggregating_config(GetParam()));
-  const SimulationResult b = rms::simulate(aggregating_config(GetParam()));
+  const SimulationResult a = Scenario(aggregating_config(GetParam())).run();
+  const SimulationResult b = Scenario(aggregating_config(GetParam())).run();
   test::expect_same_result(a, b, {test::kFromCache});
 }
 
@@ -136,7 +137,7 @@ TEST(ControlPlaneReset, CrossingTheDegenerateBoundaryBothWays) {
   // Aggregating -> degenerate (must match plain control_plane=false too).
   system.reset(degenerate);
   const SimulationResult warm_off = system.run();
-  test::expect_same_result(rms::simulate(base_config()), warm_off,
+  test::expect_same_result(Scenario(base_config()).run(), warm_off,
                            {kBypassedDepth, test::kFromCache});
 }
 
@@ -154,7 +155,7 @@ TEST(ControlPlaneObs, HistogramsMatchManifestCounters) {
   obs::Telemetry telemetry(tc);
   GridConfig config = aggregating_config();
   config.telemetry = &telemetry;
-  const SimulationResult result = rms::simulate(config);
+  const SimulationResult result = Scenario(config).run();
 
   const obs::Histogram& coalescing =
       telemetry.histograms().histogram("ctrl_coalescing");
@@ -188,20 +189,20 @@ TEST(ControlPlaneObs, HistogramsMatchManifestCounters) {
 
   // Control-plane-off manifests keep the legacy layout.
   obs::RunManifest off;
-  fill_manifest(off, base_config(), rms::simulate(base_config()));
+  fill_manifest(off, base_config(), Scenario(base_config()).run());
   EXPECT_EQ(off.to_json().find("\"ctrl\""), std::string::npos);
   EXPECT_EQ(off.to_json().find("\"agg_fanout\""), std::string::npos);
 }
 
 TEST(ControlPlaneObs, MetricsInstrumentationIsObservational) {
-  const SimulationResult plain = rms::simulate(aggregating_config());
+  const SimulationResult plain = Scenario(aggregating_config()).run();
 
   obs::TelemetryConfig tc;
   tc.metrics = true;
   obs::Telemetry telemetry(tc);
   GridConfig instrumented = aggregating_config();
   instrumented.telemetry = &telemetry;
-  const SimulationResult probed = rms::simulate(instrumented);
+  const SimulationResult probed = Scenario(instrumented).run();
 
   test::expect_same_result(plain, probed, {test::kFromCache});
 }
@@ -209,7 +210,7 @@ TEST(ControlPlaneObs, MetricsInstrumentationIsObservational) {
 TEST(ControlPlaneFaults, AggregatorBlackoutsFlushAndRecover) {
   GridConfig config = aggregating_config();
   config.faults = fault::FaultPlan::parse("agg-blackout:period=80,length=10");
-  const SimulationResult r = rms::simulate(config);
+  const SimulationResult r = Scenario(config).run();
   EXPECT_GT(r.aggregator_blackouts, 0u);
   // Traffic keeps flowing through relays; accounting stays conserved.
   EXPECT_GT(r.ctrl_batches, 0u);
@@ -220,7 +221,7 @@ TEST(ControlPlaneFaults, AggregatorBlackoutsFlushAndRecover) {
   // actually doing something).
   GridConfig other = aggregating_config();
   other.faults = fault::FaultPlan::parse("agg-blackout:period=40,length=20");
-  const SimulationResult r2 = rms::simulate(other);
+  const SimulationResult r2 = Scenario(other).run();
   EXPECT_GT(r2.aggregator_blackouts, r.aggregator_blackouts);
 }
 

@@ -156,7 +156,7 @@ TEST(Determinism, ReplicateMatchesSerialBitForBit) {
 
 TEST(Determinism, ReplicateRealSimulationMatchesSerial) {
   // Small end-to-end check through the real simulator: the pool must
-  // not perturb rms::simulate either (each run has its own System).
+  // not perturb Scenario::run either (each run has its own System).
   grid::GridConfig config;
   config.topology.nodes = 40;
   config.horizon = 120.0;

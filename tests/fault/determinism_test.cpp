@@ -16,7 +16,7 @@
 #include "core/report.hpp"
 #include "exec/thread_pool.hpp"
 #include "grid/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -46,8 +46,8 @@ TEST(FaultDeterminism, ZeroFaultsEqualsSeedBehavior) {
   grid::GridConfig off = small_config(grid::RmsKind::kLowest);
   grid::GridConfig parsed = small_config(grid::RmsKind::kLowest);
   parsed.faults = fault::FaultPlan::parse("");
-  const auto a = rms::simulate(off);
-  const auto b = rms::simulate(parsed);
+  const auto a = Scenario(off).run();
+  const auto b = Scenario(parsed).run();
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_EQ(a.jobs_succeeded, b.jobs_succeeded);
   EXPECT_EQ(a.network_messages, b.network_messages);
@@ -63,8 +63,8 @@ TEST(FaultDeterminism, FaultyRunsAreReproducible) {
   grid::GridConfig config = small_config(grid::RmsKind::kSymmetric);
   config.faults =
       fault::FaultPlan::parse("churn:mtbf=150,mttr=25;net:drop=0.03");
-  const auto a = rms::simulate(config);
-  const auto b = rms::simulate(config);
+  const auto a = Scenario(config).run();
+  const auto b = Scenario(config).run();
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_EQ(a.resource_crashes, b.resource_crashes);
   EXPECT_EQ(a.jobs_killed, b.jobs_killed);
@@ -80,8 +80,8 @@ TEST(FaultDeterminism, FaultScheduleIsolatedFromPolicyDraws) {
   grid::GridConfig b_cfg = small_config(grid::RmsKind::kLowest);
   a_cfg.faults = b_cfg.faults =
       fault::FaultPlan::parse("churn:mtbf=150,mttr=25");
-  const auto a = rms::simulate(a_cfg);
-  const auto b = rms::simulate(b_cfg);
+  const auto a = Scenario(a_cfg).run();
+  const auto b = Scenario(b_cfg).run();
   EXPECT_EQ(a.resource_crashes, b.resource_crashes);
   EXPECT_EQ(a.resource_recoveries, b.resource_recoveries);
   EXPECT_DOUBLE_EQ(a.resource_downtime, b.resource_downtime);

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -26,7 +26,7 @@ class FaultToleranceTest
 
 TEST_P(FaultToleranceTest, SurvivesResourceChurn) {
   const auto r =
-      rms::simulate(faulty_config(GetParam(), "churn:mtbf=150,mttr=25"));
+      Scenario(faulty_config(GetParam(), "churn:mtbf=150,mttr=25")).run();
   const std::string name = grid::to_string(GetParam());
   // Churn really happened and was recorded.
   EXPECT_GT(r.resource_crashes, 0u) << name;
@@ -50,8 +50,8 @@ TEST_P(FaultToleranceTest, SurvivesResourceChurn) {
 }
 
 TEST_P(FaultToleranceTest, SurvivesMessageFaults) {
-  const auto r = rms::simulate(faulty_config(
-      GetParam(), "net:drop=0.05,dup=0.05,delayp=0.2,delaym=2"));
+  const auto r = Scenario(faulty_config(
+      GetParam(), "net:drop=0.05,dup=0.05,delayp=0.2,delaym=2")).run();
   const std::string name = grid::to_string(GetParam());
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived) << name;
   EXPECT_GT(static_cast<double>(r.jobs_completed) /
@@ -64,9 +64,11 @@ TEST_P(FaultToleranceTest, SurvivesMessageFaults) {
 }
 
 TEST_P(FaultToleranceTest, SurvivesControlBlackouts) {
-  const auto r = rms::simulate(faulty_config(
-      GetParam(),
-      "est-blackout:period=120,length=20;sched-blackout:period=240,length=20"));
+  const auto r =
+      Scenario(faulty_config(GetParam(),
+                             "est-blackout:period=120,length=20;"
+                             "sched-blackout:period=240,length=20"))
+          .run();
   const std::string name = grid::to_string(GetParam());
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived) << name;
   EXPECT_GT(r.blackout_drops, 0u) << name;
@@ -77,10 +79,10 @@ TEST_P(FaultToleranceTest, SurvivesControlBlackouts) {
 }
 
 TEST_P(FaultToleranceTest, SurvivesEverythingAtOnce) {
-  const auto r = rms::simulate(faulty_config(
+  const auto r = Scenario(faulty_config(
       GetParam(),
       "churn:mtbf=200,mttr=25;net:drop=0.03,delayp=0.1,delaym=2;"
-      "est-blackout:period=150,length=15"));
+      "est-blackout:period=150,length=15")).run();
   const std::string name = grid::to_string(GetParam());
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived) << name;
   EXPECT_GT(static_cast<double>(r.jobs_completed) /
@@ -100,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FaultTolerance, KilledJobsRequeueWithinBudget) {
-  const auto r = rms::simulate(
-      faulty_config(grid::RmsKind::kLowest, "churn:mtbf=120,mttr=20"));
+  const auto r = Scenario(
+      faulty_config(grid::RmsKind::kLowest, "churn:mtbf=120,mttr=20")).run();
   EXPECT_GT(r.jobs_killed, 0u);
   EXPECT_GT(r.jobs_requeued, 0u);
   // Each kill consumes at most one requeue (or becomes a loss).
@@ -109,8 +111,8 @@ TEST(FaultTolerance, KilledJobsRequeueWithinBudget) {
 }
 
 TEST(FaultTolerance, MessageFaultCountersExported) {
-  const auto r = rms::simulate(faulty_config(
-      grid::RmsKind::kLowest, "net:dup=0.1,delayp=0.3,delaym=3"));
+  const auto r = Scenario(faulty_config(
+      grid::RmsKind::kLowest, "net:dup=0.1,delayp=0.3,delaym=3")).run();
   EXPECT_GT(r.messages_duplicated, 0u);
   EXPECT_GT(r.messages_delayed, 0u);
 }
@@ -118,8 +120,8 @@ TEST(FaultTolerance, MessageFaultCountersExported) {
 TEST(FaultTolerance, StalenessEvictionEngages) {
   // Long outages push table entries past the staleness window; the
   // robustness mixin must actually evict them (counted).
-  const auto r = rms::simulate(
-      faulty_config(grid::RmsKind::kCentral, "churn:mtbf=150,mttr=60"));
+  const auto r = Scenario(
+      faulty_config(grid::RmsKind::kCentral, "churn:mtbf=150,mttr=60")).run();
   EXPECT_GT(r.status_evictions, 0u);
 }
 
@@ -128,9 +130,9 @@ TEST(FaultTolerance, ChurnCostsShowUpInOverhead) {
   // charged to G: a faulty run must not report less RMS work than the
   // identical clean run while completing less useful work.
   const auto clean =
-      rms::simulate(faulty_config(grid::RmsKind::kLowest, ""));
-  const auto churned = rms::simulate(
-      faulty_config(grid::RmsKind::kLowest, "churn:mtbf=150,mttr=25"));
+      Scenario(faulty_config(grid::RmsKind::kLowest, "")).run();
+  const auto churned = Scenario(
+      faulty_config(grid::RmsKind::kLowest, "churn:mtbf=150,mttr=25")).run();
   EXPECT_LT(churned.jobs_completed, clean.jobs_completed);
   EXPECT_LT(churned.efficiency(), clean.efficiency());
 }
@@ -138,7 +140,7 @@ TEST(FaultTolerance, ChurnCostsShowUpInOverhead) {
 TEST(FaultTolerance, RejectsInvalidPlan) {
   grid::GridConfig config = faulty_config(grid::RmsKind::kLowest, "");
   config.faults.churn.mtbf = 100.0;  // mttr missing
-  EXPECT_THROW(rms::simulate(config), std::invalid_argument);
+  EXPECT_THROW(Scenario(config).run(), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::grid {
 namespace {
@@ -52,7 +52,7 @@ TEST(JobLog, FullSimulationProducesConsistentLifecycles) {
   config.workload.mean_interarrival = 1.5;
   config.job_log = true;
 
-  auto system = rms::make_grid(config);
+  auto system = Scenario(config).build();
   const SimulationResult r = system->run();
   const JobLog& log = system->job_log();
 
@@ -89,7 +89,7 @@ TEST(JobLog, OffByDefault) {
   config.rms = grid::RmsKind::kLowest;
   config.topology.nodes = 80;
   config.horizon = 150.0;
-  auto system = rms::make_grid(config);
+  auto system = Scenario(config).build();
   system->run();
   EXPECT_EQ(system->job_log().size(), 0u);
 }

@@ -23,7 +23,7 @@
 #include "grid/config.hpp"
 #include "grid/telemetry.hpp"
 #include "obs/manifest.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "workload/arrival_cache.hpp"
 #include "workload/modulator.hpp"
 
@@ -107,7 +107,7 @@ obs::RunManifest run_case(const GoldenCase& c) {
   cache.set_max_bytes(c.cache_budget);
   GridConfig config = base_config();
   c.shape(config);
-  const SimulationResult result = rms::simulate(config);
+  const SimulationResult result = Scenario(config).run();
   cache.set_max_bytes(budget);
   obs::RunManifest manifest = pinned_manifest(c.name);
   fill_manifest(manifest, config, result);

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "support/result_equal.hpp"
 
 namespace scal::grid {
@@ -38,12 +38,12 @@ obs::TelemetryConfig metrics_config() {
 class MetricsProbes : public ::testing::TestWithParam<RmsKind> {};
 
 TEST_P(MetricsProbes, MetricsOnVersusOffIsBitIdentical) {
-  const SimulationResult plain = rms::simulate(base_config(GetParam()));
+  const SimulationResult plain = Scenario(base_config(GetParam())).run();
 
   obs::Telemetry telemetry(metrics_config());
   GridConfig instrumented = base_config(GetParam());
   instrumented.telemetry = &telemetry;
-  const SimulationResult probed = rms::simulate(instrumented);
+  const SimulationResult probed = Scenario(instrumented).run();
 
   test::expect_same_result(plain, probed, {test::kFromCache});
 }
@@ -52,7 +52,7 @@ TEST_P(MetricsProbes, HistogramsArePopulatedAndConsistent) {
   obs::Telemetry telemetry(metrics_config());
   GridConfig config = base_config(GetParam());
   config.telemetry = &telemetry;
-  const SimulationResult result = rms::simulate(config);
+  const SimulationResult result = Scenario(config).run();
 
   obs::HistogramRegistry& h = telemetry.histograms();
   const obs::Histogram& wait = h.histogram("job_wait");
@@ -90,12 +90,12 @@ TEST_P(MetricsProbes, TwoInstrumentedRunsAgreeBitExactly) {
   obs::Telemetry t1(metrics_config());
   GridConfig c1 = base_config(GetParam());
   c1.telemetry = &t1;
-  const SimulationResult r1 = rms::simulate(c1);
+  const SimulationResult r1 = Scenario(c1).run();
 
   obs::Telemetry t2(metrics_config());
   GridConfig c2 = base_config(GetParam());
   c2.telemetry = &t2;
-  const SimulationResult r2 = rms::simulate(c2);
+  const SimulationResult r2 = Scenario(c2).run();
 
   test::expect_same_result(r1, r2, {test::kFromCache});
   EXPECT_EQ(t1.histograms().to_json(), t2.histograms().to_json());
@@ -106,7 +106,7 @@ TEST_P(MetricsProbes, ProfilerCountsTrackTheRun) {
   obs::Telemetry telemetry(metrics_config());
   GridConfig config = base_config(GetParam());
   config.telemetry = &telemetry;
-  const SimulationResult result = rms::simulate(config);
+  const SimulationResult result = Scenario(config).run();
 
   bool saw_run = false;
   bool saw_decision = false;
@@ -131,7 +131,7 @@ TEST(MetricsProbes, ManifestCarriesMetricsBlockOnlyWhenEnabled) {
     obs::Telemetry telemetry(tc);
     GridConfig config = base_config(RmsKind::kLowest);
     config.telemetry = &telemetry;
-    rms::simulate(config);
+    Scenario(config).run();
     EXPECT_TRUE(telemetry.export_all());
     std::ifstream in(tc.manifest_path);
     std::string json((std::istreambuf_iterator<char>(in)),

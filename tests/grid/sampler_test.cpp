@@ -1,33 +1,39 @@
-#include "grid/sampler.hpp"
+// The grid's state sampling: the time-series probe records true (not
+// estimator-lagged) system state on a fixed sim-time cadence — pool
+// utilization, the hottest cluster, resource load, and backlogs.
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include <vector>
+
+#include "obs/telemetry.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::grid {
 namespace {
 
-GridConfig sampled_config(double interval, double ia = 1.0) {
+GridConfig sampled_config(double ia = 1.0) {
   GridConfig config;
   config.rms = RmsKind::kLowest;
   config.topology.nodes = 80;
   config.horizon = 400.0;
   config.workload.mean_interarrival = ia;
-  config.sample_interval = interval;
   return config;
 }
 
-TEST(StateSampler, OffByDefault) {
-  auto system = rms::make_grid(sampled_config(0.0));
-  system->run();
-  EXPECT_EQ(system->sampler(), nullptr);
+/// Run `config` with the probe every `interval` and return its rows.
+std::vector<obs::ProbeSample> probe_samples(const GridConfig& config,
+                                            double interval) {
+  obs::TelemetryConfig tc;
+  tc.probe_path = ::testing::TempDir() + "sampler_test.csv";
+  tc.probe_interval = interval;
+  obs::Telemetry telemetry(tc);
+  Scenario(config).telemetry(&telemetry).run();
+  return telemetry.probe()->samples();
 }
 
 TEST(StateSampler, SamplesOnCadence) {
-  auto system = rms::make_grid(sampled_config(50.0));
-  system->run();
-  ASSERT_NE(system->sampler(), nullptr);
-  const auto& samples = system->sampler()->samples();
+  const auto samples = probe_samples(sampled_config(), 50.0);
   // t = 0, 50, ..., 400 inclusive.
   ASSERT_EQ(samples.size(), 9u);
   EXPECT_DOUBLE_EQ(samples.front().at, 0.0);
@@ -36,13 +42,11 @@ TEST(StateSampler, SamplesOnCadence) {
 }
 
 TEST(StateSampler, ValuesAreSane) {
-  auto system = rms::make_grid(sampled_config(25.0));
-  system->run();
-  const auto& samples = system->sampler()->samples();
+  const auto samples = probe_samples(sampled_config(), 25.0);
   // First sample: empty system.
   EXPECT_DOUBLE_EQ(samples.front().pool_busy_fraction, 0.0);
   bool saw_busy = false;
-  for (const StateSample& s : samples) {
+  for (const obs::ProbeSample& s : samples) {
     EXPECT_GE(s.pool_busy_fraction, 0.0);
     EXPECT_LE(s.pool_busy_fraction, 1.0);
     EXPECT_GE(s.hottest_cluster_busy, s.pool_busy_fraction - 1e-12);
@@ -53,19 +57,10 @@ TEST(StateSampler, ValuesAreSane) {
 }
 
 TEST(StateSampler, OverloadShowsRisingBacklog) {
-  auto light = rms::make_grid(sampled_config(50.0, /*ia=*/4.0));
-  light->run();
-  auto heavy = rms::make_grid(sampled_config(50.0, /*ia=*/0.2));
-  heavy->run();
-  const auto& l = light->sampler()->samples();
-  const auto& h = heavy->sampler()->samples();
+  const auto l = probe_samples(sampled_config(/*ia=*/4.0), 50.0);
+  const auto h = probe_samples(sampled_config(/*ia=*/0.2), 50.0);
   EXPECT_GT(h.back().mean_resource_load, l.back().mean_resource_load);
   EXPECT_GT(h.back().pool_busy_fraction, 0.9);
-}
-
-TEST(StateSampler, RejectsBadInterval) {
-  auto system = rms::make_grid(sampled_config(0.0));
-  EXPECT_THROW(StateSampler(*system, 999, -1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(SchedulerBase, TraceReplayDrivesDeliverJob) {
   workload::save_trace_file(jobs, path);
 
   GridConfig config = probe_config();
-  config.trace_path = path;
+  config.workload_source = workload::SourceSpec::parse("trace:" + path);
   ProbeGrid grid(config);
   const SimulationResult r = grid.system->run();
   EXPECT_EQ(r.jobs_arrived, 3u);
@@ -172,7 +172,7 @@ TEST(SchedulerBase, TraceReplayDropsJobsPastHorizon) {
   workload::save_trace_file(jobs, path);
 
   GridConfig config = probe_config();
-  config.trace_path = path;
+  config.workload_source = workload::SourceSpec::parse("trace:" + path);
   ProbeGrid grid(config);
   const SimulationResult r = grid.system->run();
   EXPECT_EQ(r.jobs_arrived, 1u);

@@ -51,9 +51,9 @@ void expect_same_but_p95(const grid::SimulationResult& full,
 TEST_P(StreamingIdentityTest, MatchesFullModeBitForBit) {
   workload::ArrivalCache::instance().clear();
   const auto full =
-      rms::simulate(config_for(GetParam(), grid::ResultMode::kFull));
+      Scenario(config_for(GetParam(), grid::ResultMode::kFull)).run();
   const auto streaming =
-      rms::simulate(config_for(GetParam(), grid::ResultMode::kStreaming));
+      Scenario(config_for(GetParam(), grid::ResultMode::kStreaming)).run();
   SCOPED_TRACE(grid::to_string(GetParam()));
   expect_same_but_p95(full, streaming);
   EXPECT_EQ(full.result_mode, grid::ResultMode::kFull);
@@ -77,8 +77,8 @@ TEST_P(StreamingIdentityTest, MatchesFullModeUnderFaults) {
       fault::FaultPlan::parse("churn:mtbf=120,mttr=15;net:drop=0.02");
   grid::GridConfig streaming_config = full_config;
   streaming_config.result_mode = grid::ResultMode::kStreaming;
-  const auto full = rms::simulate(full_config);
-  const auto streaming = rms::simulate(streaming_config);
+  const auto full = Scenario(full_config).run();
+  const auto streaming = Scenario(streaming_config).run();
   SCOPED_TRACE(grid::to_string(GetParam()));
   EXPECT_GT(full.resource_crashes, 0u);
   expect_same_but_p95(full, streaming);
@@ -133,13 +133,13 @@ TEST(StreamingJobLog, CapacityBoundsTheLogAndCountsDrops) {
       config_for(grid::RmsKind::kLowest, grid::ResultMode::kStreaming);
   config.job_log = true;
   config.job_log_capacity = 50;
-  const auto result = rms::simulate(config);
+  const auto result = Scenario(config).run();
   EXPECT_EQ(result.job_log_records, 50u);
   EXPECT_GT(result.job_log_dropped, 0u);
 
   // Unbounded control: the same run keeps everything.
   config.job_log_capacity = 0;
-  const auto unbounded = rms::simulate(config);
+  const auto unbounded = Scenario(config).run();
   EXPECT_EQ(unbounded.job_log_dropped, 0u);
   EXPECT_EQ(unbounded.job_log_records,
             result.job_log_records + result.job_log_dropped);

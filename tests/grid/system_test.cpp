@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::grid {
 namespace {
@@ -80,7 +81,7 @@ TEST(GridSystem, InvalidConfigRejectedAtConstruction) {
 }
 
 TEST(GridSystem, UpdatesFlowToSchedulers) {
-  const SimulationResult r = rms::simulate(small_config());
+  const SimulationResult r = Scenario(small_config()).run();
   EXPECT_GT(r.updates_received, 0u);
   EXPECT_GT(r.network_messages, 0u);
   EXPECT_GT(r.events_dispatched, 0u);
@@ -90,8 +91,8 @@ TEST(GridSystem, SuppressionReducesUpdates) {
   GridConfig on = small_config();
   GridConfig off = small_config();
   off.update_suppression = false;
-  const auto r_on = rms::simulate(on);
-  const auto r_off = rms::simulate(off);
+  const auto r_on = Scenario(on).run();
+  const auto r_off = Scenario(off).run();
   EXPECT_LT(r_on.updates_received, r_off.updates_received);
   EXPECT_GT(r_on.updates_suppressed, 0u);
   EXPECT_EQ(r_off.updates_suppressed, 0u);
@@ -101,8 +102,8 @@ TEST(GridSystem, MoreEstimatorsMultiplyUpdateTraffic) {
   GridConfig one = small_config();
   GridConfig three = small_config();
   three.estimators_per_cluster = 3;
-  const auto r1 = rms::simulate(one);
-  const auto r3 = rms::simulate(three);
+  const auto r1 = Scenario(one).run();
+  const auto r3 = Scenario(three).run();
   // Replicated estimators each receive the full update stream.
   EXPECT_GT(r3.updates_received, 2 * r1.updates_received);
 }

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -28,7 +28,7 @@ grid::GridConfig quiet_config(grid::RmsKind kind) {
 
 TEST(AnalyticG, CentralIsPureDecisionCost) {
   const grid::GridConfig config = quiet_config(grid::RmsKind::kCentral);
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   ASSERT_GT(r.jobs_arrived, 100u);
   EXPECT_EQ(r.updates_received, 0u);
 
@@ -47,7 +47,7 @@ TEST(AnalyticG, CentralIsPureDecisionCost) {
 
 TEST(AnalyticG, LowestIsDecisionsPollsTransfers) {
   const grid::GridConfig config = quiet_config(grid::RmsKind::kLowest);
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   ASSERT_GT(r.polls, 0u);
 
   const double local_resources = static_cast<double>(
@@ -77,7 +77,7 @@ TEST(AnalyticG, LowestIsDecisionsPollsTransfers) {
 
 TEST(AnalyticG, PollCountMatchesRemoteJobsTimesLp) {
   const grid::GridConfig config = quiet_config(grid::RmsKind::kLowest);
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   // With empty (zero) tables everywhere, every REMOTE job polls exactly
   // L_p peers (and the "strictly better" rule keeps jobs local after).
   EXPECT_EQ(r.polls,
@@ -87,7 +87,7 @@ TEST(AnalyticG, PollCountMatchesRemoteJobsTimesLp) {
 TEST(AnalyticG, MiddlewareChargesPerHopMessage) {
   const grid::GridConfig config =
       quiet_config(grid::RmsKind::kSenderInitiated);
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   // Every poll, reply, and transfer of the S-I family crosses the
   // middleware once.  Work-in-system ~ busy time at this load.
   const double messages = static_cast<double>(2 * r.polls + r.transfers);
@@ -97,7 +97,7 @@ TEST(AnalyticG, MiddlewareChargesPerHopMessage) {
 
 TEST(AnalyticG, ControlOverheadIsPerCompletionExact) {
   const grid::GridConfig config = quiet_config(grid::RmsKind::kLowest);
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   const double expected = static_cast<double>(r.jobs_completed) *
                           config.costs.job_control /
                           config.service_rate;

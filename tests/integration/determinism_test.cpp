@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/procedure.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -38,14 +38,14 @@ bool results_identical(const grid::SimulationResult& a,
 class DeterminismTest : public ::testing::TestWithParam<grid::RmsKind> {};
 
 TEST_P(DeterminismTest, BitIdenticalAcrossRuns) {
-  const auto a = rms::simulate(config_for(GetParam(), 42));
-  const auto b = rms::simulate(config_for(GetParam(), 42));
+  const auto a = Scenario(config_for(GetParam(), 42)).run();
+  const auto b = Scenario(config_for(GetParam(), 42)).run();
   EXPECT_TRUE(results_identical(a, b)) << grid::to_string(GetParam());
 }
 
 TEST_P(DeterminismTest, SeedChangesOutcome) {
-  const auto a = rms::simulate(config_for(GetParam(), 1));
-  const auto b = rms::simulate(config_for(GetParam(), 99));
+  const auto a = Scenario(config_for(GetParam(), 1)).run();
+  const auto b = Scenario(config_for(GetParam(), 99)).run();
   EXPECT_FALSE(results_identical(a, b)) << grid::to_string(GetParam());
 }
 
@@ -85,8 +85,8 @@ TEST(DeterminismTest2, TopologySeedIsolatedFromWorkloadSeed) {
   // Changing nothing but a named stream's consumer count must not
   // perturb other streams: two configs differing only in RMS kind see
   // the identical workload and topology.
-  const auto a = rms::simulate(config_for(grid::RmsKind::kCentral, 5));
-  const auto b = rms::simulate(config_for(grid::RmsKind::kLowest, 5));
+  const auto a = Scenario(config_for(grid::RmsKind::kCentral, 5)).run();
+  const auto b = Scenario(config_for(grid::RmsKind::kLowest, 5)).run();
   EXPECT_EQ(a.jobs_arrived, b.jobs_arrived);
   EXPECT_EQ(a.jobs_local, b.jobs_local);
   EXPECT_EQ(a.jobs_remote, b.jobs_remote);

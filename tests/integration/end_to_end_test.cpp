@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/procedure.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -27,7 +27,7 @@ TEST(EndToEnd, FullProcedureProducesAnalyzableSweep) {
   procedure.tuner.evaluations = 4;
   procedure.warm_evaluations = 3;
   procedure.tuner.e0 =
-      rms::simulate(small_base()).efficiency();
+      Scenario(small_base()).run().efficiency();
   procedure.tuner.band = 0.08;
 
   const core::CaseResult result = core::measure_scalability(
@@ -47,7 +47,7 @@ TEST(EndToEnd, CentralPaysMoreThanDistributedPerDecisionAtScale) {
     config.topology.nodes = nodes;
     config.workload.mean_interarrival =
         0.85 * 100.0 / static_cast<double>(nodes);
-    const auto r = rms::simulate(config);
+    const auto r = Scenario(config).run();
     return r.G_scheduler / static_cast<double>(r.jobs_arrived);
   };
   const double central_growth =
@@ -66,7 +66,7 @@ TEST(EndToEnd, EstimatorScalingHurtsAuctionMoreThanLowest) {
     config.cluster_size = 19 + estimators;
     config.topology.nodes = 95 + 5 * estimators;
     config.workload.mean_interarrival = 3.0;
-    return rms::simulate(config).G();
+    return Scenario(config).run().G();
   };
   const double auction_growth = run(grid::RmsKind::kAuction, 4) /
                                 run(grid::RmsKind::kAuction, 1);
@@ -82,7 +82,7 @@ TEST(EndToEnd, NeighborhoodScalingHurtsPollersMost) {
     grid::GridConfig config = small_base();
     config.rms = kind;
     config.tuning.neighborhood_size = lp;
-    return rms::simulate(config).G();
+    return Scenario(config).run().G();
   };
   const double lowest_growth =
       run(grid::RmsKind::kLowest, 8) / run(grid::RmsKind::kLowest, 2);
@@ -101,7 +101,7 @@ TEST(EndToEnd, SaturatedCentralShowsWorkInSystemBlowup) {
     config.workload.mean_interarrival = interarrival;
     // Expensive decisions to force saturation.
     config.costs.sched_decision_base = 0.4;
-    return rms::simulate(config).G_scheduler;
+    return Scenario(config).run().G_scheduler;
   };
   const double mild = run(1.0);
   const double heavy = run(0.25);  // 4x the load
@@ -115,7 +115,7 @@ TEST(EndToEnd, ExampleQuickstartPathWorks) {
   config.topology.nodes = 200;
   config.horizon = 500.0;
   config.workload.mean_interarrival = 4.0;
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   EXPECT_GT(r.jobs_completed, 0u);
   EXPECT_GT(r.efficiency(), 0.0);
 }

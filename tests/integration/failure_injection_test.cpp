@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -25,7 +25,7 @@ class FailureInjectionTest
     : public ::testing::TestWithParam<grid::RmsKind> {};
 
 TEST_P(FailureInjectionTest, SurvivesThirtyPercentControlLoss) {
-  const auto r = rms::simulate(lossy_config(GetParam(), 0.30));
+  const auto r = Scenario(lossy_config(GetParam(), 0.30)).run();
   // Messages really were dropped (policies without control traffic at
   // this load still lose status updates).
   EXPECT_GT(r.messages_dropped, 0u) << grid::to_string(GetParam());
@@ -39,8 +39,8 @@ TEST_P(FailureInjectionTest, SurvivesThirtyPercentControlLoss) {
 }
 
 TEST_P(FailureInjectionTest, DeterministicUnderLoss) {
-  const auto a = rms::simulate(lossy_config(GetParam(), 0.2));
-  const auto b = rms::simulate(lossy_config(GetParam(), 0.2));
+  const auto a = Scenario(lossy_config(GetParam(), 0.2)).run();
+  const auto b = Scenario(lossy_config(GetParam(), 0.2)).run();
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_EQ(a.messages_dropped, b.messages_dropped);
   EXPECT_DOUBLE_EQ(a.G(), b.G());
@@ -57,19 +57,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(FailureInjection, LossZeroDropsNothing) {
-  const auto r = rms::simulate(lossy_config(grid::RmsKind::kLowest, 0.0));
+  const auto r = Scenario(lossy_config(grid::RmsKind::kLowest, 0.0)).run();
   EXPECT_EQ(r.messages_dropped, 0u);
 }
 
 TEST(FailureInjection, HigherLossDropsMore) {
-  const auto low = rms::simulate(lossy_config(grid::RmsKind::kLowest, 0.1));
-  const auto high = rms::simulate(lossy_config(grid::RmsKind::kLowest, 0.4));
+  const auto low = Scenario(lossy_config(grid::RmsKind::kLowest, 0.1)).run();
+  const auto high = Scenario(lossy_config(grid::RmsKind::kLowest, 0.4)).run();
   EXPECT_GT(high.messages_dropped, low.messages_dropped);
 }
 
 TEST(FailureInjection, LossDegradesButDoesNotBreakQuality) {
-  const auto clean = rms::simulate(lossy_config(grid::RmsKind::kLowest, 0.0));
-  const auto lossy = rms::simulate(lossy_config(grid::RmsKind::kLowest, 0.5));
+  const auto clean = Scenario(lossy_config(grid::RmsKind::kLowest, 0.0)).run();
+  const auto lossy = Scenario(lossy_config(grid::RmsKind::kLowest, 0.5)).run();
   // Stale/missing information costs success, never correctness.
   EXPECT_LE(lossy.jobs_succeeded, clean.jobs_succeeded + 50);
   EXPECT_EQ(lossy.jobs_completed + lossy.jobs_unfinished,
@@ -79,9 +79,9 @@ TEST(FailureInjection, LossDegradesButDoesNotBreakQuality) {
 TEST(FailureInjection, RejectsBadProbability) {
   grid::GridConfig config = lossy_config(grid::RmsKind::kLowest, 0.0);
   config.control_loss_probability = 1.0;
-  EXPECT_THROW(rms::simulate(config), std::invalid_argument);
+  EXPECT_THROW(Scenario(config).run(), std::invalid_argument);
   config.control_loss_probability = -0.1;
-  EXPECT_THROW(rms::simulate(config), std::invalid_argument);
+  EXPECT_THROW(Scenario(config).run(), std::invalid_argument);
 }
 
 }  // namespace

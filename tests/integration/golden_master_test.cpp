@@ -12,7 +12,7 @@
 
 #include <iostream>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -47,7 +47,7 @@ TEST(GoldenMaster, PrintCurrentValues) {
   for (const grid::RmsKind kind :
        {grid::RmsKind::kCentral, grid::RmsKind::kLowest,
         grid::RmsKind::kSymmetric}) {
-    const auto r = rms::simulate(golden_config(kind));
+    const auto r = Scenario(golden_config(kind)).run();
     std::cout << "    {grid::RmsKind::k?" << grid::to_string(kind) << ", "
               << r.jobs_arrived << ", " << r.jobs_succeeded << ", "
               << r.events_dispatched << "},\n";
@@ -60,7 +60,7 @@ TEST(GoldenMaster, PinnedCountersMatch) {
     GTEST_SKIP() << "golden values not recorded yet";
   }
   for (const Golden& g : kGolden) {
-    const auto r = rms::simulate(golden_config(g.kind));
+    const auto r = Scenario(golden_config(g.kind)).run();
     EXPECT_EQ(r.jobs_arrived, g.arrived) << grid::to_string(g.kind);
     EXPECT_EQ(r.jobs_succeeded, g.succeeded) << grid::to_string(g.kind);
     EXPECT_EQ(r.events_dispatched, g.events) << grid::to_string(g.kind);

@@ -5,7 +5,7 @@
 
 #include <tuple>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -29,7 +29,7 @@ class SimulationProperties
 };
 
 TEST_P(SimulationProperties, Invariants) {
-  const auto r = rms::simulate(make_config());
+  const auto r = Scenario(make_config()).run();
 
   // Job conservation.
   EXPECT_EQ(r.jobs_local + r.jobs_remote, r.jobs_arrived);
@@ -97,7 +97,7 @@ TEST_P(TopologyProperties, AnyConnectedTopologyWorks) {
   config.topology.nodes = 80;
   config.horizon = 300.0;
   config.workload.mean_interarrival = 2.0;
-  const auto r = rms::simulate(config);
+  const auto r = Scenario(config).run();
   EXPECT_GT(r.jobs_completed, 0u);
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived);
 }
@@ -125,7 +125,7 @@ TEST(LoadMonotonicity, MoreLoadMoreArrivals) {
   std::uint64_t prev_arrived = 0;
   for (const double ia : {4.0, 2.0, 1.0, 0.5}) {
     config.workload.mean_interarrival = ia;
-    const auto r = rms::simulate(config);
+    const auto r = Scenario(config).run();
     EXPECT_GT(r.jobs_arrived, prev_arrived);
     prev_arrived = r.jobs_arrived;
   }
@@ -137,9 +137,9 @@ TEST(HorizonMonotonicity, LongerHorizonMoreWork) {
   config.topology.nodes = 100;
   config.workload.mean_interarrival = 1.0;
   config.horizon = 300.0;
-  const auto short_run = rms::simulate(config);
+  const auto short_run = Scenario(config).run();
   config.horizon = 600.0;
-  const auto long_run = rms::simulate(config);
+  const auto long_run = Scenario(config).run();
   EXPECT_GT(long_run.jobs_arrived, short_run.jobs_arrived);
   EXPECT_GT(long_run.F, short_run.F);
   EXPECT_GT(long_run.G(), short_run.G());

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scaling.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal {
 namespace {
@@ -21,8 +21,8 @@ grid::GridConfig base_config() {
 
 TEST(ScalingSystem, Case1GrowsBuiltClustersAndResources) {
   const auto scase = core::ScalingCase::case1_network_size();
-  auto base = rms::make_grid(core::apply_scale(base_config(), scase, 1.0));
-  auto scaled = rms::make_grid(core::apply_scale(base_config(), scase, 3.0));
+  auto base = Scenario(core::apply_scale(base_config(), scase, 1.0)).build();
+  auto scaled = Scenario(core::apply_scale(base_config(), scase, 3.0)).build();
   EXPECT_EQ(scaled->cluster_count(), 3 * base->cluster_count());
   EXPECT_EQ(scaled->layout().total_resources(),
             3 * base->layout().total_resources());
@@ -30,8 +30,8 @@ TEST(ScalingSystem, Case1GrowsBuiltClustersAndResources) {
 
 TEST(ScalingSystem, Case3AddsEstimatorsKeepsResourcePoolIdentical) {
   const auto scase = core::ScalingCase::case3_estimators();
-  auto base = rms::make_grid(core::apply_scale(base_config(), scase, 1.0));
-  auto scaled = rms::make_grid(core::apply_scale(base_config(), scase, 4.0));
+  auto base = Scenario(core::apply_scale(base_config(), scase, 1.0)).build();
+  auto scaled = Scenario(core::apply_scale(base_config(), scase, 4.0)).build();
   // "Only the RMS is explicitly scaled... the RP is unaltered."
   EXPECT_EQ(scaled->layout().total_resources(),
             base->layout().total_resources());
@@ -43,8 +43,8 @@ TEST(ScalingSystem, Case3AddsEstimatorsKeepsResourcePoolIdentical) {
 TEST(ScalingSystem, Case2OnlySpeedsUpService) {
   const auto scase = core::ScalingCase::case2_service_rate();
   const auto scaled_config = core::apply_scale(base_config(), scase, 5.0);
-  auto base = rms::make_grid(base_config());
-  auto scaled = rms::make_grid(scaled_config);
+  auto base = Scenario(base_config()).build();
+  auto scaled = Scenario(scaled_config).build();
   EXPECT_EQ(scaled->cluster_count(), base->cluster_count());
   EXPECT_EQ(scaled->layout().total_resources(),
             base->layout().total_resources());
@@ -59,8 +59,10 @@ TEST(ScalingSystem, WorkloadScalesWithEveryCase) {
         core::ScalingCase::case2_service_rate(),
         core::ScalingCase::case3_estimators(),
         core::ScalingCase::case4_neighborhood()}) {
-    const auto r1 = rms::simulate(core::apply_scale(base_config(), scase, 1.0));
-    const auto r3 = rms::simulate(core::apply_scale(base_config(), scase, 3.0));
+    const auto r1 =
+        Scenario(core::apply_scale(base_config(), scase, 1.0)).run();
+    const auto r3 =
+        Scenario(core::apply_scale(base_config(), scase, 3.0)).run();
     // Poisson noise aside, 3x the arrival rate.
     EXPECT_GT(r3.jobs_arrived, 2 * r1.jobs_arrived) << scase.name;
     EXPECT_LT(r3.jobs_arrived, 4 * r1.jobs_arrived) << scase.name;
@@ -71,8 +73,8 @@ TEST(ScalingSystem, Case4ChangesOnlyPollFanout) {
   const auto scase = core::ScalingCase::case4_neighborhood();
   const auto c1 = core::apply_scale(base_config(), scase, 1.0);
   const auto c4 = core::apply_scale(base_config(), scase, 4.0);
-  auto r1 = rms::simulate(c1);
-  auto r4 = rms::simulate(c4);
+  auto r1 = Scenario(c1).run();
+  auto r4 = Scenario(c4).run();
   // Workload x4 and polls-per-REMOTE x4: polls grow ~16x.
   const double poll_growth = static_cast<double>(r4.polls) /
                              static_cast<double>(std::max<std::uint64_t>(

@@ -10,7 +10,7 @@
 #include <string>
 
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "support/result_equal.hpp"
 
 namespace scal::obs {
@@ -42,12 +42,12 @@ class TelemetryDeterminism
 
 TEST_P(TelemetryDeterminism, OnVersusOffIsBitIdentical) {
   const grid::SimulationResult plain =
-      rms::simulate(base_config(GetParam()));
+      Scenario(base_config(GetParam())).run();
 
   Telemetry telemetry(full_config("determinism_on"));
   grid::GridConfig instrumented = base_config(GetParam());
   instrumented.telemetry = &telemetry;
-  const grid::SimulationResult traced = rms::simulate(instrumented);
+  const grid::SimulationResult traced = Scenario(instrumented).run();
 
   test::expect_same_result(
       plain, traced,
@@ -62,12 +62,12 @@ TEST_P(TelemetryDeterminism, TwoInstrumentedRunsAgree) {
   Telemetry t1(full_config("determinism_a"));
   grid::GridConfig c1 = base_config(GetParam());
   c1.telemetry = &t1;
-  const grid::SimulationResult r1 = rms::simulate(c1);
+  const grid::SimulationResult r1 = Scenario(c1).run();
 
   Telemetry t2(full_config("determinism_b"));
   grid::GridConfig c2 = base_config(GetParam());
   c2.telemetry = &t2;
-  const grid::SimulationResult r2 = rms::simulate(c2);
+  const grid::SimulationResult r2 = Scenario(c2).run();
 
   test::expect_same_result(r1, r2, {test::kFromCache});
   EXPECT_EQ(t1.trace().size(), t2.trace().size());

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::obs {
 namespace {
@@ -60,7 +63,7 @@ TEST(ProbeExport, SamplingCadenceTracksSimulatorClock) {
   Telemetry telemetry = probe_telemetry(interval);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   const auto& samples = telemetry.probe()->samples();
   // Ticks at 0, 50, ..., 250, plus the final row at the horizon.
@@ -83,7 +86,7 @@ TEST(ProbeExport, FinalRowEqualsResultScalarsExactly) {
   Telemetry telemetry = probe_telemetry(75.0);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   const ProbeSample& last = telemetry.probe()->samples().back();
   // Bit-exact equality, not near-equality: the final row is copied from
@@ -100,7 +103,7 @@ TEST(ProbeExport, CsvRoundTripsFinalRowDigits) {
   Telemetry telemetry = probe_telemetry(75.0);
   grid::GridConfig config = probed_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
 
   std::ostringstream os;
   telemetry.probe()->write_csv(os);
@@ -124,6 +127,37 @@ TEST(ProbeExport, CsvRoundTripsFinalRowDigits) {
   EXPECT_EQ(fields[1], result.F);
   EXPECT_EQ(fields[2], result.G());
   EXPECT_EQ(fields[3], result.H());
+}
+
+TEST(ProbeExport, RejectsNonPositiveOrNonFiniteInterval) {
+  for (const double interval :
+       {0.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(probe_telemetry(interval), std::invalid_argument)
+        << interval;
+  }
+  // Without a path the probe is off and its interval unused.
+  TelemetryConfig tc;
+  tc.probe_interval = -5.0;
+  EXPECT_EQ(Telemetry(tc).probe(), nullptr);
+}
+
+TEST(ProbeExport, IntervalIsBoundedByTheHorizon) {
+  grid::GridConfig config = probed_config();
+  config.horizon = 100.0;
+  // 1e6 periods over the horizon: allowed.
+  Telemetry fine = probe_telemetry(1e-4);
+  config.telemetry = &fine;
+  EXPECT_NO_THROW(config.validate());
+  // 1e302 periods would never let the clock reach the horizon.
+  Telemetry tiny = probe_telemetry(1e-300);
+  config.telemetry = &tiny;
+  try {
+    config.validate();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("probe_interval"), std::string::npos);
+  }
 }
 
 }  // namespace

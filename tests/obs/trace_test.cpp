@@ -7,7 +7,7 @@
 
 #include "json_checker.hpp"
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::obs {
 namespace {
@@ -81,7 +81,7 @@ TEST(TraceExport, GridRunProducesBalancedSpansAndValidJson) {
   Telemetry telemetry(tc);
   grid::GridConfig config = traced_config();
   config.telemetry = &telemetry;
-  const grid::SimulationResult result = rms::simulate(config);
+  const grid::SimulationResult result = Scenario(config).run();
   ASSERT_GT(result.jobs_completed, 0u);
   ASSERT_GT(telemetry.trace().size(), 0u);
 
@@ -126,7 +126,7 @@ TEST(TraceExport, MessageInstantsCarryProtocolNames) {
   // LOWEST polls remote schedulers, so poll events must appear.
   config.workload.mean_interarrival = 0.4;
   config.telemetry = &telemetry;
-  (void)rms::simulate(config);
+  (void)Scenario(config).run();
 
   std::size_t instants = 0;
   for (const TraceEvent& ev : telemetry.trace().events()) {

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -19,7 +19,7 @@ struct AuctionGrid {
     config.horizon = 500.0;
     config.workload.mean_interarrival = 1e9;  // quiet grid
     config.tuning.update_interval = 5.0;      // brisk status flow
-    system = rms::make_grid(config);
+    system = Scenario(config).build();
   }
 
   grid::SchedulerBase& sched(grid::ClusterId c) {

@@ -6,7 +6,7 @@
 
 #include <map>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -28,7 +28,7 @@ TEST(Factory, EveryKindConstructsAndRuns) {
         grid::RmsKind::kSymmetric, grid::RmsKind::kHierarchical,
         grid::RmsKind::kRandom}) {
     EXPECT_NO_THROW({
-      const auto r = simulate(tiny(kind));
+      const auto r = Scenario(tiny(kind)).run();
       (void)r;
     }) << grid::to_string(kind);
   }
@@ -49,7 +49,7 @@ TEST(Factory, MiddlewareFamilyFlags) {
       {grid::RmsKind::kRandom, false},
   };
   for (const auto& [kind, uses] : expect_middleware) {
-    auto system = make_grid(tiny(kind));
+    auto system = Scenario(tiny(kind)).build();
     EXPECT_EQ(system->scheduler_for(0).uses_middleware(), uses)
         << grid::to_string(kind);
   }
@@ -70,18 +70,10 @@ TEST(Factory, IdleEventSubscribers) {
       {grid::RmsKind::kRandom, false},
   };
   for (const auto& [kind, wants] : expect_idle) {
-    auto system = make_grid(tiny(kind));
+    auto system = Scenario(tiny(kind)).build();
     EXPECT_EQ(system->scheduler_for(0).wants_idle_events(), wants)
         << grid::to_string(kind);
   }
-}
-
-TEST(Factory, SimulateEqualsMakeGridRun) {
-  const auto direct = simulate(tiny(grid::RmsKind::kLowest));
-  auto system = make_grid(tiny(grid::RmsKind::kLowest));
-  const auto via_grid = system->run();
-  EXPECT_DOUBLE_EQ(direct.G(), via_grid.G());
-  EXPECT_EQ(direct.events_dispatched, via_grid.events_dispatched);
 }
 
 }  // namespace

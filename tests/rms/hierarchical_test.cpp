@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -24,7 +24,7 @@ TEST(Hierarchical, RoundTripsThroughStrings) {
 }
 
 TEST(Hierarchical, CompletesAndConserves) {
-  const auto r = simulate(hier_config());
+  const auto r = Scenario(hier_config()).run();
   EXPECT_GT(r.jobs_completed, 0u);
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived);
   EXPECT_EQ(r.jobs_succeeded + r.jobs_missed_deadline, r.jobs_completed);
@@ -34,14 +34,14 @@ TEST(Hierarchical, CompletesAndConserves) {
 }
 
 TEST(Hierarchical, Deterministic) {
-  const auto a = simulate(hier_config(9));
-  const auto b = simulate(hier_config(9));
+  const auto a = Scenario(hier_config(9)).run();
+  const auto b = Scenario(hier_config(9)).run();
   EXPECT_DOUBLE_EQ(a.G(), b.G());
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
 }
 
 TEST(Hierarchical, MovesRemoteWorkViaRoot) {
-  const auto r = simulate(hier_config());
+  const auto r = Scenario(hier_config()).run();
   // REMOTE jobs are transferred (leaf -> root, often root -> leaf).
   EXPECT_GT(r.transfers, r.jobs_remote / 2);
   // Digests flow (counted as adverts).
@@ -61,7 +61,7 @@ TEST(Hierarchical, CheaperPerJobThanCentralAtScale) {
     config.topology.nodes = nodes;
     config.workload.mean_interarrival = 0.9 * 120.0 /
                                         static_cast<double>(nodes);
-    const auto r = simulate(config);
+    const auto r = Scenario(config).run();
     return r.G_scheduler / static_cast<double>(r.jobs_arrived);
   };
   const double hier_growth =
@@ -78,7 +78,7 @@ TEST(Hierarchical, LocalJobsStayLocal) {
   config.workload.exec_model = workload::ExecTimeModel::kUniform;
   config.workload.uniform_lo = 50.0;
   config.workload.uniform_hi = 300.0;
-  const auto r = simulate(config);
+  const auto r = Scenario(config).run();
   EXPECT_EQ(r.jobs_remote, 0u);
   EXPECT_EQ(r.transfers, 0u);
 }

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -22,7 +22,7 @@ grid::GridConfig policy_config(grid::RmsKind kind, std::uint64_t seed = 42) {
 class PolicyTest : public ::testing::TestWithParam<grid::RmsKind> {};
 
 TEST_P(PolicyTest, CompletesMostJobsAtModerateLoad) {
-  const auto r = simulate(policy_config(GetParam()));
+  const auto r = Scenario(policy_config(GetParam())).run();
   ASSERT_GT(r.jobs_arrived, 100u);
   // A sane policy completes the lion's share of a rho ~ 0.85 workload.
   EXPECT_GT(static_cast<double>(r.jobs_completed) /
@@ -31,14 +31,14 @@ TEST_P(PolicyTest, CompletesMostJobsAtModerateLoad) {
 }
 
 TEST_P(PolicyTest, JobAccountingConserved) {
-  const auto r = simulate(policy_config(GetParam()));
+  const auto r = Scenario(policy_config(GetParam())).run();
   EXPECT_EQ(r.jobs_local + r.jobs_remote, r.jobs_arrived);
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived);
   EXPECT_EQ(r.jobs_succeeded + r.jobs_missed_deadline, r.jobs_completed);
 }
 
 TEST_P(PolicyTest, WorkTermsPositive) {
-  const auto r = simulate(policy_config(GetParam()));
+  const auto r = Scenario(policy_config(GetParam())).run();
   EXPECT_GT(r.F, 0.0);
   EXPECT_GT(r.G_scheduler, 0.0);
   EXPECT_GT(r.G_estimator, 0.0);
@@ -48,8 +48,8 @@ TEST_P(PolicyTest, WorkTermsPositive) {
 }
 
 TEST_P(PolicyTest, DeterministicForFixedSeed) {
-  const auto a = simulate(policy_config(GetParam(), 7));
-  const auto b = simulate(policy_config(GetParam(), 7));
+  const auto a = Scenario(policy_config(GetParam(), 7)).run();
+  const auto b = Scenario(policy_config(GetParam(), 7)).run();
   EXPECT_EQ(a.jobs_completed, b.jobs_completed);
   EXPECT_DOUBLE_EQ(a.F, b.F);
   EXPECT_DOUBLE_EQ(a.G(), b.G());
@@ -59,20 +59,20 @@ TEST_P(PolicyTest, DeterministicForFixedSeed) {
 }
 
 TEST_P(PolicyTest, DifferentSeedsDiffer) {
-  const auto a = simulate(policy_config(GetParam(), 1));
-  const auto b = simulate(policy_config(GetParam(), 2));
+  const auto a = Scenario(policy_config(GetParam(), 1)).run();
+  const auto b = Scenario(policy_config(GetParam(), 2)).run();
   EXPECT_NE(a.events_dispatched, b.events_dispatched);
 }
 
 TEST_P(PolicyTest, ResponseTimesAreSane) {
-  const auto r = simulate(policy_config(GetParam()));
+  const auto r = Scenario(policy_config(GetParam())).run();
   EXPECT_GT(r.mean_response, 0.0);
   EXPECT_GE(r.p95_response, r.mean_response * 0.5);
   EXPECT_LT(r.mean_response, 600.0);  // bounded by the horizon
 }
 
 TEST_P(PolicyTest, ThroughputMatchesCompletions) {
-  const auto r = simulate(policy_config(GetParam()));
+  const auto r = Scenario(policy_config(GetParam())).run();
   EXPECT_NEAR(r.throughput,
               static_cast<double>(r.jobs_completed) / r.horizon, 1e-9);
 }
@@ -90,30 +90,32 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PolicyComparison, DistributedModelsUseProtocolTraffic) {
   // The protocol counters distinguish the families: polling models poll,
   // advertising models advertise, AUCTION auctions, CENTRAL does none.
-  const auto central = simulate(policy_config(grid::RmsKind::kCentral));
+  const auto central = Scenario(policy_config(grid::RmsKind::kCentral)).run();
   EXPECT_EQ(central.polls, 0u);
   EXPECT_EQ(central.auctions, 0u);
   EXPECT_EQ(central.adverts, 0u);
 
-  const auto lowest = simulate(policy_config(grid::RmsKind::kLowest));
+  const auto lowest = Scenario(policy_config(grid::RmsKind::kLowest)).run();
   EXPECT_GT(lowest.polls, 0u);
   EXPECT_EQ(lowest.auctions, 0u);
 
-  const auto reserve = simulate(policy_config(grid::RmsKind::kReserve));
+  const auto reserve = Scenario(policy_config(grid::RmsKind::kReserve)).run();
   EXPECT_GT(reserve.adverts, 0u);
 
-  const auto auction = simulate(policy_config(grid::RmsKind::kAuction));
+  const auto auction = Scenario(policy_config(grid::RmsKind::kAuction)).run();
   EXPECT_GT(auction.auctions, 0u);
 
-  const auto si = simulate(policy_config(grid::RmsKind::kSenderInitiated));
+  const auto si =
+      Scenario(policy_config(grid::RmsKind::kSenderInitiated)).run();
   EXPECT_GT(si.polls, 0u);
   EXPECT_GT(si.G_middleware, 0.0);
 
-  const auto ri = simulate(policy_config(grid::RmsKind::kReceiverInitiated));
+  const auto ri =
+      Scenario(policy_config(grid::RmsKind::kReceiverInitiated)).run();
   EXPECT_GT(ri.adverts, 0u);
   EXPECT_GT(ri.G_middleware, 0.0);
 
-  const auto syi = simulate(policy_config(grid::RmsKind::kSymmetric));
+  const auto syi = Scenario(policy_config(grid::RmsKind::kSymmetric)).run();
   EXPECT_GT(syi.adverts, 0u);
   EXPECT_GT(syi.G_middleware, 0.0);
 }
@@ -122,7 +124,7 @@ TEST(PolicyComparison, OnlyMiddlewareFamilyPaysMiddleware) {
   for (const grid::RmsKind kind :
        {grid::RmsKind::kCentral, grid::RmsKind::kLowest,
         grid::RmsKind::kReserve, grid::RmsKind::kAuction}) {
-    const auto r = simulate(policy_config(kind));
+    const auto r = Scenario(policy_config(kind)).run();
     EXPECT_DOUBLE_EQ(r.G_middleware, 0.0) << grid::to_string(kind);
   }
 }
@@ -134,7 +136,7 @@ TEST(PolicyComparison, LoadBalancingBeatsNothingUnderSkew) {
   // neighborhood size pinned to 1 and compare poll-driven transfers.
   grid::GridConfig config = policy_config(grid::RmsKind::kLowest);
   config.workload.mean_interarrival = 2.0;
-  const auto r = simulate(config);
+  const auto r = Scenario(config).run();
   EXPECT_GT(r.transfers, 0u);
 }
 

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -24,7 +24,7 @@ TEST(RandomPolicy, StringRoundTrip) {
 }
 
 TEST(RandomPolicy, RunsAndConserves) {
-  const auto r = simulate(cfg(grid::RmsKind::kRandom));
+  const auto r = Scenario(cfg(grid::RmsKind::kRandom)).run();
   EXPECT_GT(r.jobs_completed, 0u);
   EXPECT_EQ(r.jobs_completed + r.jobs_unfinished, r.jobs_arrived);
   // No status-driven traffic at all.
@@ -38,24 +38,24 @@ TEST(RandomPolicy, RunsAndConserves) {
 TEST(RandomPolicy, InformedPoliciesBeatIt) {
   // Zhou's core result, reproduced: at meaningful load, LOWEST's
   // deadline success beats blind random placement.
-  const auto random = simulate(cfg(grid::RmsKind::kRandom));
-  const auto lowest = simulate(cfg(grid::RmsKind::kLowest));
+  const auto random = Scenario(cfg(grid::RmsKind::kRandom)).run();
+  const auto lowest = Scenario(cfg(grid::RmsKind::kLowest)).run();
   EXPECT_GT(lowest.jobs_succeeded, random.jobs_succeeded);
   EXPECT_LT(lowest.mean_response, random.mean_response);
 }
 
 TEST(RandomPolicy, Deterministic) {
-  const auto a = simulate(cfg(grid::RmsKind::kRandom));
-  const auto b = simulate(cfg(grid::RmsKind::kRandom));
+  const auto a = Scenario(cfg(grid::RmsKind::kRandom)).run();
+  const auto b = Scenario(cfg(grid::RmsKind::kRandom)).run();
   EXPECT_EQ(a.events_dispatched, b.events_dispatched);
   EXPECT_DOUBLE_EQ(a.G(), b.G());
 }
 
 TEST(BottleneckIsolation, CentralConcentratesSchedulerWork) {
-  const auto central = simulate(cfg(grid::RmsKind::kCentral));
+  const auto central = Scenario(cfg(grid::RmsKind::kCentral)).run();
   EXPECT_DOUBLE_EQ(central.G_scheduler_max_share, 1.0);
 
-  const auto lowest = simulate(cfg(grid::RmsKind::kLowest));
+  const auto lowest = Scenario(cfg(grid::RmsKind::kLowest)).run();
   // 10 clusters: a balanced distributed RMS stays well below 1.
   EXPECT_LT(lowest.G_scheduler_max_share, 0.5);
   EXPECT_GT(lowest.G_scheduler_max_share, 0.05);
@@ -63,7 +63,7 @@ TEST(BottleneckIsolation, CentralConcentratesSchedulerWork) {
 }
 
 TEST(BottleneckIsolation, HierRootIsTheHotspot) {
-  const auto hier = simulate(cfg(grid::RmsKind::kHierarchical));
+  const auto hier = Scenario(cfg(grid::RmsKind::kHierarchical)).run();
   // The root does all REMOTE routing: its share sits between the
   // balanced-distributed and fully-central extremes.
   EXPECT_GT(hier.G_scheduler_max_share, 0.15);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -18,7 +18,7 @@ struct ReserveGrid {
     config.horizon = 400.0;
     config.workload.mean_interarrival = 1e9;
     config.tuning.update_interval = 5.0;
-    system = rms::make_grid(config);
+    system = Scenario(config).build();
   }
 
   grid::SchedulerBase& sched(grid::ClusterId c) {

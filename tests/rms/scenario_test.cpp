@@ -20,15 +20,15 @@ grid::GridConfig small_config() {
   return config;
 }
 
-TEST(Scenario, RunMatchesFreeFunctionShim) {
+TEST(Scenario, RunEqualsBuildThenRun) {
   grid::GridConfig config = small_config();
   config.rms = grid::RmsKind::kLowest;
-  const grid::SimulationResult via_scenario = Scenario(config).run();
-  const grid::SimulationResult via_shim = rms::simulate(config);
-  EXPECT_EQ(via_scenario.events_dispatched, via_shim.events_dispatched);
-  EXPECT_DOUBLE_EQ(via_scenario.G(), via_shim.G());
-  EXPECT_DOUBLE_EQ(via_scenario.efficiency(), via_shim.efficiency());
-  EXPECT_EQ(via_scenario.jobs_completed, via_shim.jobs_completed);
+  const grid::SimulationResult via_run = Scenario(config).run();
+  const grid::SimulationResult via_build = Scenario(config).build()->run();
+  EXPECT_EQ(via_run.events_dispatched, via_build.events_dispatched);
+  EXPECT_DOUBLE_EQ(via_run.G(), via_build.G());
+  EXPECT_DOUBLE_EQ(via_run.efficiency(), via_build.efficiency());
+  EXPECT_EQ(via_run.jobs_completed, via_build.jobs_completed);
 }
 
 TEST(Scenario, SettersLandInConfig) {

@@ -12,7 +12,7 @@
 
 #include "net/tree_cache.hpp"
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 #include "util/log.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
@@ -39,11 +39,11 @@ TEST(SimulationSession, ReusesSystemAcrossTuningChanges) {
   retuned.tuning.neighborhood_size = 2;
 
   SimulationSession session;
-  test::expect_same_result(session.run(base), simulate(base),
+  test::expect_same_result(session.run(base), Scenario(base).run(),
                            {test::kFromCache});
-  test::expect_same_result(session.run(retuned), simulate(retuned),
+  test::expect_same_result(session.run(retuned), Scenario(retuned).run(),
                            {test::kFromCache});
-  test::expect_same_result(session.run(base), simulate(base),
+  test::expect_same_result(session.run(base), Scenario(base).run(),
                            {test::kFromCache});
   // Three runs, one construction: the tuning-only changes were resets.
   EXPECT_EQ(session.rebuilds(), 1u);
@@ -56,21 +56,21 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
 
   SimulationSession session;
   session.run(base);
-  test::expect_same_result(session.run(bigger), simulate(bigger),
+  test::expect_same_result(session.run(bigger), Scenario(bigger).run(),
                            {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 2u);
   // And the bigger system is itself reusable from here on.
   grid::GridConfig bigger_tuned = bigger;
   bigger_tuned.tuning.link_delay_scale = 1.4;
-  test::expect_same_result(session.run(bigger_tuned), simulate(bigger_tuned),
-                           {test::kFromCache});
+  test::expect_same_result(session.run(bigger_tuned),
+                           Scenario(bigger_tuned).run(), {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 2u);
 }
 
 TEST(SimulationSession, TreeSharingIsResultInvisible) {
   // Sessions opt their systems into the shared router-tree cache by
   // default; the results must be bit-identical to a sharing-off session
-  // and to the one-shot simulate() path.
+  // and to the one-shot Scenario::run path.
   net::SharedTreeCache::instance().clear();
   const grid::GridConfig config = small_config();
 
@@ -83,7 +83,7 @@ TEST(SimulationSession, TreeSharingIsResultInvisible) {
   const auto without = isolated.run(config);
 
   test::expect_same_result(with, without, {test::kFromCache});
-  test::expect_same_result(with, simulate(config), {test::kFromCache});
+  test::expect_same_result(with, Scenario(config).run(), {test::kFromCache});
   // The sharing session really published trees for others to adopt.
   EXPECT_GT(net::SharedTreeCache::instance().publishes(), 0u);
   net::SharedTreeCache::instance().clear();
@@ -151,7 +151,7 @@ TEST(SimulationSession, ThrowingRunForcesRebuild) {
   }
   // And the session is still good for a valid config.
   test::expect_same_result(session.run(small_config()),
-                           simulate(small_config()),
+                           Scenario(small_config()).run(),
                            {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 3u);
   std::remove(path.c_str());

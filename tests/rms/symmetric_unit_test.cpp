@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "rms/factory.hpp"
+#include "rms/scenario.hpp"
 
 namespace scal::rms {
 namespace {
@@ -22,7 +22,7 @@ struct SyGrid {
     config.workload.mean_interarrival = 1e9;
     config.tuning.volunteer_interval = 1e9;  // periodic side silent
     config.tuning.neighborhood_size = 2;
-    system = rms::make_grid(config);
+    system = Scenario(config).build();
   }
 
   grid::SchedulerBase& sched(grid::ClusterId c) {

@@ -64,28 +64,6 @@ TEST(TraceRoundTrip, ReplayReproducesIdenticalRun) {
   std::remove(path.c_str());
 }
 
-// Legacy GridConfig::trace_path and the trace source are the same code
-// path; a file replayed through either must produce the same run.
-TEST(TraceRoundTrip, TracePathAndTraceSourceAgree) {
-  grid::GridConfig config = small_grid();
-  auto probe = Scenario(config).build();
-  WorkloadConfig wl = config.workload;
-  wl.clusters = static_cast<std::uint32_t>(probe->cluster_count());
-  const std::vector<Job> jobs =
-      make_source(SourceSpec{}, wl, config.seed, config.horizon)
-          ->generate_until(config.horizon);
-  const std::string path = ::testing::TempDir() + "/scal_tracepath.csv";
-  save_trace_file(jobs, path);
-
-  grid::GridConfig via_legacy = small_grid();
-  via_legacy.trace_path = path;
-  grid::GridConfig via_source = small_grid();
-  via_source.workload_source = SourceSpec::parse("trace:" + path);
-  test::expect_same_result(Scenario(via_legacy).run(),
-                           Scenario(via_source).run());
-  std::remove(path.c_str());
-}
-
 // Modulated runs honor the determinism contract: bit-identical results
 // whether the per-RMS sweep runs serial or on a worker pool.
 TEST(ModulatedDeterminism, RunKindsSerialMatchesPool) {

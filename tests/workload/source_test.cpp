@@ -76,6 +76,16 @@ TEST(SourceSpec, ValidateCatchesMissingPathAndBadScale) {
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
+TEST(SourceSpec, RejectsNonFiniteTimeScale) {
+  EXPECT_THROW(SourceSpec::parse("swf:p@inf"), std::invalid_argument);
+  EXPECT_THROW(SourceSpec::parse("swf:p@nan"), std::invalid_argument);
+  SourceSpec spec;
+  spec.kind = SourceKind::kSwf;
+  spec.path = "x.swf";
+  spec.time_scale = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
 TEST(SourceSpec, SummaryNamesTheFullStack) {
   SourceSpec spec = SourceSpec::parse("swf:d.swf@0.5");
   spec.modulators = parse_modulators("diurnal:amplitude=0.6,period=500");

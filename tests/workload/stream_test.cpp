@@ -238,8 +238,7 @@ TEST(CachedStream, OneShotMissStreamsLiveAndCountsTheSkip) {
   const std::array<std::uint64_t, 2> key = {0x51717ULL, 0xf100dULL};
   const std::uint64_t skips_before = cache.store_skips();
 
-  PulledArrivals pulled =
-      cached_stream(key, SourceSpec{}, config, 42, 400.0, /*reusable=*/false);
+  PulledArrivals pulled = cached_stream(key, SourceSpec{}, config, 42, 400.0);
   EXPECT_FALSE(pulled.from_cache);
   ASSERT_NE(pulled.stream, nullptr);
   const std::vector<Job> live = collect(*pulled.stream);
@@ -262,15 +261,15 @@ TEST(CachedStream, ReusableMissStoresAndHitReplays) {
   const WorkloadConfig config = small_workload();
   const std::array<std::uint64_t, 2> key = {0xcafeULL, 0xbeefULL};
 
-  PulledArrivals first =
-      cached_stream(key, SourceSpec{}, config, 42, 400.0, /*reusable=*/true);
+  // The reusable path (cached_arrivals) materializes and stores.
+  const ArrivalStream first =
+      cached_arrivals(key, SourceSpec{}, config, 42, 400.0);
   EXPECT_FALSE(first.from_cache);
-  const std::vector<Job> generated = collect(*first.stream);
+  const std::vector<Job> generated = *first.jobs;
   EXPECT_NE(cache.lookup(key), nullptr);
 
-  // Second pull — reusable or not — replays the memoized vector.
-  PulledArrivals second =
-      cached_stream(key, SourceSpec{}, config, 42, 400.0, /*reusable=*/false);
+  // A later pull replays the memoized vector.
+  PulledArrivals second = cached_stream(key, SourceSpec{}, config, 42, 400.0);
   EXPECT_TRUE(second.from_cache);
   expect_same_jobs(collect(*second.stream), generated);
   cache.clear();

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 
 namespace scal::workload {
 namespace {
@@ -176,6 +179,42 @@ TEST(Swf, RejectsBadMapping) {
   mapping = small_mapping();
   mapping.clusters = 0;
   EXPECT_THROW(load_swf(in, mapping), std::invalid_argument);
+}
+
+TEST(Swf, NonFiniteFieldsThrowNamingLineAndCell) {
+  // A NaN submit time, an infinite run time, an infinite user id.
+  const std::pair<std::string, std::string> cases[] = {
+      {"1 nan 0 100\n", "field 2 'nan'"},
+      {"1 0 0 inf\n", "field 4 'inf'"},
+      {"1 0 0 100 1 -1 -1 1 -1 -1 1 -inf\n", "field 12 '-inf'"}};
+  for (const auto& [record, cell] : cases) {
+    std::istringstream in("; header\n" + record);
+    try {
+      load_swf(in, small_mapping());
+      FAIL() << record;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+      EXPECT_NE(what.find(cell), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(Swf, UserIdOutOfRangeThrows) {
+  std::istringstream in(row(0.0, 10.0, -1.0, 1e20));
+  EXPECT_THROW(load_swf(in, small_mapping()), std::runtime_error);
+  std::istringstream fits(row(0.0, 10.0, -1.0, 1e19));
+  EXPECT_EQ(load_swf(fits, small_mapping()).size(), 1u);
+}
+
+TEST(Swf, TimeScaleMustBeFinite) {
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    std::istringstream in(row(0.0, 10.0));
+    SwfMapping mapping = small_mapping();
+    mapping.time_scale = scale;
+    EXPECT_THROW(load_swf(in, mapping), std::invalid_argument) << scale;
+  }
 }
 
 TEST(Swf, MissingFileThrows) {
