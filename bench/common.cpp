@@ -239,7 +239,7 @@ std::vector<core::CaseResult> run_overhead_figure(
   };
 
   // Empty runner = reusable-session backend: each kind's sweep shares an
-  // evaluation cache and warm simulation state across its tunes.
+  // evaluation cache and warm sites across its tunes.
   const auto results =
       core::measure_all(base, all_rms(), procedure, {}, progress);
 

@@ -268,7 +268,7 @@ workload::WorkloadConfig perf_workload() {
 /// Cold arrival-stream synthesis through the source layer: build the
 /// full source stack for `spec` and drain it to the horizon across
 /// distinct seeds (no cache involved).  ns/job of workload generation —
-/// the cost the ArrivalCache takes off every structural rebuild.  With
+/// the cost the ArrivalCache takes off every system build.  With
 /// a modulator in `spec` it adds the per-job time warp.
 Sample workload_generation(const std::string& name,
                            const workload::SourceSpec& spec) {
@@ -295,7 +295,7 @@ workload::SourceSpec diurnal_spec() {
 }
 
 /// The same streams recalled from a primed ArrivalCache: ns/job of a
-/// warm structural rebuild's arrival path.  The cold/warm ratio is the
+/// warm system build's arrival path.  The cold/warm ratio is the
 /// memoization speedup reported below and gated in CI.
 Sample workload_generation_warm() {
   const workload::WorkloadConfig wl = perf_workload();
@@ -564,8 +564,8 @@ int main(int argc, char** argv) {
               << util::Table::fixed((profiled_ns / plain_ns - 1.0) * 100.0, 2)
               << "% per event (gate: tools/check_perf_regression.py)\n";
   }
-  // Memoization readout: what the ArrivalCache takes off a structural
-  // rebuild's arrival path (cold synthesis vs warm recall, ns/job).
+  // Memoization readout: what the ArrivalCache takes off a system
+  // build's arrival path (cold synthesis vs warm recall, ns/job).
   if (gen_cold_ns > 0.0 && gen_warm_ns > 0.0) {
     std::cout << "arrival-cache speedup on workload_generation: "
               << util::Table::fixed(gen_cold_ns / gen_warm_ns, 1)

@@ -30,7 +30,7 @@ CaseResult measure_scalability(const grid::GridConfig& base,
   // One evaluation cache and one session pool span the whole sweep
   // (unless the caller supplied shared ones): warm-start anchor probes
   // repeat points across adjacent scale factors, and the session slots
-  // keep their systems warm between tunes of the same structure.
+  // keep their sites warm between tunes on the same topology.
   EvalCache sweep_cache;
   rms::SessionPool sweep_sessions;
 

@@ -44,9 +44,9 @@ using ProgressFn = std::function<void(grid::RmsKind, double,
 /// k = 1 configuration; its rms field is overridden by `rms`.  The
 /// default (empty) runner is the reusable-session backend: one
 /// evaluation cache and one session pool span the whole k sweep, so
-/// repeated anchor probes cost nothing and each evaluation rewinds a
-/// warm system instead of rebuilding it.  Results are bit-identical to
-/// an explicit default_runner().
+/// repeated anchor probes cost nothing and each evaluation builds its
+/// system over a warm site instead of regenerating the topology and
+/// routes.  Results are bit-identical to an explicit default_runner().
 CaseResult measure_scalability(const grid::GridConfig& base,
                                grid::RmsKind rms,
                                const ProcedureConfig& procedure,

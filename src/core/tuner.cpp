@@ -59,7 +59,7 @@ struct EvalTrack {
 /// chain c = slot 1 + c).  The `cached` flags and the hit statistics are
 /// derived from these traces by a *serial replay* in slot order, not
 /// from which thread physically reached the cache first — so they are
-/// identical at any --jobs count and with value memoization disabled.
+/// identical at any --jobs count.
 struct TraceEntry {
   opt::EvalKey key;
   bool prior_epoch = false;  ///< key answered by an earlier tune's epoch
@@ -88,7 +88,7 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
 
   // Reusable-session backend for the empty-runner sentinel.  Serial
   // searches funnel every evaluation through one session so the warm
-  // system is never rebuilt; concurrent chains get one session per slot.
+  // site is never rebuilt; concurrent chains get one session per slot.
   rms::SessionPool local_sessions;
   rms::SessionPool& sessions =
       tuner.sessions != nullptr ? *tuner.sessions : local_sessions;
@@ -132,33 +132,23 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
       candidate.telemetry = nullptr;
       opt::EvalKey key{grid::config_digest(candidate), point};
       grid::SimulationResult result;
-      if (tuner.cache_values) {
-        // Future-based path: a concurrent chain that reaches the same
-        // key while the first evaluator is mid-run blocks on its result
-        // instead of recomputing.  The claim carries the epoch stamp the
-        // eventual insert would have, so `prior_epoch` — the only fact
-        // the trace records — is unchanged by the dedup.
-        EvalCache::Acquired acquired = cache.acquire(key);
-        traces[slot].push_back(TraceEntry{key, acquired.prior_epoch});
-        if (acquired.value) {
-          result = *std::move(acquired.value);
-        } else {
-          try {
-            result = runner ? runner(candidate) : session->run(candidate);
-          } catch (...) {
-            cache.abandon(key);  // let a waiter re-claim
-            throw;
-          }
-          cache.fulfill(key, result);
-        }
+      // Future-based path: a concurrent chain that reaches the same key
+      // while the first evaluator is mid-run blocks on its result instead
+      // of recomputing.  The claim carries the epoch stamp the eventual
+      // fulfill would have, so `prior_epoch` — the only fact the trace
+      // records — is unchanged by the dedup.
+      EvalCache::Acquired acquired = cache.acquire(key);
+      traces[slot].push_back(TraceEntry{key, acquired.prior_epoch});
+      if (acquired.value) {
+        result = *std::move(acquired.value);
       } else {
-        const EvalCache::Probe probe = cache.lookup(key);
-        traces[slot].push_back(TraceEntry{key, probe.prior_epoch});
-        result = runner ? runner(candidate) : session->run(candidate);
-        // Insert in both cache modes (first-wins): the table's contents
-        // — and therefore a later shared-cache tune's prior-epoch flags
-        // — do not depend on whether values were served from it.
-        cache.insert(key, result);
+        try {
+          result = runner ? runner(candidate) : session->run(candidate);
+        } catch (...) {
+          cache.abandon(key);  // let a waiter re-claim
+          throw;
+        }
+        cache.fulfill(key, result);
       }
       // The penalty is recomputed at hit time: a shared cache may span
       // tunes with different e0/band parameters.

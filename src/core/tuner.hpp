@@ -30,8 +30,9 @@ namespace scal::core {
 /// Runs one simulation for a configuration.  Injected so tests can
 /// substitute analytic stand-ins.  An EMPTY runner selects the
 /// production reusable-session backend (rms::SimulationSession): each
-/// evaluation reuses the previously built grid via GridSystem::reset()
-/// whenever the candidate differs only in tuning — the fast path the
+/// evaluation builds a fresh system over the session's site for the
+/// candidate's topology, seed and cluster shape, so the topology and
+/// the warm routes are built once per site — the fast path the
 /// procedures use by default.
 using SimRunner =
     std::function<grid::SimulationResult(const grid::GridConfig&)>;
@@ -83,13 +84,8 @@ struct TunerConfig {
   /// outcome is bit-identical with or without sharing.
   EvalCache* cache = nullptr;
 
-  /// When false, the cache still tracks keys (so hit statistics and the
-  /// anneal log's `cached` flags stay byte-identical) but every
-  /// evaluation runs the simulation — the cache-off arm of the ablation.
-  bool cache_values = true;
-
   /// Optional shared session pool (non-owning) for the empty-runner
-  /// backend: slot s of the pool carries anneal chain s's warm system
+  /// backend: slot s of the pool carries anneal chain s's warm sites
   /// across tune_enablers calls.  Null = a private pool per call.
   /// Ignored when `runner` is non-empty.
   rms::SessionPool* sessions = nullptr;
@@ -112,9 +108,8 @@ struct TuneOutcome {
   /// Evaluations answered by memoization, under serial-replay semantics
   /// (anchors first, then chains in index order): an evaluation counts
   /// as a hit when its key was already evaluated earlier in that order
-  /// or by an earlier tune sharing the cache.  Independent of --jobs and
-  /// of cache_values, so the cache-on/off and jobs-1/N arms report the
-  /// same statistics.
+  /// or by an earlier tune sharing the cache.  Independent of --jobs, so
+  /// the jobs-1/N arms report the same statistics.
   std::size_t cache_hits = 0;
   /// The subset of cache_hits answered from an earlier tune's epoch.
   std::size_t cache_prior_hits = 0;

@@ -121,18 +121,4 @@ void Aggregator::set_blackout(bool down) {
   blackout_ = down;
 }
 
-void Aggregator::reset() {
-  reset_server();
-  buffer_.clear();
-  buffer_absorbed_ = 0;
-  timer_armed_ = false;
-  blackout_ = false;
-  updates_in_ = 0;
-  updates_out_ = 0;
-  coalesced_ = 0;
-  batches_ = 0;
-  coalescing_hist_ = nullptr;
-  hop_delay_hist_ = nullptr;
-}
-
 }  // namespace scal::ctrl

@@ -47,8 +47,8 @@ class Aggregator : public sim::Server {
              double process_cost, double forward_cost,
              std::function<void(std::vector<grid::StatusUpdate>)> forward);
 
-  /// (Re)apply the batching knobs; called at build and by every reset
-  /// cycle (the tuner moves these).  max_batch >= 1.
+  /// Apply the batching knobs (the tuner moves these); the owner calls
+  /// it once after construction.  max_batch >= 1.
   void configure(std::uint32_t max_batch, double flush_interval);
 
   /// A bundle of updates arrives (network delay already paid).  Charges
@@ -74,12 +74,6 @@ class Aggregator : public sim::Server {
     coalescing_hist_ = coalescing;
     hop_delay_hist_ = hop_delay;
   }
-
-  /// Rewind to the just-constructed state (reusable-system path):
-  /// buffer, timer, counters, blackout, and probes are dropped; node,
-  /// costs, and forward wiring survive.  configure() is re-applied by
-  /// the owner afterwards.
-  void reset();
 
  private:
   struct Pending {

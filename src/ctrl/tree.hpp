@@ -13,8 +13,8 @@
 // fan-out degree — and the parent links form a d-ary heap over that
 // order.  Because the member order never depends on the fan-out, a
 // tuner that moves the fan-out enabler only re-links parents (rewire);
-// the member set, and therefore the simulation's entity arena, is
-// stable across reset cycles.
+// the member set, and therefore the simulation's entity arena, is the
+// same at every fan-out.
 
 #include <cstdint>
 #include <vector>

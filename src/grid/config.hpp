@@ -169,10 +169,9 @@ struct GridConfig {
 
   /// Control-plane extension (src/ctrl): overlay a fan-out aggregation
   /// tree per (cluster, estimator) on the status-update path, with the
-  /// Tuning::agg_* knobs as tunable enablers.  Structural: toggling it
-  /// changes the entity arena, so it never survives a reset.  Off by
-  /// default — and with the knobs at their degenerate defaults the
-  /// report path bypasses the tree, so an enabled-but-degenerate run is
+  /// Tuning::agg_* knobs as tunable enablers.  Off by default — and
+  /// with the knobs at their degenerate defaults the report path
+  /// bypasses the tree, so an enabled-but-degenerate run is
   /// bit-identical to this flag being off.
   bool control_plane = false;
 
@@ -221,24 +220,13 @@ struct GridConfig {
   /// everything online and pulls arrivals through the JobStream
   /// interface, making per-job memory O(1): F/G/H, every counter, and
   /// the mean response are bit-identical to kFull; only p95_response
-  /// switches to the HDR-histogram approximation.  Structural (selects
-  /// the sink and the arrival path), so it never survives a reset.
+  /// switches to the HDR-histogram approximation.
   ResultMode result_mode = ResultMode::kFull;
 
   /// Suppress a periodic update when the integer load is unchanged
   /// (paper: "if loading conditions ... did not change significantly from
   /// the previous update, an update might be suppressed").
   bool update_suppression = true;
-
-  /// Share settled router source trees across systems on the same
-  /// topology via the process-wide net::SharedTreeCache (keyed on
-  /// net::graph_digest).  Purely a wall-clock optimization — adopted
-  /// trees return bit-identical routes — so, like `telemetry`, the
-  /// flag is EXCLUDED from grid::config_digest and never perturbs
-  /// EvalCache keys or reset compatibility.  Off by default; the
-  /// reusable-session backend (rms::SimulationSession) turns it on for
-  /// its rebuilds, where sibling slots route over identical graphs.
-  bool share_router_trees = false;
 
   /// Run telemetry handle (non-owning; null = telemetry off, the
   /// default).  When set, the system threads it through the simulator,

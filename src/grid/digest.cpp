@@ -1,50 +1,14 @@
 #include "grid/digest.hpp"
 
-#include <cstring>
-#include <string>
+#include "util/mix128.hpp"
 
 namespace scal::grid {
 
 namespace {
 
-/// Two independent FNV-1a style lanes with distinct offsets/primes; each
-/// absorbed word perturbs both, giving a 128-bit fingerprint without any
-/// external dependency.  Collisions would need to agree in both lanes.
-class Mix128 {
- public:
-  void word(std::uint64_t w) {
-    a_ = (a_ ^ w) * 0x100000001B3ull;
-    a_ ^= a_ >> 29;
-    b_ = (b_ ^ (w + 0x9E3779B97F4A7C15ull)) * 0xC2B2AE3D27D4EB4Full;
-    b_ ^= b_ >> 31;
-  }
+using util::Mix128;
 
-  void real(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    word(bits);
-  }
-
-  void text(const std::string& value) {
-    word(value.size());
-    for (const char c : value) word(static_cast<unsigned char>(c));
-  }
-
-  std::array<std::uint64_t, 2> finish() const { return {a_, b_}; }
-
- private:
-  std::uint64_t a_ = 0xCBF29CE484222325ull;
-  std::uint64_t b_ = 0x6C62272E07BB0142ull;
-};
-
-}  // namespace
-
-std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
-                                           bool include_tuning,
-                                           bool include_rates) {
-  Mix128 mix;
-
-  const net::TopologyConfig& topo = config.topology;
+void mix_topology(Mix128& mix, const net::TopologyConfig& topo) {
   mix.word(static_cast<std::uint64_t>(topo.kind));
   mix.word(topo.nodes);
   mix.word(topo.pa_edges_per_node);
@@ -58,23 +22,58 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
   mix.real(topo.latency_min);
   mix.real(topo.latency_max);
   mix.real(topo.bandwidth);
+}
 
+/// The workload model.  `clusters` is the word the generator sees:
+/// config_digest hashes the field as written, workload_digest the
+/// cluster_count() it resolves to at generation time.
+void mix_workload_model(Mix128& mix, const workload::WorkloadConfig& w,
+                        std::uint64_t clusters) {
+  mix.real(w.mean_interarrival);
+  mix.word(static_cast<std::uint64_t>(w.exec_model));
+  mix.real(w.lognormal_mu);
+  mix.real(w.lognormal_sigma);
+  mix.real(w.pareto_alpha);
+  mix.real(w.pareto_lo);
+  mix.real(w.pareto_hi);
+  mix.real(w.uniform_lo);
+  mix.real(w.uniform_hi);
+  mix.real(w.requested_factor_max);
+  mix.real(w.t_cpu);
+  mix.real(w.benefit_lo);
+  mix.real(w.benefit_hi);
+  mix.word(clusters);
+  mix.real(w.diurnal_amplitude);
+  mix.real(w.diurnal_period);
+  mix.real(w.origin_hotspot_weight);
+}
+
+void mix_source(Mix128& mix, const workload::SourceSpec& src) {
+  mix.word(static_cast<std::uint64_t>(src.kind));
+  mix.text(src.path);
+  mix.real(src.time_scale);
+  mix.text(workload::modulators_to_spec(src.modulators));
+}
+
+}  // namespace
+
+std::array<std::uint64_t, 2> config_digest(const GridConfig& config) {
+  Mix128 mix;
+  mix_topology(mix, config.topology);
   mix.word(config.cluster_size);
   mix.word(config.estimators_per_cluster);
-  if (include_rates) mix.real(config.service_rate);
+  mix.real(config.service_rate);
   mix.real(config.heterogeneity);
   mix.word(static_cast<std::uint64_t>(config.rms));
   mix.word(config.control_plane ? 1u : 0u);
 
-  if (include_tuning) {
-    mix.real(config.tuning.update_interval);
-    mix.word(config.tuning.neighborhood_size);
-    mix.real(config.tuning.link_delay_scale);
-    mix.real(config.tuning.volunteer_interval);
-    mix.word(config.tuning.agg_fanout);
-    mix.word(config.tuning.agg_batch);
-    mix.real(config.tuning.agg_flush);
-  }
+  mix.real(config.tuning.update_interval);
+  mix.word(config.tuning.neighborhood_size);
+  mix.real(config.tuning.link_delay_scale);
+  mix.real(config.tuning.volunteer_interval);
+  mix.word(config.tuning.agg_fanout);
+  mix.word(config.tuning.agg_batch);
+  mix.real(config.tuning.agg_flush);
 
   const CostModel& costs = config.costs;
   mix.real(costs.est_process_update);
@@ -107,24 +106,7 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
   mix.real(protocol.wait_queue_timeout);
   mix.real(protocol.reply_timeout);
 
-  const workload::WorkloadConfig& w = config.workload;
-  if (include_rates) mix.real(w.mean_interarrival);
-  mix.word(static_cast<std::uint64_t>(w.exec_model));
-  mix.real(w.lognormal_mu);
-  mix.real(w.lognormal_sigma);
-  mix.real(w.pareto_alpha);
-  mix.real(w.pareto_lo);
-  mix.real(w.pareto_hi);
-  mix.real(w.uniform_lo);
-  mix.real(w.uniform_hi);
-  mix.real(w.requested_factor_max);
-  mix.real(w.t_cpu);
-  mix.real(w.benefit_lo);
-  mix.real(w.benefit_hi);
-  mix.word(w.clusters);
-  mix.real(w.diurnal_amplitude);
-  mix.real(w.diurnal_period);
-  mix.real(w.origin_hotspot_weight);
+  mix_workload_model(mix, config.workload, config.workload.clusters);
 
   mix.word(config.seed);
   mix.real(config.horizon);
@@ -144,11 +126,7 @@ std::array<std::uint64_t, 2> config_digest(const GridConfig& config,
   mix.word(static_cast<std::uint64_t>(config.result_mode));
   mix.word(config.update_suppression ? 1u : 0u);
 
-  const workload::SourceSpec& src = config.workload_source;
-  mix.word(static_cast<std::uint64_t>(src.kind));
-  mix.text(src.path);
-  mix.real(src.time_scale);
-  mix.text(workload::modulators_to_spec(src.modulators));
+  mix_source(mix, config.workload_source);
 
   return mix.finish();
 }
@@ -160,34 +138,19 @@ std::array<std::uint64_t, 2> workload_digest(const GridConfig& config) {
   // workload model (clusters resolves to cluster_count() at generation
   // time, so hash that), the declared source, the seed the substreams
   // derive from, and the horizon that terminates the stream.
-  const workload::WorkloadConfig& w = config.workload;
-  mix.real(w.mean_interarrival);
-  mix.word(static_cast<std::uint64_t>(w.exec_model));
-  mix.real(w.lognormal_mu);
-  mix.real(w.lognormal_sigma);
-  mix.real(w.pareto_alpha);
-  mix.real(w.pareto_lo);
-  mix.real(w.pareto_hi);
-  mix.real(w.uniform_lo);
-  mix.real(w.uniform_hi);
-  mix.real(w.requested_factor_max);
-  mix.real(w.t_cpu);
-  mix.real(w.benefit_lo);
-  mix.real(w.benefit_hi);
-  mix.word(config.cluster_count());
-  mix.real(w.diurnal_amplitude);
-  mix.real(w.diurnal_period);
-  mix.real(w.origin_hotspot_weight);
-
-  const workload::SourceSpec& src = config.workload_source;
-  mix.word(static_cast<std::uint64_t>(src.kind));
-  mix.text(src.path);
-  mix.real(src.time_scale);
-  mix.text(workload::modulators_to_spec(src.modulators));
-
+  mix_workload_model(mix, config.workload, config.cluster_count());
+  mix_source(mix, config.workload_source);
   mix.word(config.seed);
   mix.real(config.horizon);
+  return mix.finish();
+}
 
+std::array<std::uint64_t, 2> site_digest(const GridConfig& config) {
+  Mix128 mix;
+  mix_topology(mix, config.topology);
+  mix.word(config.seed);
+  mix.word(config.cluster_size);
+  mix.word(config.estimators_per_cluster);
   return mix.finish();
 }
 

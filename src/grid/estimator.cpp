@@ -69,13 +69,4 @@ void Estimator::flush() {
   });
 }
 
-void Estimator::reset() {
-  reset_server();
-  buffer_.clear();
-  last_load_.clear();
-  flush_scheduled_ = false;
-  updates_ = 0;
-  batches_ = 0;
-}
-
 }  // namespace scal::grid

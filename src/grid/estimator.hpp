@@ -40,11 +40,6 @@ class Estimator : public sim::Server {
   std::uint64_t updates_handled() const noexcept { return updates_; }
   std::uint64_t batches_forwarded() const noexcept { return batches_; }
 
-  /// Rewind to the just-constructed state (reusable-system path):
-  /// server counters, the batch buffer, and the per-resource load views
-  /// are all dropped; identity, costs, and forward wiring survive.
-  void reset();
-
   /// Attach the (optional) phase profiler: update processing runs
   /// inside the given phase.  Null profiler = one pointer test.
   void attach_profiler(obs::PhaseProfiler* profiler,

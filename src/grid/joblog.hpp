@@ -50,14 +50,6 @@ class JobLog {
   void record(workload::JobId job, JobEvent event, sim::Time at,
               std::uint32_t place = 0);
 
-  /// Drop all records (reusable-system path); enablement and capacity
-  /// are unchanged.
-  void clear() {
-    records_.clear();
-    by_job_.clear();
-    dropped_ = 0;
-  }
-
   std::size_t size() const noexcept { return records_.size(); }
   const std::vector<JobLogRecord>& records() const noexcept {
     return records_;

@@ -68,9 +68,4 @@ void MetricsCollector::record_job_killed(double partial_service_time) {
   counts_.wasted_work += partial_service_time;
 }
 
-void MetricsCollector::reset() {
-  counts_ = MetricsSnapshot{};
-  sink_->clear_responses();
-}
-
 }  // namespace scal::grid

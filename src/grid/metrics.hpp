@@ -75,22 +75,12 @@ class MetricsCollector {
   ResultSink& sink() noexcept { return *sink_; }
   const ResultSink& sink() const noexcept { return *sink_; }
 
-  /// Legacy shim: override the lifecycle log destination with an
-  /// external log.  New code records through record_job_event and reads
-  /// the sink's log; attaching is only kept for standalone collectors.
-  void attach_job_log(JobLog* log) noexcept { external_log_ = log; }
-  /// The lifecycle log events flow into: the attached override, or the
-  /// sink's own log.  Never null.
-  JobLog* job_log() noexcept {
-    return external_log_ != nullptr ? external_log_ : &sink_->log();
-  }
-
-  /// Record one job-lifecycle event.  The single mutation path into the
-  /// log — components call this instead of writing job_log() directly,
-  /// so the sink can bound or redirect the storage.
+  /// Record one job-lifecycle event into the sink's log.  The single
+  /// mutation path into the log — components call this instead of
+  /// writing the log directly, so the sink can bound the storage.
   void record_job_event(workload::JobId job, JobEvent event, sim::Time at,
                         std::uint32_t place = 0) {
-    job_log()->record(job, event, at, place);
+    sink_->log().record(job, event, at, place);
   }
 
   /// Attach (optional) distribution probes; any pointer may be null.
@@ -158,15 +148,10 @@ class MetricsCollector {
   /// approximate in streaming mode.
   double response_p95() const { return sink_->response_p95(); }
 
-  /// Zero every counter and drop the response samples; the attached job
-  /// log (if any) is left untouched.
-  void reset();
-
  private:
   MetricsSnapshot counts_;
   FullResultSink default_sink_;
   ResultSink* sink_ = &default_sink_;
-  JobLog* external_log_ = nullptr;
   obs::Histogram* wait_hist_ = nullptr;
   obs::Histogram* response_hist_ = nullptr;
   obs::Histogram* slowdown_hist_ = nullptr;

@@ -208,37 +208,4 @@ void Resource::report_now() {
   arm_tick();
 }
 
-void Resource::set_service_rate(double service_rate,
-                                double job_control_demand) {
-  if (!(service_rate > 0.0)) {
-    throw std::invalid_argument("Resource: service rate must be positive");
-  }
-  service_rate_ = service_rate;
-  control_time_ = job_control_demand / service_rate;
-}
-
-void Resource::reset() {
-  queue_.clear();
-  in_service_.reset();
-  service_started_ = 0.0;
-  current_service_time_ = 0.0;
-  completion_event_ = 0;
-  report_interval_ = 0.0;
-  suppression_ = true;
-  reported_once_ = false;
-  last_reported_load_ = -1.0;
-  max_silence_ = 0.0;
-  last_sent_ = 0.0;
-  next_tick_ = 0.0;
-  tick_event_ = 0;
-  tick_at_ = kUnarmed;
-  down_ = false;
-  recovered_pending_ = false;
-  down_since_ = 0.0;
-  downtime_ = 0.0;
-  kill_handler_ = nullptr;
-  executed_ = 0;
-  busy_time_ = 0.0;
-}
-
 }  // namespace scal::grid

@@ -98,18 +98,6 @@ class Resource : public sim::Entity {
   std::uint64_t jobs_executed() const noexcept { return executed_; }
   double busy_time() const noexcept { return busy_time_; }
 
-  /// Rewind to the just-constructed state (reusable-system path).  The
-  /// identity, rates, and report wiring survive; queue contents, fault
-  /// state, counters, and the kill handler are dropped (the system
-  /// re-wires the handler when fault injection is active).
-  void reset();
-
-  /// Re-rate the resource (rate-only reset path, Case-2 sweeps): the new
-  /// service rate plus the per-job control demand it re-derives the
-  /// control time from.  Only valid between runs (the caller resets
-  /// first), so no in-flight service span needs rescaling.
-  void set_service_rate(double service_rate, double job_control_demand);
-
   double service_rate() const noexcept { return service_rate_; }
 
  private:

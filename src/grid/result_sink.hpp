@@ -50,10 +50,6 @@ class ResultSink {
   /// The exact sample store, or null when the sink folds online.
   virtual const util::Samples* samples() const noexcept { return nullptr; }
 
-  /// Drop the folded responses; the job log is left untouched (the
-  /// reset path clears it separately).
-  virtual void clear_responses() = 0;
-
  private:
   JobLog log_;
 };
@@ -68,7 +64,6 @@ class FullResultSink final : public ResultSink {
   double response_mean() const override { return response_.mean(); }
   double response_p95() const override { return response_.percentile(95.0); }
   const util::Samples* samples() const noexcept override { return &response_; }
-  void clear_responses() override { response_ = util::Samples{}; }
 
  private:
   util::Samples response_;
@@ -95,12 +90,6 @@ class StreamingResultSink final : public ResultSink {
   double response_p95() const override {
     return count_ > 0 ? hist_.percentile(95.0) : 0.0;
   }
-  void clear_responses() override {
-    count_ = 0;
-    sum_ = 0.0;
-    hist_.clear();
-  }
-
   const obs::Histogram& response_histogram() const noexcept { return hist_; }
 
  private:

@@ -83,24 +83,6 @@ void SchedulerBase::init_tables(const std::vector<ClusterId>& clusters) {
   }
 }
 
-void SchedulerBase::reset() {
-  reset_server();
-  rng_ = util::RandomStream(system_->seed(),
-                            "scheduler/" + std::to_string(cluster_));
-  for (ClusterTable& table : tables_) {
-    std::fill(table.views.begin(), table.views.end(), ResourceView{});
-  }
-  token_counter_ = 1;
-  // Zero the mixin fields directly (enable_robustness validates against
-  // non-positive arguments); setup re-enables them when faults are on.
-  staleness_window_ = 0.0;
-  requeue_budget_ = 0;
-  retry_budget_ = 0;
-  retry_backoff_base_ = 0.0;
-  blackout_ = false;
-  on_reset();
-}
-
 std::vector<ResourceView>* SchedulerBase::find_table(ClusterId cluster) {
   const auto it = std::lower_bound(
       tables_.begin(), tables_.end(), cluster,

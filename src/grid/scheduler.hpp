@@ -91,18 +91,7 @@ class SchedulerBase : public sim::Server {
   /// traffic are charged to G like any first attempt.
   void deliver_requeue(workload::Job job);
 
-  /// Rewind to the just-constructed state (reusable-system path): the
-  /// server counters, status tables, RNG stream, token counter, and the
-  /// robustness/blackout mixin state all return to their post-wiring
-  /// values; policy subclasses drop their protocol state via on_reset().
-  /// The system re-enables robustness afterwards when faults are active.
-  void reset();
-
  protected:
-  /// Policy hook invoked by reset(): clear protocol state (pending
-  /// polls, wait queues, advert caches, ...).  Default: nothing.
-  virtual void on_reset() {}
-
   // -- Hooks the seven policies implement.
   virtual void handle_job(workload::Job job) = 0;
   virtual void handle_message(const RmsMessage& msg);

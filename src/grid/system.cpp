@@ -5,7 +5,6 @@
 
 #include "grid/digest.hpp"
 #include "grid/telemetry.hpp"
-#include "net/tree_cache.hpp"
 #include "util/log.hpp"
 #include "workload/arrival_cache.hpp"
 #include "workload/source.hpp"
@@ -14,7 +13,13 @@
 namespace scal::grid {
 
 GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
-    : config_(std::move(config)) {
+    : GridSystem(nullptr, std::move(config), std::move(factory)) {}
+
+GridSystem::GridSystem(Site& site, GridConfig config, SchedulerFactory factory)
+    : GridSystem(&site, std::move(config), std::move(factory)) {}
+
+GridSystem::GridSystem(Site* site, GridConfig config, SchedulerFactory factory)
+    : config_(std::move(config)), site_(site) {
   config_.validate();
   sink_ = make_result_sink(config_.result_mode);
   sink_->log().set_enabled(config_.job_log);
@@ -23,34 +28,25 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
   if (!factory) {
     throw std::invalid_argument("GridSystem: null scheduler factory");
   }
-
-  // Topology (Mercator substitute).
-  util::RandomStream topo_rng(config_.seed, "topology");
-  graph_ = net::generate_topology(config_.topology, topo_rng);
-  network_ = std::make_unique<net::Network>(sim_, next_entity_id_++, graph_);
-  if (config_.share_router_trees) {
-    // Adopt (and publish) settled source trees process-wide; routes are
-    // bit-identical, only the settling work is shared.
-    network_->enable_tree_sharing(net::graph_digest(graph_));
+  if (site_ == nullptr) {
+    owned_site_ = std::make_unique<Site>(config_);
+    site_ = owned_site_.get();
+  } else if (site_->key() != site_digest(config_)) {
+    throw std::invalid_argument(
+        "GridSystem: the site was built for other topology, seed, "
+        "cluster_size or estimators_per_cluster values");
   }
+  const net::Graph& graph = site_->graph();
+  const std::size_t clusters = cluster_count();
+
+  network_ =
+      std::make_unique<net::Network>(sim_, next_entity_id_++, site_->router());
   network_->set_delay_scale(config_.tuning.link_delay_scale);
   if (config_.control_loss_probability > 0.0) {
     network_->set_loss(config_.control_loss_probability,
                        util::RandomStream(config_.seed, "control-loss"));
   }
 
-  // Clusters.
-  util::RandomStream part_rng(config_.seed, "partition");
-  layout_ = partition_into_clusters(graph_, config_.cluster_count(),
-                                    config_.estimators_per_cluster, part_rng);
-  const std::size_t clusters = layout_.clusters.size();
-
-  // Middleware lives on the globally best-connected node.
-  net::NodeId best = 0;
-  for (net::NodeId v = 1; v < graph_.node_count(); ++v) {
-    if (graph_.degree(v) > graph_.degree(best)) best = v;
-  }
-  middleware_node_ = best;
   middleware_ = std::make_unique<Middleware>(
       sim_, next_entity_id_++, config_.costs.middleware_service);
 
@@ -58,9 +54,9 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
   // best-connected scheduler slot.
   schedulers_.resize(config_.rms == RmsKind::kCentral ? 1 : clusters);
   if (config_.rms == RmsKind::kCentral) {
-    net::NodeId central_node = layout_.clusters[0].scheduler_node;
-    for (const auto& c : layout_.clusters) {
-      if (graph_.degree(c.scheduler_node) > graph_.degree(central_node)) {
+    net::NodeId central_node = layout().clusters[0].scheduler_node;
+    for (const auto& c : layout().clusters) {
+      if (graph.degree(c.scheduler_node) > graph.degree(central_node)) {
         central_node = c.scheduler_node;
       }
     }
@@ -74,7 +70,7 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
     for (std::size_t c = 0; c < clusters; ++c) {
       schedulers_[c] =
           factory(*this, next_entity_id_++, static_cast<ClusterId>(c),
-                  layout_.clusters[c].scheduler_node);
+                  layout().clusters[c].scheduler_node);
       schedulers_[c]->init_tables({static_cast<ClusterId>(c)});
     }
   }
@@ -82,7 +78,7 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
   // Estimators forward batches to their cluster's scheduler.
   estimators_.resize(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
-    const auto& cluster = layout_.clusters[c];
+    const auto& cluster = layout().clusters[c];
     estimators_[c].reserve(cluster.estimator_nodes.size());
     for (const net::NodeId est_node : cluster.estimator_nodes) {
       auto forward = [this, c, est_node](StatusBatch batch) {
@@ -105,16 +101,12 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
   // Per-resource service rates (heterogeneity extension; h = 0 keeps
   // the paper's homogeneous pool bit-for-bit).
   util::RandomStream rate_rng(config_.seed, "heterogeneity");
-  // Multipliers are recorded (build order) so a rate-only reset can
-  // re-rate every resource exactly as a fresh build at the new rate
-  // would — the multiplier stream never depends on the rate itself.
   auto resource_rate = [&]() {
     double mult = 1.0;
     if (config_.heterogeneity != 0.0) {
       mult = rate_rng.uniform(1.0 - config_.heterogeneity,
                               1.0 + config_.heterogeneity);
     }
-    rate_multipliers_.push_back(mult);
     return config_.service_rate * mult;
   };
 
@@ -125,7 +117,7 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
   // traffic itself.
   resources_.resize(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
-    const auto& cluster = layout_.clusters[c];
+    const auto& cluster = layout().clusters[c];
     resources_[c].reserve(cluster.resource_nodes.size());
     for (std::size_t r = 0; r < cluster.resource_nodes.size(); ++r) {
       const net::NodeId res_node = cluster.resource_nodes[r];
@@ -140,7 +132,7 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
           }
           return;
         }
-        const auto& nodes = layout_.clusters[c].estimator_nodes;
+        const auto& nodes = layout().clusters[c].estimator_nodes;
         for (std::size_t e = 0; e < estimators_[c].size(); ++e) {
           Estimator* est = estimators_[c][e].get();
           // Status updates are periodic and idempotent: losing one only
@@ -172,10 +164,10 @@ GridSystem::GridSystem(GridConfig config, SchedulerFactory factory)
 }
 
 void GridSystem::setup_control_plane() {
-  const std::size_t clusters = layout_.clusters.size();
+  const std::size_t clusters = layout().clusters.size();
   ctrl_trees_.resize(clusters);
   for (std::size_t c = 0; c < clusters; ++c) {
-    const auto& cluster = layout_.clusters[c];
+    const auto& cluster = layout().clusters[c];
     ctrl_trees_[c].reserve(cluster.estimator_nodes.size());
     for (std::size_t e = 0; e < cluster.estimator_nodes.size(); ++e) {
       ControlTree ct;
@@ -200,8 +192,6 @@ void GridSystem::setup_control_plane() {
       for (std::size_t m = 0; m < ct.tree.members.size(); ++m) {
         const ClusterId cid = static_cast<ClusterId>(c);
         const std::uint32_t member = static_cast<std::uint32_t>(m);
-        // forward_up resolves the parent at call time, so reset-cycle
-        // rewires (the tuner moving the fan-out) need no re-wiring here.
         auto forward = [this, cid, e, member](std::vector<StatusUpdate> ups) {
           forward_up(cid, e, member, std::move(ups));
         };
@@ -209,24 +199,13 @@ void GridSystem::setup_control_plane() {
             sim_, next_entity_id_++, ct.tree.members[m],
             config_.costs.ctrl_process_update, config_.costs.ctrl_forward_batch,
             std::move(forward)));
+        ct.aggs.back()->configure(config_.tuning.agg_batch,
+                                  config_.tuning.agg_flush);
       }
       ctrl_trees_[c].push_back(std::move(ct));
     }
   }
-  configure_control_plane();
-}
-
-void GridSystem::configure_control_plane() {
-  for (auto& cluster : ctrl_trees_) {
-    for (auto& ct : cluster) {
-      ctrl::rewire(ct.tree, config_.tuning.agg_fanout);
-      for (auto& agg : ct.aggs) {
-        agg->configure(config_.tuning.agg_batch, config_.tuning.agg_flush);
-      }
-    }
-  }
-  ctrl_active_ =
-      config_.control_plane && !config_.tuning.aggregation_degenerate();
+  ctrl_active_ = !config_.tuning.aggregation_degenerate();
 }
 
 void GridSystem::forward_up(ClusterId cluster, std::size_t estimator,
@@ -243,7 +222,7 @@ void GridSystem::forward_up(ClusterId cluster, std::size_t estimator,
   if (parent == ctrl::kToRoot) {
     Estimator* est = estimators_[cluster][estimator].get();
     const net::NodeId est_node =
-        layout_.clusters[cluster].estimator_nodes[estimator];
+        layout().clusters[cluster].estimator_nodes[estimator];
     network_->send_unreliable(from, est_node, size,
                               [est, ups = std::move(updates)]() mutable {
                                 est->receive_bundle(std::move(ups));
@@ -308,7 +287,7 @@ void GridSystem::setup_faults() {
   // the return traffic and the repeat decision work are charged to G(k).
   for (std::size_t c = 0; c < resources_.size(); ++c) {
     for (std::size_t r = 0; r < resources_[c].size(); ++r) {
-      const net::NodeId res_node = layout_.clusters[c].resource_nodes[r];
+      const net::NodeId res_node = layout().clusters[c].resource_nodes[r];
       resources_[c][r]->set_kill_handler(
           [this, c, res_node](std::vector<workload::Job> killed) {
             SchedulerBase& sched = scheduler_for(static_cast<ClusterId>(c));
@@ -344,12 +323,8 @@ void GridSystem::setup_faults() {
       agg_flat[a]->set_blackout(down);
     };
   }
-  if (!injector_id_assigned_) {
-    injector_entity_id_ = next_entity_id_++;
-    injector_id_assigned_ = true;
-  }
   injector_ = std::make_unique<fault::FaultInjector>(
-      sim_, injector_entity_id_, plan, seeds, res_flat.size(),
+      sim_, next_entity_id_++, plan, seeds, res_flat.size(),
       est_flat.size(), schedulers_.size(), std::move(hooks),
       agg_flat.size());
 }
@@ -585,7 +560,10 @@ void GridSystem::finish_telemetry(const SimulationResult& result) {
   telemetry.mark_run_end();
 }
 
-GridSystem::~GridSystem() = default;
+GridSystem::~GridSystem() {
+  // A lent site outlives this system; leave its router uninstrumented.
+  if (profiler_ != nullptr) network_->attach_profiler(nullptr, 0);
+}
 
 Resource& GridSystem::resource(ClusterId cluster, ResourceIndex index) {
   return *resources_.at(cluster).at(index);
@@ -626,11 +604,11 @@ void GridSystem::route_message(net::NodeId from_node, RmsMessage msg,
     // First hop to the middleware queue, its service time, then the
     // second hop to the destination (paper: superschedulers communicate
     // "through a Grid middleware").
-    ship(from_node, middleware_node_, size,
+    ship(from_node, site_->middleware_node(), size,
          [this, ship, size, dst_node, &dst, msg = std::move(msg)]() mutable {
            middleware_->relay([this, ship, size, dst_node, &dst,
                                msg = std::move(msg)]() mutable {
-             ship(middleware_node_, dst_node, size,
+             ship(site_->middleware_node(), dst_node, size,
                   [&dst, msg = std::move(msg)]() mutable {
                     dst.deliver_message(std::move(msg));
                   });
@@ -650,7 +628,7 @@ void GridSystem::ship_job_to_resource(net::NodeId from_node,
   metrics_.record_job_event(job.id, JobEvent::kDispatch, sim_.now(), cluster);
   Resource& res = resource(cluster, index);
   const net::NodeId res_node =
-      layout_.clusters.at(cluster).resource_nodes.at(index);
+      layout().clusters.at(cluster).resource_nodes.at(index);
   network_->send(from_node, res_node, config_.costs.size_job,
                  [&res, job = std::move(job)]() mutable {
                    res.accept_job(std::move(job));
@@ -661,11 +639,11 @@ void GridSystem::deliver_arrival(const workload::Job& job) {
   metrics_.record_arrival(job);
   SchedulerBase& sched = scheduler_for(job.origin_cluster);
   if (config_.rms == RmsKind::kCentral &&
-      sched.node() != layout_.clusters[job.origin_cluster].scheduler_node) {
+      sched.node() != layout().clusters[job.origin_cluster].scheduler_node) {
     // CENTRAL: the submission point forwards the job to the single
     // central scheduler over the network.
     const net::NodeId gateway =
-        layout_.clusters[job.origin_cluster].scheduler_node;
+        layout().clusters[job.origin_cluster].scheduler_node;
     network_->send(gateway, sched.node(), config_.costs.size_job,
                    [&sched, job]() { sched.deliver_job(job); });
   } else {
@@ -680,11 +658,9 @@ void GridSystem::schedule_next_arrival() {
     return;
   }
   stream_stats_.add(*slot);
-  pending_arrival_ = slot;
   sim_.schedule_at(slot->arrival, [this, slot]() {
     const workload::Job job = *slot;
     arrival_arena_.release(slot);
-    pending_arrival_ = nullptr;
     // Chain the successor before delivering, so on a shared arrival time
     // the next job's event is enqueued ahead of anything delivery spawns.
     schedule_next_arrival();
@@ -709,23 +685,19 @@ void GridSystem::schedule_arrivals() {
     arrival_stream_ = std::move(pulled.stream);
     workload_from_cache_ = pulled.from_cache;
   } else {
-    // Full mode materializes the stream once per system: it depends only
-    // on the structural config (never the tuning enablers), so one
-    // generation serves every reset cycle.
-    if (!arrivals_cached_) {
-      obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-      workload::ArrivalStream stream = workload::cached_arrivals(
-          workload_digest(config_), spec, wl, config_.seed, config_.horizon);
-      arrival_jobs_ = std::move(stream.jobs);
-      workload_from_cache_ = stream.from_cache;
-      arrivals_cached_ = true;
-    }
-    SCAL_INFO("grid: " << arrival_jobs_->size() << " jobs over horizon "
+    // Full mode materializes the stream through the process-wide
+    // ArrivalCache: it depends only on workload_digest's inputs (never
+    // the tuning enablers), so one generation serves every run that
+    // shares them.
+    obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
+    workload::ArrivalStream stream = workload::cached_arrivals(
+        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
+    SCAL_INFO("grid: " << stream.jobs->size() << " jobs over horizon "
                        << config_.horizon);
     arrival_stream_ =
-        std::make_unique<workload::VectorReplayStream>(arrival_jobs_);
+        std::make_unique<workload::VectorReplayStream>(std::move(stream.jobs));
+    workload_from_cache_ = stream.from_cache;
   }
-  stream_stats_ = workload::TraceStatsAccumulator{};
   schedule_next_arrival();
 }
 
@@ -789,95 +761,6 @@ SimulationResult GridSystem::run() {
   SimulationResult result = assemble_result();
   if (telemetry != nullptr) finish_telemetry(result);
   return result;
-}
-
-bool GridSystem::reset_compatible(const GridConfig& next) const {
-  if (config_.telemetry != nullptr || next.telemetry != nullptr) return false;
-  // Rates (service rate, mean interarrival) are excluded alongside the
-  // tuning enablers: the reset path re-applies them, so a Case-2 style
-  // service-rate sweep keeps the warm topology/routing/cluster state.
-  return config_digest(config_, /*include_tuning=*/false,
-                       /*include_rates=*/false) ==
-         config_digest(next, /*include_tuning=*/false,
-                       /*include_rates=*/false);
-}
-
-void GridSystem::reset(const GridConfig& next) {
-  if (!reset_compatible(next)) {
-    throw std::logic_error(
-        "GridSystem::reset: config differs structurally (or telemetry is "
-        "attached); build a fresh system instead");
-  }
-  next.validate();
-  // The fields reset re-applies: the tuning enablers plus the rates.
-  const bool rate_changed = config_.service_rate != next.service_rate;
-  const bool arrivals_changed =
-      config_.workload.mean_interarrival != next.workload.mean_interarrival;
-  config_.tuning = next.tuning;
-  config_.service_rate = next.service_rate;
-  config_.workload.mean_interarrival = next.workload.mean_interarrival;
-
-  sim_.reset();
-  metrics_.reset();
-  sink_->log().clear();
-  arrival_stream_.reset();
-  // The run ended with its next arrival still pending; take the slot
-  // back so the arena's counters restart like a fresh build's.
-  if (pending_arrival_ != nullptr) {
-    arrival_arena_.release(pending_arrival_);
-    pending_arrival_ = nullptr;
-  }
-  arrival_arena_.clear();
-
-  network_->reset_counters();
-  network_->set_delay_scale(config_.tuning.link_delay_scale);
-  if (config_.control_loss_probability > 0.0) {
-    // Re-arm with a fresh stream so the drop draw sequence replays
-    // exactly like a fresh build.
-    network_->set_loss(config_.control_loss_probability,
-                       util::RandomStream(config_.seed, "control-loss"));
-  }
-
-  middleware_->reset_server();
-  for (auto& sched : schedulers_) sched->reset();
-  for (auto& cluster : estimators_) {
-    for (auto& est : cluster) est->reset();
-  }
-  for (auto& cluster : resources_) {
-    for (auto& res : cluster) res->reset();
-  }
-  if (rate_changed) {
-    // Re-rate the pool through the recorded heterogeneity multipliers —
-    // identical to what a fresh build at the new rate would draw.
-    std::size_t i = 0;
-    for (auto& cluster : resources_) {
-      for (auto& res : cluster) {
-        res->set_service_rate(config_.service_rate * rate_multipliers_[i++],
-                              config_.costs.job_control);
-      }
-    }
-    mean_service_time_ =
-        workload::expected_exec_time(config_.workload) / config_.service_rate;
-  }
-  // A new interarrival mean invalidates the cached arrival stream; the
-  // next run regenerates it from the same "workload" substream, exactly
-  // as a fresh build would.
-  if (arrivals_changed) arrivals_cached_ = false;
-  for (auto& cluster : ctrl_trees_) {
-    for (auto& ct : cluster) {
-      for (auto& agg : ct.aggs) agg->reset();
-    }
-  }
-  if (config_.control_plane) configure_control_plane();
-
-  // Fault wiring is rebuilt from scratch: the schedulers' staleness
-  // window derives from the (possibly new) tuned update interval, the
-  // resources' kill handlers were dropped by their reset, and the
-  // injector re-derives its substreams from the pinned entity id.
-  injector_.reset();
-  if (config_.faults.any()) setup_faults();
-
-  ran_ = false;
 }
 
 SimulationResult GridSystem::assemble_result() {

@@ -1,11 +1,14 @@
 #pragma once
 // GridSystem: builds and runs one managed-grid simulation.
 //
-// Construction wires everything together: topology generation (Mercator
-// substitute), cluster partitioning, resources/estimators/schedulers/
-// middleware placement, OSPF-like routing, and the workload stream.
-// run() executes to the horizon and assembles the SimulationResult whose
-// F, G, and H terms feed the scalability framework.
+// Construction wires everything together over a grid::Site (the
+// topology, cluster layout, middleware node and OSPF-like routing):
+// resources/estimators/schedulers/middleware entities, the control
+// plane, the fault layer and telemetry.  run() pulls the workload stream,
+// executes to the horizon and assembles the SimulationResult whose F, G,
+// and H terms feed the scalability framework.  A system runs once; a
+// later run is a new system, over the same site when the site fields
+// match.
 
 #include <memory>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "grid/resource.hpp"
 #include "grid/result_sink.hpp"
 #include "grid/scheduler.hpp"
+#include "grid/site.hpp"
 #include "net/network.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
@@ -39,42 +43,36 @@ using SchedulerFactory = std::function<std::unique_ptr<SchedulerBase>(
 
 class GridSystem {
  public:
-  /// Validates config, builds the full system.  Deterministic in
-  /// (config, config.seed).
+  /// Validates config, builds a private site and the full system over
+  /// it.  Deterministic in (config, config.seed).
   GridSystem(GridConfig config, SchedulerFactory factory);
+  /// Validates config and builds the system over `site`, which must have
+  /// been built from a config with the same site fields (throws
+  /// std::invalid_argument otherwise).  The run is bit-identical to one
+  /// over a private site.  The site must outlive the system and serve
+  /// one system at a time.
+  GridSystem(Site& site, GridConfig config, SchedulerFactory factory);
   ~GridSystem();
 
   GridSystem(const GridSystem&) = delete;
   GridSystem& operator=(const GridSystem&) = delete;
 
   /// Run the simulation to config.horizon and collect the result.
-  /// Callable once per build/reset cycle.
+  /// Callable once.
   SimulationResult run();
-
-  /// True when `next` differs from the built config only in fields the
-  /// reset path re-applies (the tuning enablers, the service rate, and
-  /// the workload's mean interarrival) and telemetry is off on both
-  /// sides — i.e. reset(next) followed by run() is bit-identical to
-  /// constructing a fresh GridSystem(next) and running it.
-  bool reset_compatible(const GridConfig& next) const;
-
-  /// Rewind the built system to its pre-run state under `next`'s tuning,
-  /// reusing the topology, warm routing trees, cluster layout, entity
-  /// graph, and the generated workload — the reusable-simulation-state
-  /// path the enabler tuner leans on.  Throws std::logic_error when
-  /// !reset_compatible(next).
-  void reset(const GridConfig& next);
 
   // -- Accessors used by the scheduler policies.
   sim::Simulator& simulator() noexcept { return sim_; }
   net::Network& network() noexcept { return *network_; }
   const GridConfig& config() const noexcept { return config_; }
   MetricsCollector& metrics() noexcept { return metrics_; }
-  const ClusterLayout& layout() const noexcept { return layout_; }
+  const ClusterLayout& layout() const noexcept { return site_->layout(); }
 
-  std::size_t cluster_count() const noexcept { return layout_.clusters.size(); }
+  std::size_t cluster_count() const noexcept {
+    return layout().clusters.size();
+  }
   std::size_t resource_count(ClusterId cluster) const {
-    return layout_.clusters.at(cluster).resource_nodes.size();
+    return layout().clusters.at(cluster).resource_nodes.size();
   }
 
   Resource& resource(ClusterId cluster, ResourceIndex index);
@@ -82,7 +80,9 @@ class GridSystem {
   /// scheduler when the policy is CENTRAL).
   SchedulerBase& scheduler_for(ClusterId cluster);
   Middleware& middleware() noexcept { return *middleware_; }
-  net::NodeId middleware_node() const noexcept { return middleware_node_; }
+  net::NodeId middleware_node() const noexcept {
+    return site_->middleware_node();
+  }
 
   /// Mean service time of one job at the configured rate — the
   /// schedulers' waiting-time unit.
@@ -108,29 +108,25 @@ class GridSystem {
 
   std::uint64_t seed() const noexcept { return config_.seed; }
 
-  /// True when status updates are currently flowing through the
-  /// aggregation trees (control plane on AND the knobs are off the
-  /// degenerate bypass point).  Re-evaluated by every reset cycle.
+  /// True when status updates flow through the aggregation trees
+  /// (control plane on AND the knobs are off the degenerate bypass
+  /// point).
   bool control_plane_active() const noexcept { return ctrl_active_; }
 
  private:
-  void build();
+  /// Builds a private site when `site` is null.
+  GridSystem(Site* site, GridConfig config, SchedulerFactory factory);
+
   void schedule_arrivals();
   SimulationResult assemble_result();
-  /// Build the aggregation forest (one tree per (cluster, estimator));
-  /// only called when config.control_plane — otherwise no aggregator
-  /// entities exist and the report path compiles down to the legacy
-  /// point-to-point sends.
+  /// Build the aggregation forest (one tree per (cluster, estimator))
+  /// under the agg_* tuning knobs; only called when
+  /// config.control_plane — otherwise no aggregator entities exist and
+  /// the report path compiles down to the legacy point-to-point sends.
   void setup_control_plane();
-  /// (Re)apply the agg_* tuning knobs: rewire parents for the current
-  /// fan-out, push batch/flush into every aggregator, and refresh the
-  /// bypass flag.  Runs at build and on every reset.
-  void configure_control_plane();
   /// Ship a finished batch one hop up tree (cluster, estimator) from
   /// member `member` (to its parent aggregator, or to the estimator
-  /// when the member is a root child).  Looks the parent up at call
-  /// time so reset-cycle rewires take effect without re-wiring
-  /// callbacks.
+  /// when the member is a root child).
   void forward_up(ClusterId cluster, std::size_t estimator,
                   std::uint32_t member, std::vector<StatusUpdate> updates);
   /// Wire the fault layer: injector hooks, net message faults, kill
@@ -162,24 +158,21 @@ class GridSystem {
   void schedule_next_arrival();
 
   GridConfig config_;
+  std::unique_ptr<Site> owned_site_;  ///< null when the site is lent
+  Site* site_;
   sim::Simulator sim_;
-  net::Graph graph_;
-  ClusterLayout layout_;
   MetricsCollector metrics_;
-  /// Owns the response accumulator and the job log; selected once at
-  /// build time from config.result_mode (structural — reset keeps it).
+  /// Owns the response accumulator and the job log; selected from
+  /// config.result_mode.
   std::unique_ptr<ResultSink> sink_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<Middleware> middleware_;
-  net::NodeId middleware_node_ = net::kInvalidNode;
   // resources_[cluster][index]
   std::vector<std::vector<std::unique_ptr<Resource>>> resources_;
   std::vector<std::vector<std::unique_ptr<Estimator>>> estimators_;
   std::vector<std::unique_ptr<SchedulerBase>> schedulers_;
   /// One aggregation tree per (cluster, estimator) pair; empty unless
-  /// config.control_plane.  Aggregators live in tree member order (the
-  /// order is fanout-independent, so reset cycles never reshuffle the
-  /// entity arena — rewire only re-links parents).
+  /// config.control_plane.  Aggregators live in tree member order.
   struct ControlTree {
     ctrl::AggregationTree tree;
     std::vector<std::unique_ptr<ctrl::Aggregator>> aggs;  ///< member order
@@ -192,30 +185,14 @@ class GridSystem {
   double mean_service_time_ = 1.0;
   bool ran_ = false;
   sim::EntityId next_entity_id_ = 0;
-  // Entity id pinned at first assignment so a reset-recreated injector
-  // derives the same substreams as the original build.
-  sim::EntityId injector_entity_id_ = 0;
-  bool injector_id_assigned_ = false;
-  // Full mode: the arrival stream is a pure function of (config minus
-  // tuning), so it is resolved once — through the process-wide
-  // ArrivalCache — and replayed by every reset cycle (invalidated only
-  // when a rate-only reset moves the interarrival mean).  Shared and
-  // immutable: other systems replaying the same workload alias the same
-  // vector.
-  std::shared_ptr<const std::vector<workload::Job>> arrival_jobs_;
-  bool arrivals_cached_ = false;
   bool workload_from_cache_ = false;
   // The one arrival path: jobs are pulled one at a time from this stream
-  // (a replay of arrival_jobs_ in full mode) into an arena slot, so one
-  // arrival event is pending at a time; the accumulator folds the
-  // workload stats in stream order.
+  // (in full mode a replay of the vector the process-wide ArrivalCache
+  // holds) into an arena slot, so one arrival event is pending at a
+  // time; the accumulator folds the workload stats in stream order.
   std::unique_ptr<workload::JobStream> arrival_stream_;
   workload::JobArena arrival_arena_;
-  workload::Job* pending_arrival_ = nullptr;  ///< slot of the pending arrival
   workload::TraceStatsAccumulator stream_stats_;
-  /// Per-resource heterogeneity multipliers in build order, kept so a
-  /// rate-only reset re-rates the pool exactly like a fresh build.
-  std::vector<double> rate_multipliers_;
 
   // Telemetry state (inert when config_.telemetry is null).
   obs::PhaseProfiler* profiler_ = nullptr;  ///< cached from the handle

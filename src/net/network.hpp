@@ -32,8 +32,11 @@ struct NetFaults {
 
 class Network : public sim::Entity {
  public:
-  Network(sim::Simulator& sim, sim::EntityId id, const Graph& graph)
-      : Entity(sim, id, "network"), router_(graph) {}
+  /// Routes over `router`, which must outlive the fabric.  The router is
+  /// borrowed so its settled trees survive the fabric: a grid::Site
+  /// lends one router to every system built over it.
+  Network(sim::Simulator& sim, sim::EntityId id, Router& router)
+      : Entity(sim, id, "network"), router_(router) {}
 
   /// Deliver `on_arrival` after the routed delay for a message of `size`
   /// units from `src` to `dst`.  src == dst delivers after zero delay
@@ -68,17 +71,10 @@ class Network : public sim::Entity {
 
   const Router& router() const noexcept { return router_; }
 
-  /// Opt the router into the process-wide shared source-tree cache
-  /// under `key` (net::graph_digest of this fabric's graph).  Routes
-  /// are bit-identical shared or not; see net/tree_cache.hpp.
-  void enable_tree_sharing(const std::array<std::uint64_t, 2>& key) noexcept {
-    router_.enable_tree_sharing(key);
-  }
-
   /// Attach the (optional) phase profiler: forwarded to the router, so
   /// the phase times shortest-path settling work (not per-message
   /// bookkeeping — warm route lookups are a few ns and would drown in
-  /// timer overhead).  Purely observational.
+  /// timer overhead).  Purely observational; null detaches.
   void attach_profiler(obs::PhaseProfiler* profiler,
                        obs::PhaseId route_phase) noexcept {
     router_.attach_profiler(profiler, route_phase);
@@ -87,23 +83,8 @@ class Network : public sim::Entity {
   std::uint64_t messages_sent() const noexcept { return messages_; }
   double bytes_sent() const noexcept { return bytes_; }
 
-  /// Zero the traffic and fault counters for a fresh run over the same
-  /// fabric (reusable-system path).  The router's lazily settled
-  /// shortest-path trees are deliberately kept warm: routes depend only
-  /// on the immutable graph (the delay-scale enabler applies at query
-  /// time), and re-settling them dominates the cost of a cold run.  The
-  /// caller re-arms set_loss / set_faults with fresh streams so the
-  /// stochastic layers replay exactly like a fresh build.
-  void reset_counters() noexcept {
-    messages_ = 0;
-    bytes_ = 0.0;
-    dropped_ = 0;
-    duplicated_ = 0;
-    delayed_ = 0;
-  }
-
  private:
-  Router router_;
+  Router& router_;
   double delay_scale_ = 1.0;
   std::uint64_t messages_ = 0;
   double bytes_ = 0.0;

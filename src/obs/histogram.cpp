@@ -51,12 +51,6 @@ void Histogram::merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::clear() {
-  buckets_.clear();
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-}
-
 std::string Histogram::to_json() const {
   JsonObject obj;
   obj.field("count", count_)

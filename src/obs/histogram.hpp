@@ -59,8 +59,6 @@ class Histogram {
   /// per-task histograms in task order equals serial accumulation.
   void merge(const Histogram& other);
 
-  void clear();
-
   /// Compact JSON summary for the run manifest:
   /// {"count":...,"sum":...,"min":...,"max":...,"mean":...,
   ///  "p50":...,"p95":...,"p99":...}.  Deterministic in the recorded

@@ -9,27 +9,17 @@
 // a hit can only ever return the value the evaluation would have
 // produced, and caching is an optimization, never an approximation.
 //
-// Determinism protocol: inserts are first-evaluator-wins.  With a
-// worker pool, two chains may evaluate the same key concurrently; both
-// compute the same value (evaluations are deterministic functions of
-// the key), and whichever insert lands first simply keeps its epoch
-// stamp.  Every lookup reports whether the key was already present
-// before the current tune began (`prior_epoch`), which is a
-// deterministic fact independent of intra-tune scheduling — the tuner
-// derives its logical hit statistics and `cached` telemetry flags from
-// that plus a serial replay of its own evaluation order, never from
-// racy physical hit counts.
-//
-// In-flight dedup: acquire() extends the protocol with future-like
-// entries.  The first caller on a missing key *claims* it (an entry
-// holding no value yet, stamped with the current epoch exactly as its
-// insert would have been) and must fulfill() or abandon() it; later
-// concurrent callers block until the value lands instead of recomputing
-// it.  Because claims carry the same epoch stamp first-insert-wins
-// would have produced, `prior_epoch` classification — and therefore the
-// tuner's `cached` flags and hit counters — is bit-identical at any
-// worker count.  lookup()/insert() remain for callers that must never
-// block (the value-caching-off arm still inserts for cross-tune reuse).
+// Determinism protocol: entries are future-like and first-value-wins.
+// The first acquire() on a missing key *claims* it (an entry holding no
+// value yet, stamped with the current epoch) and must fulfill() or
+// abandon() it; later concurrent callers block until the value lands
+// instead of recomputing it.  Every acquire reports whether the key was
+// already present before the current tune began (`prior_epoch`), which
+// is a deterministic fact independent of intra-tune scheduling — the
+// tuner derives its logical hit statistics and `cached` telemetry flags
+// from that plus a serial replay of its own evaluation order, never
+// from racy physical hit counts — so they are bit-identical at any
+// worker count.
 //
 // Persistence: preload() seeds ready entries from disk (marked
 // `from_disk` so reuse telemetry can report disk hits) and snapshot()
@@ -74,19 +64,10 @@ struct EvalKeyHash {
 };
 
 /// Thread-safe first-evaluator-wins memoization table.  `Value` must be
-/// copyable; lookups return copies so hits never alias shared state.
+/// copyable; hits return copies so they never alias shared state.
 template <typename Value>
 class EvalCache {
  public:
-  struct Probe {
-    /// The stored value, if this key has one.
-    std::optional<Value> value;
-    /// True when the key was inserted before the current epoch — i.e.
-    /// by an earlier tune sharing this cache.  Scheduling-independent,
-    /// unlike "was the value present at lookup time" at high job counts.
-    bool prior_epoch = false;
-  };
-
   /// Outcome of acquire(): exactly one of three shapes.
   ///   - value set:  a ready entry answered the key (maybe after a
   ///     wait); `waited`/`from_disk` say how it got there.
@@ -94,8 +75,10 @@ class EvalCache {
   ///     abandon() it, or waiters deadlock until abandon.
   struct Acquired {
     std::optional<Value> value;
-    /// Same deterministic fact Probe reports; claims count as
-    /// current-epoch entries, exactly like the insert they replace.
+    /// True when the key was claimed, fulfilled or preloaded before the
+    /// current epoch — i.e. by an earlier tune sharing this cache.
+    /// Scheduling-independent, unlike "was the value present at acquire
+    /// time" at high job counts.
     bool prior_epoch = false;
     /// This caller owns the evaluation for the key.
     bool owner = false;
@@ -105,42 +88,12 @@ class EvalCache {
     bool from_disk = false;
   };
 
-  /// Mark the start of a new tune.  Entries inserted from now on carry
+  /// Mark the start of a new tune.  Entries created from now on carry
   /// the new epoch; existing entries become `prior_epoch` hits.  Call
-  /// between tunes only (not concurrently with lookups/inserts).
+  /// between tunes only (not concurrently with acquire/fulfill).
   void begin_epoch() {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++epoch_;
-  }
-
-  Probe lookup(const EvalKey& key) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Probe probe;
-    const auto it = entries_.find(key);
-    if (it != entries_.end() && it->second.value.has_value()) {
-      probe.value = it->second.value;
-      probe.prior_epoch = it->second.epoch < epoch_;
-    }
-    return probe;
-  }
-
-  /// First-evaluator-wins: if the key is already present the stored
-  /// value AND its epoch stamp are kept, so concurrent duplicate
-  /// evaluations and later re-inserts cannot perturb `prior_epoch`
-  /// classification.  Fulfills (and wakes waiters of) an in-flight
-  /// entry claimed via acquire().
-  void insert(const EvalKey& key, const Value& value) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      const auto [it, inserted] = entries_.try_emplace(key, Entry{});
-      if (inserted) {
-        it->second.epoch = epoch_;
-      } else if (it->second.value.has_value()) {
-        return;  // first value wins
-      }
-      it->second.value = value;
-    }
-    ready_.notify_all();
   }
 
   /// Claim, hit, or wait (see Acquired).  Blocking happens only when
@@ -152,8 +105,7 @@ class EvalCache {
     for (;;) {
       const auto [it, inserted] = entries_.try_emplace(key, Entry{});
       if (inserted) {
-        // Claimed: stamp with the current epoch, exactly the stamp the
-        // eventual first insert would have carried.
+        // Claimed: stamp with the current epoch; fulfill() keeps it.
         it->second.epoch = epoch_;
         Acquired out;
         out.owner = true;
@@ -184,8 +136,22 @@ class EvalCache {
   }
 
   /// Publish the owner's result and wake waiters.  First value wins
-  /// (identical by determinism anyway); the claim's epoch stamp is kept.
-  void fulfill(const EvalKey& key, const Value& value) { insert(key, value); }
+  /// (identical by determinism anyway): a ready entry keeps its value
+  /// AND its epoch stamp, and a claim keeps its stamp.  A key nobody
+  /// claimed gets a ready entry stamped with the current epoch.
+  void fulfill(const EvalKey& key, const Value& value) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      const auto [it, inserted] = entries_.try_emplace(key, Entry{});
+      if (inserted) {
+        it->second.epoch = epoch_;
+      } else if (it->second.value.has_value()) {
+        return;  // first value wins
+      }
+      it->second.value = value;
+    }
+    ready_.notify_all();
+  }
 
   /// Release a claim without a value (owner's evaluation threw) so a
   /// waiter can re-claim.  No-op on ready or absent keys.
@@ -200,9 +166,9 @@ class EvalCache {
   }
 
   /// Seed a ready entry from a persistent cache file.  First-wins like
-  /// insert(); stamped with the current epoch, so preloading before the
+  /// fulfill(); stamped with the current epoch, so preloading before the
   /// first begin_epoch() makes warm entries `prior_epoch` for every
-  /// tune — identical classification to a cold run's own inserts.
+  /// tune — identical classification to a cold run's own entries.
   void preload(const EvalKey& key, const Value& value) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = entries_.try_emplace(key, Entry{});

@@ -26,12 +26,6 @@ class AuctionScheduler : public LowestScheduler {
   void handle_idle_resource(grid::ResourceIndex resource,
                             std::uint32_t estimator) override;
 
-  void on_reset() override {
-    LowestScheduler::on_reset();
-    active_.clear();
-    last_auction_.clear();
-  }
-
  private:
   struct Bid {
     grid::ClusterId from = 0;

@@ -29,11 +29,6 @@ class HierarchicalScheduler : public DistributedSchedulerBase {
   void handle_message(const grid::RmsMessage& msg) override;
   void after_batch(const grid::StatusBatch& batch) override;
 
-  void on_reset() override {
-    digests_.clear();
-    last_digest_ = -1e300;
-  }
-
  private:
   struct Digest {
     double busy_fraction = 0.0;

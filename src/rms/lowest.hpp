@@ -25,8 +25,6 @@ class LowestScheduler : public DistributedSchedulerBase {
   /// `attempt` counts robustness retries of the same job's round.
   void start_poll_round(workload::Job job, std::uint32_t attempt = 0);
 
-  void on_reset() override { pending_.clear(); }
-
  private:
   struct PollRound {
     workload::Job job;

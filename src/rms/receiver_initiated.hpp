@@ -34,11 +34,6 @@ class ReceiverInitiatedScheduler : public DistributedSchedulerBase {
   /// Periodic volunteering round (also reused by tests).
   void volunteer_tick();
 
-  void on_reset() override {
-    wait_queue_.clear();
-    negotiating_.clear();
-  }
-
  private:
   void park_job(workload::Job job);
   void drain_wait_queue_locally();

@@ -23,12 +23,6 @@ class ReserveScheduler : public DistributedSchedulerBase {
   void handle_message(const grid::RmsMessage& msg) override;
   void after_batch(const grid::StatusBatch& batch) override;
 
-  void on_reset() override {
-    reservations_.clear();
-    probing_.clear();
-    last_advert_ = -1e300;
-  }
-
  private:
   struct Reservation {
     grid::ClusterId from = 0;

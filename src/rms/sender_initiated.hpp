@@ -28,8 +28,6 @@ class SenderInitiatedScheduler : public DistributedSchedulerBase {
   /// advertisement.  `attempt` counts robustness retries.
   void start_att_poll(workload::Job job, std::uint32_t attempt = 0);
 
-  void on_reset() override { pending_.clear(); }
-
  private:
   struct AttRound {
     workload::Job job;

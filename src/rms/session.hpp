@@ -1,20 +1,23 @@
 #pragma once
 // SimulationSession / SessionPool: the reusable-simulation-state backend
-// of the enabler tuner.  A session keeps the last GridSystem it built
-// alive between runs; when the next config differs only in the tuning
-// enablers (GridSystem::reset_compatible), the system is rewound with
-// GridSystem::reset() instead of reconstructed — reusing the topology,
-// the router's warm shortest-path trees (the dominant cold-start cost on
-// large graphs), the entity arena, and the generated workload.  Results
-// are bit-identical either way; the session is purely a wall-clock
-// optimization.
+// of the enabler tuner.  Every run() constructs a fresh GridSystem and
+// destroys it afterwards, so a reused run is bit-identical to a fresh
+// build because it is one.  What the session keeps between runs is the
+// grid::Site — the topology, the cluster layout, and the router's warm
+// shortest-path trees, the dominant cold-start cost on large graphs —
+// of its site key (grid::site_digest: topology, seed, cluster_size,
+// estimators_per_cluster).  Runs that differ in anything else (RMS kind,
+// enablers, rates, workload, faults, result mode) share the site.  A
+// run under another site key replaces it: a sweep visits each scale
+// point's key once, and keeping the earlier sites would only hold their
+// routers' trees (docs/PERFORMANCE.md measures the memory it costs).
 //
-// Sessions also opt their systems into the process-wide shared
-// source-tree cache (net::SharedTreeCache): sibling slots route over
-// identical graphs, so the first slot to settle a source publishes it
-// and the rest adopt instead of re-running Dijkstra.  Routes are
-// bit-identical shared or not; instrumented configs (telemetry
-// attached) keep sharing off so profiler scope counts stay exact.
+// A session's sites opt into the process-wide shared source-tree cache
+// (net::SharedTreeCache): sibling slots route over identical graphs, so
+// the first slot to settle a source publishes it and the rest adopt
+// instead of re-running Dijkstra.  Routes are bit-identical shared or
+// not; a run with telemetry attached gets a private site of its own that
+// does not share, so profiler scope counts stay exact.
 //
 // A session is single-threaded.  Concurrent annealing chains each use
 // their own slot of a SessionPool (the tuner's slot discipline maps one
@@ -23,31 +26,24 @@
 #include <deque>
 #include <memory>
 
+#include "grid/site.hpp"
 #include "grid/system.hpp"
 
 namespace scal::rms {
 
 class SimulationSession {
  public:
-  /// Run one simulation of `config`, reusing the previously built system
-  /// when structurally compatible.  Configs with telemetry attached are
-  /// never reset-compatible, so instrumented runs always build fresh.
-  /// If the run throws, the system is dropped and the next call builds
-  /// a new one.
+  /// Run one simulation of `config` on a freshly constructed system over
+  /// the session's site, built first when `config` has another site key.
   grid::SimulationResult run(const grid::GridConfig& config);
 
-  /// Times run() had to construct a system (diagnostics).
+  /// Sites this session built, telemetry runs' private sites included
+  /// (diagnostics).
   std::size_t rebuilds() const noexcept { return rebuilds_; }
 
-  /// Router source-tree sharing for systems this session builds
-  /// (default on; see header comment).  Honored at the next rebuild.
-  void set_tree_sharing(bool on) noexcept { tree_sharing_ = on; }
-  bool tree_sharing() const noexcept { return tree_sharing_; }
-
  private:
-  std::unique_ptr<grid::GridSystem> system_;
+  std::unique_ptr<grid::Site> site_;  ///< shares trees; null before a run
   std::size_t rebuilds_ = 0;
-  bool tree_sharing_ = true;
 };
 
 /// Lazily grown set of sessions with stable references.  Thread-compatible

@@ -29,14 +29,6 @@ class SymmetricScheduler : public SenderInitiatedScheduler {
   void handle_idle_resource(grid::ResourceIndex resource,
                             std::uint32_t estimator) override;
 
-  void on_reset() override {
-    SenderInitiatedScheduler::on_reset();
-    adverts_.clear();
-    negotiating_.clear();
-    last_event_broadcast_.clear();
-    freshest_cache_ = 0;
-  }
-
  private:
   void volunteer_tick();
   void broadcast_volunteer();

@@ -24,7 +24,7 @@ Time EventQueue::key_time(std::uint64_t key) noexcept {
 
 EventId EventQueue::push(Time at, EventFn fn) {
   if (pushed_ >= kMaxPushes) {
-    throw std::length_error("EventQueue: too many pushes since clear()");
+    throw std::length_error("EventQueue: too many pushes");
   }
   // Keep kArity - 1 pads past the new last entry.  Grown before the slot
   // is taken, so a failed allocation leaves the queue unchanged.
@@ -165,24 +165,6 @@ void EventQueue::release_slot(std::uint32_t slot) noexcept {
   ++gen_[slot];  // invalidate outstanding handles
   pos_[slot] = free_head_;
   free_head_ = slot;
-}
-
-void EventQueue::clear() {
-  for (std::size_t i = 0; i < size_; ++i) {
-    const std::uint32_t slot = slot_of(heap_[i]);
-    fn_at(slot).reset();
-    ++gen_[slot];
-    heap_[i] = kPadKey;
-  }
-  size_ = 0;
-  // Rebuild the free list ascending so the next run takes slots 0, 1,
-  // 2, ... — the same order a fresh queue allocates them in.
-  free_head_ = kNoFree;
-  for (std::size_t i = pos_.size(); i-- > 0;) {
-    pos_[i] = free_head_;
-    free_head_ = static_cast<std::uint32_t>(i);
-  }
-  pushed_ = 0;
 }
 
 }  // namespace scal::sim

@@ -46,7 +46,7 @@ class EventQueue {
   /// be pending at once.
   static constexpr std::size_t kMaxPending = std::size_t{1} << 24;
   /// Insertion sequences take the other 40 bits: at most 2^40 pushes
-  /// between clear() calls.
+  /// over the queue's lifetime.
   static constexpr std::uint64_t kMaxPushes = std::uint64_t{1} << 40;
 
   EventQueue();
@@ -59,7 +59,7 @@ class EventQueue {
 
   /// Cancel a pending event, removing it from the heap immediately.
   /// Returns true only if `id` names a pending event; any other id
-  /// (fired, cancelled, from before a clear(), or made up) returns false
+  /// (fired, cancelled, or made up) returns false
   /// and changes nothing.
   bool cancel(EventId id);
 
@@ -82,20 +82,11 @@ class EventQueue {
 
   /// Dispatch the earliest event in place: take it off the heap, run its
   /// closure where it is stored, then release its slot — also when the
-  /// closure throws.  The closure may push and cancel events; it must
-  /// not clear() the queue.  Precondition: !empty().
+  /// closure throws.  The closure may push and cancel events.
+  /// Precondition: !empty().
   void fire_top();
 
   std::uint64_t total_pushed() const noexcept { return pushed_; }
-
-  /// Drop every pending event and rewind to the just-constructed state,
-  /// keeping the slot allocation.  Live closures are destroyed, every
-  /// generation of a previously-live slot is bumped (stale EventIds from
-  /// the cleared run cannot cancel events of the next one), and the
-  /// insertion sequence restarts at zero so timestamp tie-breaking — and
-  /// therefore the next run's dispatch order — matches a freshly
-  /// constructed queue bit for bit.
-  void clear();
 
   /// Slots currently held (live + free-listed); exposed for tests.
   std::size_t arena_size() const noexcept { return gen_.size(); }

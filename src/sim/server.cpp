@@ -20,20 +20,6 @@ double Server::queue_time_integral() const noexcept {
          static_cast<double>(queue_.size()) * (t - last_queue_change_);
 }
 
-void Server::reset_server() {
-  queue_.clear();
-  current_done_.reset();
-  in_service_ = false;
-  down_ = false;
-  discarded_ = 0;
-  busy_time_ = 0.0;
-  offered_work_ = 0.0;
-  completed_ = 0;
-  max_queue_ = 0;
-  last_queue_change_ = 0.0;
-  queue_integral_ = 0.0;
-}
-
 void Server::set_down(bool down) {
   if (down == down_) return;
   down_ = down;

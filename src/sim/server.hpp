@@ -73,13 +73,6 @@ class Server : public Entity {
     if (trace_ != nullptr && in_service_) trace_->end(trace_tid_, at);
   }
 
-  /// Rewind to the just-constructed state (reusable-system path): drop
-  /// the queue and the item in service, zero every counter and the
-  /// queue-integral clock.  Identity and the attached trace survive.
-  /// The completion event of an in-service item lives in the simulator
-  /// queue, which the caller clears alongside.
-  void reset_server();
-
  private:
   struct Item {
     Time cost;

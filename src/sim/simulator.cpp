@@ -19,17 +19,6 @@ EventId Simulator::schedule_at(Time at, EventFn fn) {
   return queue_.push(at, std::move(fn));
 }
 
-void Simulator::reset() {
-  if (running_) throw std::logic_error("Simulator::reset during run");
-  queue_.clear();
-  now_ = kTimeZero;
-  dispatched_ = 0;
-  credited_ = 0;
-  observe_every_ = 0;
-  dispatch_observer_ = nullptr;
-  stop_requested_ = false;
-}
-
 std::uint64_t Simulator::run(Time until) {
   if (running_) throw std::logic_error("Simulator::run is not reentrant");
   running_ = true;

@@ -39,13 +39,6 @@ class Simulator {
   /// Request that run() return after the current event completes.
   void stop() noexcept { stop_requested_ = true; }
 
-  /// Rewind to the just-constructed state for another run: drop every
-  /// pending event (keeping the queue's arena allocation), zero the
-  /// clock and event counters, and detach the dispatch observer.  The
-  /// next run over this kernel is bit-identical to one over a fresh
-  /// Simulator given the same schedule sequence.
-  void reset();
-
   bool idle() const noexcept { return queue_.empty(); }
   std::size_t pending_events() const noexcept { return queue_.size(); }
   /// Model events dispatched: the events run() fired plus those credited.

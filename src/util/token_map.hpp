@@ -35,7 +35,6 @@ class TokenMap {
 
   bool empty() const noexcept { return data_.empty(); }
   std::size_t size() const noexcept { return data_.size(); }
-  void clear() noexcept { data_.clear(); }
 
   iterator find(const Key& key) {
     const iterator it = lower_bound(key);

@@ -29,16 +29,6 @@ void JobArena::release(Job* slot) {
   free_.push_back(slot);
 }
 
-void JobArena::clear() {
-  if (in_use() != 0) {
-    throw std::logic_error("JobArena::clear: slots still in use");
-  }
-  free_.clear();
-  slab_.clear();
-  high_water_ = 0;
-  reuses_ = 0;
-}
-
 bool JobArena::owns(const Job* slot) const noexcept {
   for (const Job& j : slab_) {
     if (&j == slot) return true;

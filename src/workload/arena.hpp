@@ -27,10 +27,6 @@ class JobArena {
   /// a foreign or doubly-released slot throws std::invalid_argument.
   void release(Job* slot);
 
-  /// Drop every slot.  All acquisitions must have been released;
-  /// throws std::logic_error otherwise (a held pointer would dangle).
-  void clear();
-
   std::size_t slots() const noexcept { return slab_.size(); }
   std::size_t in_use() const noexcept { return slab_.size() - free_.size(); }
   /// Most slots ever simultaneously in use — the run's true in-flight

@@ -2,9 +2,9 @@
 // Process-wide memo of generated arrival streams, keyed on a 128-bit
 // workload digest (grid::workload_digest covers every stream-shaping
 // input: workload config, source spec, seed, horizon, cluster count).
-// Structural rebuilds, session pools, and parallel tuner lanes all
-// replay the same streams; memoizing them takes workload synthesis off
-// the rebuild critical path.  Entries are immutable shared vectors, so
+// Every full-mode GridSystem asks it, so the runs of a session, a sweep
+// or parallel tuner lanes replay the same streams; memoizing them takes
+// workload synthesis off the build critical path.  Entries are immutable shared vectors, so
 // concurrent consumers alias one allocation safely; insertion is
 // first-insert-wins (racing generators produce bit-identical vectors,
 // the first one becomes canonical).

@@ -5,7 +5,7 @@
 // log — optionally wrapped in composable load modulators.  A SourceSpec
 // names one such stack declaratively (so configs stay hashable and
 // digest-able), and cached_arrivals() memoizes fully generated streams
-// process-wide so structural rebuilds and session pools stop
+// process-wide so the systems of a sweep, a session or a tuner lane stop
 // regenerating identical arrivals.
 
 #include <array>

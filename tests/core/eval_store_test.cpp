@@ -124,9 +124,9 @@ void expect_bitwise_equal(const grid::SimulationResult& a,
 TEST(EvalStore, RoundTripIsBitwiseExact) {
   TempFile file("eval_store_roundtrip.evc");
   EvalCache source;
-  source.insert(key(1.5, 2.5), make_result(3.0));
-  source.insert(key(-0.75, 1e9, 33, 44), make_result(7.0));
-  source.insert(key(0.0, -0.0), make_result(11.0));
+  source.fulfill(key(1.5, 2.5), make_result(3.0));
+  source.fulfill(key(-0.75, 1e9, 33, 44), make_result(7.0));
+  source.fulfill(key(0.0, -0.0), make_result(11.0));
   ASSERT_EQ(save_eval_cache(source, file.str(), "test-v1"), 3u);
 
   EvalCache loaded;
@@ -138,7 +138,7 @@ TEST(EvalStore, RoundTripIsBitwiseExact) {
   EXPECT_EQ(loaded.preloaded(), 3u);
 
   for (const auto& [k, v] : source.snapshot()) {
-    const auto got = loaded.lookup(k);
+    const auto got = loaded.acquire(k);
     ASSERT_TRUE(got.value.has_value()) << "key lost in round trip";
     expect_bitwise_equal(v, *got.value);
   }
@@ -150,13 +150,13 @@ TEST(EvalStore, SavedFilesAreByteDeterministic) {
   // Different insertion orders into different caches: the sorted writer
   // must still emit identical bytes.
   EvalCache first;
-  first.insert(key(1.0, 2.0), make_result(1.0));
-  first.insert(key(3.0, 4.0, 5, 6), make_result(2.0));
-  first.insert(key(-1.0, 0.5), make_result(3.0));
+  first.fulfill(key(1.0, 2.0), make_result(1.0));
+  first.fulfill(key(3.0, 4.0, 5, 6), make_result(2.0));
+  first.fulfill(key(-1.0, 0.5), make_result(3.0));
   EvalCache second;
-  second.insert(key(-1.0, 0.5), make_result(3.0));
-  second.insert(key(1.0, 2.0), make_result(1.0));
-  second.insert(key(3.0, 4.0, 5, 6), make_result(2.0));
+  second.fulfill(key(-1.0, 0.5), make_result(3.0));
+  second.fulfill(key(1.0, 2.0), make_result(1.0));
+  second.fulfill(key(3.0, 4.0, 5, 6), make_result(2.0));
   ASSERT_EQ(save_eval_cache(first, a.str(), "test-v1"), 3u);
   ASSERT_EQ(save_eval_cache(second, b.str(), "test-v1"), 3u);
 
@@ -173,7 +173,7 @@ TEST(EvalStore, SavedFilesAreByteDeterministic) {
 TEST(EvalStore, CodeVersionMismatchDiscardsWholeFile) {
   TempFile file("eval_store_version.evc");
   EvalCache source;
-  source.insert(key(1.0, 1.0), make_result(1.0));
+  source.fulfill(key(1.0, 1.0), make_result(1.0));
   ASSERT_EQ(save_eval_cache(source, file.str(), "v1.0-abc"), 1u);
 
   EvalCache loaded;
@@ -196,8 +196,8 @@ TEST(EvalStore, MissingFileIsACleanColdStart) {
 TEST(EvalStore, CorruptAndTruncatedFilesAreDiscarded) {
   TempFile file("eval_store_corrupt.evc");
   EvalCache source;
-  source.insert(key(1.0, 1.0), make_result(1.0));
-  source.insert(key(2.0, 2.0), make_result(2.0));
+  source.fulfill(key(1.0, 1.0), make_result(1.0));
+  source.fulfill(key(2.0, 2.0), make_result(2.0));
   ASSERT_EQ(save_eval_cache(source, file.str(), "test-v1"), 2u);
 
   // Truncate: keep the header plus part of an entry.  Whole-file
@@ -240,16 +240,16 @@ TEST(EvalStore, CorruptAndTruncatedFilesAreDiscarded) {
 TEST(EvalStore, SaveSkipsInFlightClaims) {
   TempFile file("eval_store_claims.evc");
   EvalCache cache;
-  cache.insert(key(1.0, 1.0), make_result(1.0));
+  cache.fulfill(key(1.0, 1.0), make_result(1.0));
   ASSERT_TRUE(cache.acquire(key(2.0, 2.0)).owner);  // never fulfilled
   EXPECT_EQ(save_eval_cache(cache, file.str(), "test-v1"), 1u);
   cache.abandon(key(2.0, 2.0));
 }
 
-/// Inserts `entries` results keyed at points (base + i, base - i).
+/// Fulfills `entries` results keyed at points (base + i, base - i).
 void fill(EvalCache& cache, double base, int entries) {
   for (int i = 0; i < entries; ++i) {
-    cache.insert(key(base + i, base - i), make_result(base + i));
+    cache.fulfill(key(base + i, base - i), make_result(base + i));
   }
 }
 
@@ -267,8 +267,8 @@ TEST(EvalStore, SecondSaveReplacesTheFirstAndLeavesNoTempFile) {
   const auto stats = load_eval_cache(loaded, path, "test-v1");
   EXPECT_FALSE(stats.version_mismatch);
   EXPECT_EQ(stats.loaded, 2u);
-  EXPECT_TRUE(loaded.lookup(key(101.0, 99.0)).value.has_value());
-  EXPECT_FALSE(loaded.lookup(key(1.0, 1.0)).value.has_value());
+  EXPECT_TRUE(loaded.acquire(key(101.0, 99.0)).value.has_value());
+  EXPECT_FALSE(loaded.acquire(key(1.0, 1.0)).value.has_value());
   EXPECT_EQ(dir.listing(), std::set<std::string>{"cache.evc"});
 }
 

@@ -1,7 +1,7 @@
 // Determinism contract of the tuner's evaluation cache and session
 // backend: the tune outcome and the anneal log — including the `cached`
-// flags — must be byte-identical with the cache on or off, at any job
-// count, and with the reusable-session backend vs the stateless runner.
+// flags — must be byte-identical at any job count, and with the
+// reusable-session backend vs the stateless runner.
 
 #include <gtest/gtest.h>
 
@@ -80,27 +80,6 @@ void expect_same_log(const obs::AnnealLog& a, const obs::AnnealLog& b) {
     EXPECT_EQ(ra.improved, rb.improved) << "row " << i;
     EXPECT_EQ(ra.cached, rb.cached) << "row " << i;
   }
-}
-
-TEST(TunerCache, CacheOnOffBitIdentical) {
-  const ScalingCase scase = ScalingCase::case1_network_size();
-  obs::AnnealLog log_on;
-  obs::AnnealLog log_off;
-
-  TunerConfig on = base_tuner();
-  on.anneal_log = &log_on;
-  const TuneOutcome with_cache =
-      tune_enablers(analytic_config(), scase, on, fake_sim, warm_tuning());
-
-  TunerConfig off = base_tuner();
-  off.cache_values = false;
-  off.anneal_log = &log_off;
-  const TuneOutcome without_cache =
-      tune_enablers(analytic_config(), scase, off, fake_sim, warm_tuning());
-
-  expect_same_outcome(with_cache, without_cache);
-  expect_same_log(log_on, log_off);
-  EXPECT_FALSE(log_on.empty());
 }
 
 TEST(TunerCache, SerialVsParallelBitIdentical) {

@@ -1,7 +1,7 @@
 // Determinism contract of the tuner's phase profiling: the profiled
 // "tuner.evaluate" call counts are logical evaluations (cache hits
 // included), so they are a pure function of the search trajectory —
-// bit-identical serial vs parallel and with the cache on or off.
+// bit-identical serial vs parallel.
 
 #include <gtest/gtest.h>
 
@@ -92,23 +92,6 @@ TEST(TunerProfile, SerialVsParallelCountsBitIdentical) {
 
   EXPECT_EQ(serial_outcome.evaluations, parallel_outcome.evaluations);
   EXPECT_EQ(serial_profiler.counts_json(), parallel_profiler.counts_json());
-}
-
-TEST(TunerProfile, CacheOnOffCountsBitIdentical) {
-  const ScalingCase scase = ScalingCase::case1_network_size();
-
-  obs::PhaseProfiler on_profiler(/*enabled=*/true);
-  TunerConfig on = base_tuner();
-  on.profiler = &on_profiler;
-  tune_enablers(analytic_config(), scase, on, fake_sim);
-
-  obs::PhaseProfiler off_profiler(/*enabled=*/true);
-  TunerConfig off = base_tuner();
-  off.profiler = &off_profiler;
-  off.cache_values = false;
-  tune_enablers(analytic_config(), scase, off, fake_sim);
-
-  EXPECT_EQ(on_profiler.counts_json(), off_profiler.counts_json());
 }
 
 TEST(TunerProfile, SuccessiveTunesAccumulateIntoOneProfiler) {

@@ -130,30 +130,6 @@ TEST(Aggregator, BlackoutRelaysArrivalsUnbufferedAndUncharged) {
   EXPECT_FALSE(h.agg.blacked_out());
 }
 
-TEST(Aggregator, ResetRestoresConstructedState) {
-  Harness h;
-  h.agg.configure(4, 2.0);
-  h.sim.schedule_at(0.0, [&]() {
-    h.agg.ingest({update(0, 1.0), update(0, 2.0)});
-  });
-  h.sim.run(100.0);
-  EXPECT_GT(h.agg.updates_in(), 0u);
-  h.sim.reset();
-  h.agg.reset();
-  EXPECT_EQ(h.agg.updates_in(), 0u);
-  EXPECT_EQ(h.agg.updates_out(), 0u);
-  EXPECT_EQ(h.agg.updates_coalesced(), 0u);
-  EXPECT_EQ(h.agg.batches_out(), 0u);
-  EXPECT_FALSE(h.agg.blacked_out());
-  // Reusable: a fresh cycle behaves like a fresh aggregator.
-  h.batches.clear();
-  h.agg.configure(1, 0.0);
-  h.sim.schedule_at(0.0, [&]() { h.agg.ingest({update(5, 1.0)}); });
-  h.sim.run(10.0);
-  ASSERT_EQ(h.batches.size(), 1u);
-  EXPECT_EQ(h.batches[0][0].resource, 5u);
-}
-
 TEST(Aggregator, InvalidConfigurationThrows) {
   sim::Simulator sim;
   EXPECT_THROW(

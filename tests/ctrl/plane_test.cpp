@@ -5,9 +5,6 @@
 //    entities exist but the status path takes the exact legacy sends.
 //  * Aggregation on: tree counters populate, the tree's work is charged
 //    to G, job accounting stays conserved.
-//  * Reset cycles across aggregation knobs (including crossing the
-//    degenerate boundary in both directions) replay bit-identically to
-//    fresh builds — the contract the enabler tuner leans on.
 //  * Observability: the ctrl histograms agree with the manifest
 //    counters and are purely observational.
 
@@ -19,7 +16,6 @@
 #include "grid/system.hpp"
 #include "grid/telemetry.hpp"
 #include "obs/telemetry.hpp"
-#include "rms/factory.hpp"
 #include "rms/scenario.hpp"
 #include "support/result_equal.hpp"
 
@@ -102,52 +98,6 @@ INSTANTIATE_TEST_SUITE_P(Policies, ControlPlane,
                            });
                            return name;
                          });
-
-TEST(ControlPlaneReset, KnobResetMatchesFreshBuild) {
-  GridConfig first = aggregating_config();
-  GridConfig second = aggregating_config();
-  second.tuning.agg_fanout = 4;
-  second.tuning.agg_batch = 16;
-  second.tuning.agg_flush = 2.5;
-
-  GridSystem system(first, rms::scheduler_factory(first.rms));
-  system.run();
-  ASSERT_TRUE(system.reset_compatible(second));
-  system.reset(second);
-  const SimulationResult warm = system.run();
-
-  GridSystem fresh(second, rms::scheduler_factory(second.rms));
-  test::expect_same_result(fresh.run(), warm, {test::kFromCache});
-}
-
-TEST(ControlPlaneReset, CrossingTheDegenerateBoundaryBothWays) {
-  GridConfig degenerate = base_config();
-  degenerate.control_plane = true;
-  GridConfig aggregating = aggregating_config();
-
-  // Degenerate -> aggregating.
-  GridSystem system(degenerate, rms::scheduler_factory(degenerate.rms));
-  system.run();
-  ASSERT_TRUE(system.reset_compatible(aggregating));
-  system.reset(aggregating);
-  const SimulationResult warm_on = system.run();
-  GridSystem fresh_on(aggregating, rms::scheduler_factory(aggregating.rms));
-  test::expect_same_result(fresh_on.run(), warm_on, {test::kFromCache});
-
-  // Aggregating -> degenerate (must match plain control_plane=false too).
-  system.reset(degenerate);
-  const SimulationResult warm_off = system.run();
-  test::expect_same_result(Scenario(base_config()).run(), warm_off,
-                           {kBypassedDepth, test::kFromCache});
-}
-
-TEST(ControlPlaneReset, ControlPlaneFlagIsStructural) {
-  GridConfig off = base_config();
-  GridConfig on = base_config();
-  on.control_plane = true;
-  GridSystem system(off, rms::scheduler_factory(off.rms));
-  EXPECT_FALSE(system.reset_compatible(on));
-}
 
 TEST(ControlPlaneObs, HistogramsMatchManifestCounters) {
   obs::TelemetryConfig tc;

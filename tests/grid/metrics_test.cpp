@@ -101,27 +101,5 @@ TEST(MetricsCollector, ProtocolCounters) {
   EXPECT_EQ(m.snapshot().updates_suppressed, 1u);
 }
 
-TEST(MetricsCollector, ResetClearsEverythingButKeepsJobLog) {
-  JobLog log;
-  log.set_enabled(true);
-  MetricsCollector m;
-  m.attach_job_log(&log);
-  m.record_arrival(job_with(100.0, 0.0, 3.0));
-  m.record_completion(job_with(100.0, 10.0, 2.0), 29.0, 10.0, 0.5);
-  m.count_poll();
-  m.count_auction();
-
-  m.reset();
-  const MetricsSnapshot s = m.snapshot();
-  EXPECT_DOUBLE_EQ(s.useful_work, 0.0);
-  EXPECT_DOUBLE_EQ(s.control_overhead, 0.0);
-  EXPECT_EQ(s.jobs_arrived, 0u);
-  EXPECT_EQ(s.polls, 0u);
-  EXPECT_EQ(s.auctions, 0u);
-  EXPECT_EQ(m.response_times().count(), 0u);
-  // The attached log survives a reset (it belongs to the caller).
-  EXPECT_EQ(m.job_log(), &log);
-}
-
 }  // namespace
 }  // namespace scal::grid

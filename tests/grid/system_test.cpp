@@ -120,5 +120,37 @@ TEST(GridSystem, LinkDelayScaleAffectsPredictedDelay) {
               0.5 * a.network().predict_delay(n0, n1, 8.0), 1e-9);
 }
 
+TEST(GridSystem, RunsOverALentSiteLikeOverItsOwn) {
+  const GridConfig config = small_config();
+  Site site(config);
+  GridConfig other_kind = config;
+  other_kind.rms = RmsKind::kSymmetric;
+  other_kind.tuning.link_delay_scale = 0.5;
+  // Systems take turns on one site; each matches a private-site build.
+  for (const GridConfig& c : {config, other_kind, config}) {
+    GridSystem lent(site, c, rms::scheduler_factory(c.rms));
+    EXPECT_EQ(&lent.layout(), &site.layout());
+    const SimulationResult a = lent.run();
+    const SimulationResult b = Scenario(c).run();
+    EXPECT_EQ(a.F, b.F);
+    EXPECT_EQ(a.G(), b.G());
+    EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+    EXPECT_EQ(a.network_messages, b.network_messages);
+  }
+}
+
+TEST(GridSystem, RejectsASiteBuiltForOtherSiteFields) {
+  const GridConfig config = small_config();
+  Site site(config);
+  GridConfig seeded = config;
+  seeded.seed = 7;
+  EXPECT_THROW(GridSystem(site, seeded, rms::scheduler_factory(seeded.rms)),
+               std::invalid_argument);
+  GridConfig bigger = config;
+  bigger.topology.nodes = 100;
+  EXPECT_THROW(GridSystem(site, bigger, rms::scheduler_factory(bigger.rms)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace scal::grid

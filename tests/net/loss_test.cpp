@@ -14,7 +14,8 @@ Graph pair_graph() {
 TEST(NetworkLoss, DisabledByDefault) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   int delivered = 0;
   for (int i = 0; i < 100; ++i) {
     net.send_unreliable(0, 1, 1.0, [&] { ++delivered; });
@@ -27,7 +28,8 @@ TEST(NetworkLoss, DisabledByDefault) {
 TEST(NetworkLoss, DropRateMatchesProbability) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   net.set_loss(0.3, util::RandomStream(42, "loss"));
   int delivered = 0;
   const int n = 20000;
@@ -44,7 +46,8 @@ TEST(NetworkLoss, DropRateMatchesProbability) {
 TEST(NetworkLoss, ReliableSendIgnoresLoss) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   net.set_loss(0.9, util::RandomStream(1, "loss"));
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
@@ -59,7 +62,8 @@ TEST(NetworkLoss, DeterministicDropPattern) {
   auto run = [] {
     sim::Simulator sim;
     const Graph g = pair_graph();
-    Network net(sim, 0, g);
+    Router router(g);
+    Network net(sim, 0, router);
     net.set_loss(0.5, util::RandomStream(7, "loss"));
     std::vector<int> delivered_ids;
     for (int i = 0; i < 200; ++i) {
@@ -75,7 +79,8 @@ TEST(NetworkLoss, DeterministicDropPattern) {
 TEST(NetworkLoss, RejectsBadProbability) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   EXPECT_THROW(net.set_loss(1.0, util::RandomStream(1, "x")),
                std::invalid_argument);
   EXPECT_THROW(net.set_loss(-0.5, util::RandomStream(1, "x")),

@@ -14,7 +14,8 @@ Graph pair_graph() {
 TEST(Network, DeliversAfterRoutedDelay) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   double delivered_at = -1.0;
   net.send(0, 1, 20.0, [&] { delivered_at = sim.now(); });
   sim.run();
@@ -25,7 +26,8 @@ TEST(Network, DeliversAfterRoutedDelay) {
 TEST(Network, PredictMatchesDelivery) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   const double predicted = net.predict_delay(0, 1, 20.0);
   double delivered_at = -1.0;
   net.send(0, 1, 20.0, [&] { delivered_at = sim.now(); });
@@ -36,7 +38,8 @@ TEST(Network, PredictMatchesDelivery) {
 TEST(Network, SelfSendIsImmediateButAsync) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   bool delivered = false;
   net.send(1, 1, 5.0, [&] { delivered = true; });
   EXPECT_FALSE(delivered);  // still causal: goes through the event queue
@@ -48,7 +51,8 @@ TEST(Network, SelfSendIsImmediateButAsync) {
 TEST(Network, DelayScaleMultiplies) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   net.set_delay_scale(0.5);
   EXPECT_DOUBLE_EQ(net.predict_delay(0, 1, 20.0), 2.5);
   EXPECT_THROW(net.set_delay_scale(0.0), std::invalid_argument);
@@ -57,7 +61,8 @@ TEST(Network, DelayScaleMultiplies) {
 TEST(Network, CountsTraffic) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   net.send(0, 1, 2.0, [] {});
   net.send(1, 0, 3.0, [] {});
   EXPECT_EQ(net.messages_sent(), 2u);
@@ -67,7 +72,8 @@ TEST(Network, CountsTraffic) {
 TEST(Network, OrderingPreservedForEqualDelays) {
   sim::Simulator sim;
   const Graph g = pair_graph();
-  Network net(sim, 0, g);
+  Router router(g);
+  Network net(sim, 0, router);
   std::vector<int> order;
   net.send(0, 1, 10.0, [&] { order.push_back(1); });
   net.send(0, 1, 10.0, [&] { order.push_back(2); });

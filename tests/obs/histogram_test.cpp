@@ -119,14 +119,6 @@ TEST(Histogram, MergeWithEmptySidesIsIdentity) {
   EXPECT_EQ(empty.to_json(), before);
 }
 
-TEST(Histogram, ClearRestoresEmptyState) {
-  Histogram h;
-  h.record(1.0);
-  h.clear();
-  EXPECT_TRUE(h.empty());
-  EXPECT_EQ(h.to_json(), Histogram{}.to_json());
-}
-
 TEST(HistogramRegistry, FindOrCreateKeepsStableReferences) {
   HistogramRegistry reg;
   Histogram& a = reg.histogram("a");

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -17,72 +18,89 @@ EvalKey key(double a, double b, std::uint64_t d0 = 1, std::uint64_t d1 = 2) {
   return k;
 }
 
+/// The ready value stored for `k`, read through snapshot() so the
+/// probe leaves no claim behind.
+std::optional<int> stored(const EvalCache<int>& cache, const EvalKey& k) {
+  for (const auto& [entry_key, value] : cache.snapshot()) {
+    if (entry_key == k) return value;
+  }
+  return std::nullopt;
+}
+
 TEST(EvalCache, MissThenHit) {
   EvalCache<int> cache;
-  EXPECT_FALSE(cache.lookup(key(1.0, 2.0)).value.has_value());
-  cache.insert(key(1.0, 2.0), 42);
-  const auto probe = cache.lookup(key(1.0, 2.0));
-  ASSERT_TRUE(probe.value.has_value());
-  EXPECT_EQ(*probe.value, 42);
+  const auto miss = cache.acquire(key(1.0, 2.0));
+  EXPECT_TRUE(miss.owner);
+  EXPECT_FALSE(miss.value.has_value());
+  cache.fulfill(key(1.0, 2.0), 42);
+  const auto hit = cache.acquire(key(1.0, 2.0));
+  EXPECT_FALSE(hit.owner);
+  ASSERT_TRUE(hit.value.has_value());
+  EXPECT_EQ(*hit.value, 42);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(EvalCache, KeysAreExactNoTolerance) {
   EvalCache<int> cache;
-  cache.insert(key(1.0, 2.0), 1);
+  cache.fulfill(key(1.0, 2.0), 1);
   // The tiniest coordinate perturbation is a different key: caching must
   // never be an approximation.
-  EXPECT_FALSE(
-      cache.lookup(key(1.0 + 1e-15, 2.0)).value.has_value());
+  EXPECT_FALSE(stored(cache, key(1.0 + 1e-15, 2.0)).has_value());
   // Same point under a different configuration digest is also distinct.
-  EXPECT_FALSE(cache.lookup(key(1.0, 2.0, 9, 2)).value.has_value());
-  EXPECT_FALSE(cache.lookup(key(1.0, 2.0, 1, 9)).value.has_value());
-  EXPECT_TRUE(cache.lookup(key(1.0, 2.0)).value.has_value());
+  EXPECT_FALSE(stored(cache, key(1.0, 2.0, 9, 2)).has_value());
+  EXPECT_FALSE(stored(cache, key(1.0, 2.0, 1, 9)).has_value());
+  EXPECT_TRUE(cache.acquire(key(1.0 + 1e-15, 2.0)).owner);
+  cache.abandon(key(1.0 + 1e-15, 2.0));
+  EXPECT_EQ(stored(cache, key(1.0, 2.0)), 1);
 }
 
 TEST(EvalCache, FirstInsertWins) {
   EvalCache<int> cache;
-  cache.insert(key(3.0, 4.0), 10);
-  cache.insert(key(3.0, 4.0), 20);
-  EXPECT_EQ(*cache.lookup(key(3.0, 4.0)).value, 10);
+  cache.fulfill(key(3.0, 4.0), 10);
+  cache.fulfill(key(3.0, 4.0), 20);
+  EXPECT_EQ(*cache.acquire(key(3.0, 4.0)).value, 10);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(EvalCache, PriorEpochClassification) {
   EvalCache<int> cache;
   cache.begin_epoch();
-  cache.insert(key(1.0, 1.0), 1);
-  // Inserted this epoch: a hit, but not a prior-epoch one.
-  EXPECT_TRUE(cache.lookup(key(1.0, 1.0)).value.has_value());
-  EXPECT_FALSE(cache.lookup(key(1.0, 1.0)).prior_epoch);
+  cache.fulfill(key(1.0, 1.0), 1);
+  // Stored this epoch: a hit, but not a prior-epoch one.
+  const auto current = cache.acquire(key(1.0, 1.0));
+  EXPECT_TRUE(current.value.has_value());
+  EXPECT_FALSE(current.prior_epoch);
   // Absent keys are never prior-epoch.
-  EXPECT_FALSE(cache.lookup(key(2.0, 2.0)).prior_epoch);
+  EXPECT_FALSE(cache.acquire(key(2.0, 2.0)).prior_epoch);
+  cache.abandon(key(2.0, 2.0));
 
   cache.begin_epoch();
-  EXPECT_TRUE(cache.lookup(key(1.0, 1.0)).prior_epoch);
-  // Re-inserting must not reclassify the entry as current-epoch.
-  cache.insert(key(1.0, 1.0), 99);
-  EXPECT_TRUE(cache.lookup(key(1.0, 1.0)).prior_epoch);
-  EXPECT_EQ(*cache.lookup(key(1.0, 1.0)).value, 1);
+  EXPECT_TRUE(cache.acquire(key(1.0, 1.0)).prior_epoch);
+  // A second value must not reclassify the entry as current-epoch.
+  cache.fulfill(key(1.0, 1.0), 99);
+  const auto prior = cache.acquire(key(1.0, 1.0));
+  EXPECT_TRUE(prior.prior_epoch);
+  EXPECT_EQ(*prior.value, 1);
   // A genuinely new entry this epoch is not prior.
-  cache.insert(key(2.0, 2.0), 2);
-  EXPECT_FALSE(cache.lookup(key(2.0, 2.0)).prior_epoch);
+  cache.fulfill(key(2.0, 2.0), 2);
+  EXPECT_FALSE(cache.acquire(key(2.0, 2.0)).prior_epoch);
 }
 
 TEST(EvalCache, ClearResetsEverything) {
   EvalCache<int> cache;
   cache.begin_epoch();
-  cache.insert(key(1.0, 1.0), 1);
+  cache.fulfill(key(1.0, 1.0), 1);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.epoch(), 0u);
-  EXPECT_FALSE(cache.lookup(key(1.0, 1.0)).value.has_value());
+  EXPECT_TRUE(cache.snapshot().empty());
 }
 
 TEST(EvalCache, ConcurrentHammerStaysConsistent) {
-  // Many threads insert and look up an overlapping key set whose value
-  // is a pure function of the key — every successful lookup must return
-  // that function's value (first-evaluator-wins over identical values).
+  // Many threads acquire an overlapping key set whose value is a pure
+  // function of the key, fulfilling what they own — every hit must
+  // return that function's value (first-value-wins over identical
+  // values), and nothing is prior-epoch within the one tune.
   EvalCache<int> cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
@@ -94,12 +112,14 @@ TEST(EvalCache, ConcurrentHammerStaysConsistent) {
       for (int round = 0; round < kRounds; ++round) {
         const int i = (round * 7 + t * 3) % kKeys;
         const EvalKey k = key(static_cast<double>(i), 0.5);
-        const auto probe = cache.lookup(k);
-        if (probe.value) {
-          if (*probe.value != i * 10) ++bad_reads[static_cast<size_t>(t)];
-          if (probe.prior_epoch) ++bad_reads[static_cast<size_t>(t)];
+        const auto got = cache.acquire(k);
+        if (got.owner) {
+          cache.fulfill(k, i * 10);
         } else {
-          cache.insert(k, i * 10);
+          if (!got.value || *got.value != i * 10) {
+            ++bad_reads[static_cast<size_t>(t)];
+          }
+          if (got.prior_epoch) ++bad_reads[static_cast<size_t>(t)];
         }
       }
     });
@@ -107,11 +127,8 @@ TEST(EvalCache, ConcurrentHammerStaysConsistent) {
   for (std::thread& thread : threads) thread.join();
   for (const int bad : bad_reads) EXPECT_EQ(bad, 0);
   EXPECT_LE(cache.size(), static_cast<std::size_t>(kKeys));
-  for (int i = 0; i < kKeys; ++i) {
-    const auto probe = cache.lookup(key(static_cast<double>(i), 0.5));
-    if (probe.value) {
-      EXPECT_EQ(*probe.value, i * 10);
-    }
+  for (const auto& [k, value] : cache.snapshot()) {
+    EXPECT_EQ(value, static_cast<int>(k.point[0]) * 10);
   }
 }
 
@@ -131,8 +148,8 @@ TEST(EvalCacheAcquire, OwnerThenHit) {
 }
 
 TEST(EvalCacheAcquire, ClaimCarriesCurrentEpochStamp) {
-  // A claim must classify exactly like the insert it replaces: not
-  // prior-epoch within the claiming tune, prior-epoch in the next.
+  // A claim must classify exactly like a stored value: not prior-epoch
+  // within the claiming tune, prior-epoch in the next.
   EvalCache<int> cache;
   cache.begin_epoch();
   const auto claimed = cache.acquire(key(1.0, 1.0));
@@ -142,7 +159,6 @@ TEST(EvalCacheAcquire, ClaimCarriesCurrentEpochStamp) {
   EXPECT_FALSE(cache.acquire(key(1.0, 1.0)).prior_epoch);
   cache.begin_epoch();
   EXPECT_TRUE(cache.acquire(key(1.0, 1.0)).prior_epoch);
-  EXPECT_TRUE(cache.lookup(key(1.0, 1.0)).prior_epoch);
 }
 
 TEST(EvalCacheAcquire, AbandonLetsWaiterReclaim) {
@@ -161,18 +177,8 @@ TEST(EvalCacheAcquire, AbandonLetsWaiterReclaim) {
   cache.abandon(k);
   waiter.join();
   EXPECT_TRUE(reclaimed);
-  EXPECT_EQ(*cache.lookup(k).value, 11);
+  EXPECT_EQ(*cache.acquire(k).value, 11);
   EXPECT_GE(cache.in_flight_waits(), 1u);
-}
-
-TEST(EvalCacheAcquire, LookupNeverSeesInFlightClaims) {
-  // The non-blocking arm must treat a claim as a miss, not a value.
-  EvalCache<int> cache;
-  ASSERT_TRUE(cache.acquire(key(9.0, 9.0)).owner);
-  EXPECT_FALSE(cache.lookup(key(9.0, 9.0)).value.has_value());
-  // insert() fulfills the claim (the !cache_values arm writing through).
-  cache.insert(key(9.0, 9.0), 3);
-  EXPECT_EQ(*cache.lookup(key(9.0, 9.0)).value, 3);
 }
 
 TEST(EvalCacheAcquire, InFlightDedupHammer) {
@@ -220,16 +226,16 @@ TEST(EvalCachePersist, PreloadMarksEntriesFromDisk) {
   EXPECT_TRUE(got.prior_epoch);  // preloaded pre-epoch = warm for every tune
   EXPECT_EQ(cache.disk_hits(), 1u);
   // Preload is first-wins: it never clobbers a computed entry.
-  cache.insert(key(2.0, 2.0), 7);
+  cache.fulfill(key(2.0, 2.0), 7);
   cache.preload(key(2.0, 2.0), 8);
-  EXPECT_EQ(*cache.lookup(key(2.0, 2.0)).value, 7);
+  EXPECT_EQ(*cache.acquire(key(2.0, 2.0)).value, 7);
   EXPECT_EQ(cache.preloaded(), 1u);
 }
 
 TEST(EvalCachePersist, SnapshotSkipsInFlightClaims) {
   EvalCache<int> cache;
-  cache.insert(key(1.0, 1.0), 1);
-  cache.insert(key(2.0, 2.0), 2);
+  cache.fulfill(key(1.0, 1.0), 1);
+  cache.fulfill(key(2.0, 2.0), 2);
   ASSERT_TRUE(cache.acquire(key(3.0, 3.0)).owner);  // never fulfilled
   const auto entries = cache.snapshot();
   EXPECT_EQ(entries.size(), 2u);

@@ -2,18 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/tree_cache.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/scenario.hpp"
 #include "util/log.hpp"
+#include "workload/arrival_cache.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
 #include "support/result_equal.hpp"
@@ -45,7 +48,7 @@ TEST(SimulationSession, ReusesSystemAcrossTuningChanges) {
                            {test::kFromCache});
   test::expect_same_result(session.run(base), Scenario(base).run(),
                            {test::kFromCache});
-  // Three runs, one construction: the tuning-only changes were resets.
+  // Three runs, one site: the tuning-only changes keep the site key.
   EXPECT_EQ(session.rebuilds(), 1u);
 }
 
@@ -59,7 +62,7 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
   test::expect_same_result(session.run(bigger), Scenario(bigger).run(),
                            {test::kFromCache});
   EXPECT_EQ(session.rebuilds(), 2u);
-  // And the bigger system is itself reusable from here on.
+  // And the bigger site is itself reused from here on.
   grid::GridConfig bigger_tuned = bigger;
   bigger_tuned.tuning.link_delay_scale = 1.4;
   test::expect_same_result(session.run(bigger_tuned),
@@ -68,37 +71,37 @@ TEST(SimulationSession, RebuildsOnStructuralChange) {
 }
 
 TEST(SimulationSession, TreeSharingIsResultInvisible) {
-  // Sessions opt their systems into the shared router-tree cache by
-  // default; the results must be bit-identical to a sharing-off session
-  // and to the one-shot Scenario::run path.
+  // Session sites opt into the shared router-tree cache; the results
+  // must be bit-identical to the one-shot Scenario::run path, whose
+  // private site does not share, and to a second session adopting the
+  // first one's trees.
   net::SharedTreeCache::instance().clear();
   const grid::GridConfig config = small_config();
 
-  SimulationSession sharing;
-  ASSERT_TRUE(sharing.tree_sharing());
-  const auto with = sharing.run(config);
-
-  SimulationSession isolated;
-  isolated.set_tree_sharing(false);
-  const auto without = isolated.run(config);
-
-  test::expect_same_result(with, without, {test::kFromCache});
-  test::expect_same_result(with, Scenario(config).run(), {test::kFromCache});
+  SimulationSession first;
+  const auto settled = first.run(config);
   // The sharing session really published trees for others to adopt.
   EXPECT_GT(net::SharedTreeCache::instance().publishes(), 0u);
+  SimulationSession second;
+  const auto adopted = second.run(config);
+  EXPECT_GT(net::SharedTreeCache::instance().shares(), 0u);
+
+  test::expect_same_result(settled, adopted, {test::kFromCache});
+  test::expect_same_result(settled, Scenario(config).run(),
+                           {test::kFromCache});
   net::SharedTreeCache::instance().clear();
 }
 
 TEST(SimulationSession, TelemetryKeepsSharingOff) {
   // Adopted trees would skew the profiler's net.route scope counts, so
-  // an instrumented run must never share (manifests stay byte-stable).
+  // an instrumented run gets a private site that never shares
+  // (manifests stay byte-stable).
   net::SharedTreeCache::instance().clear();
   grid::GridConfig config = small_config();
   obs::Telemetry telemetry{{}};
   config.telemetry = &telemetry;
 
   SimulationSession session;
-  ASSERT_TRUE(session.tree_sharing());
   (void)session.run(config);
   EXPECT_EQ(net::SharedTreeCache::instance().publishes(), 0u);
   EXPECT_EQ(net::SharedTreeCache::instance().size(), 0u);
@@ -131,9 +134,9 @@ grid::GridConfig bad_trace_config(const std::string& path) {
 }
 
 TEST(SimulationSession, ThrowingRunForcesRebuild) {
-  // A malformed row throws out of an event.  The session must drop that
-  // half-run system: the next call rebuilds and reports the trace error
-  // again, instead of failing to reset a kernel stuck "during run".
+  // A malformed row throws out of an event.  The half-run system dies
+  // with the call, so the next call builds a new system over the same
+  // site and reports the trace error again; the site is never rebuilt.
   const std::string path =
       ::testing::TempDir() + "/scal_session_bad_trace.csv";
   const grid::GridConfig config = bad_trace_config(path);
@@ -147,13 +150,13 @@ TEST(SimulationSession, ThrowingRunForcesRebuild) {
       EXPECT_NE(std::string(e.what()).find("line 102"), std::string::npos)
           << e.what();
     }
-    EXPECT_EQ(session.rebuilds(), attempt);
+    EXPECT_EQ(session.rebuilds(), 1u);
   }
-  // And the session is still good for a valid config.
+  // And the session is still good for a valid config on the same site.
   test::expect_same_result(session.run(small_config()),
                            Scenario(small_config()).run(),
                            {test::kFromCache});
-  EXPECT_EQ(session.rebuilds(), 3u);
+  EXPECT_EQ(session.rebuilds(), 1u);
   std::remove(path.c_str());
 }
 
@@ -178,6 +181,93 @@ TEST(SimulationSession, ThrowingInstrumentedRunDetachesLogClock) {
   EXPECT_EQ(captured.str().find("t="), std::string::npos) << captured.str();
   std::remove(path.c_str());
 }
+
+// The paper's seven kinds plus HIER and RANDOM.
+constexpr grid::RmsKind kEveryRmsKind[] = {
+    grid::RmsKind::kCentral,          grid::RmsKind::kLowest,
+    grid::RmsKind::kReserve,          grid::RmsKind::kAuction,
+    grid::RmsKind::kSenderInitiated,  grid::RmsKind::kReceiverInitiated,
+    grid::RmsKind::kSymmetric,        grid::RmsKind::kHierarchical,
+    grid::RmsKind::kRandom,
+};
+
+TEST(SimulationSession, EveryKindOnOneTopologySharesOneSite) {
+  SimulationSession session;
+  for (const grid::RmsKind kind : kEveryRmsKind) {
+    grid::GridConfig config = small_config();
+    config.rms = kind;
+    SCOPED_TRACE(grid::to_string(kind));
+    test::expect_same_result(session.run(config), Scenario(config).run(),
+                             {test::kFromCache});
+  }
+  EXPECT_EQ(session.rebuilds(), 1u);
+}
+
+// One session per cell of kind x faults x control plane x result mode
+// runs a tuner-like sequence over one site; every run must equal a
+// fresh Scenario build of its config.
+using Cell = std::tuple<grid::RmsKind, bool, bool, bool>;
+
+class SessionEquivalence : public ::testing::TestWithParam<Cell> {};
+
+TEST_P(SessionEquivalence, EveryRunMatchesAFreshBuild) {
+  const auto [kind, faults, control_plane, streaming] = GetParam();
+  grid::GridConfig base = small_config();
+  base.rms = kind;
+  if (faults) {
+    base.faults = fault::FaultPlan::parse(
+        "churn:mtbf=150,mttr=20;net:drop=0.05,delayp=0.1,delaym=2");
+  }
+  base.control_plane = control_plane;
+  base.tuning.agg_fanout = 2;
+  base.tuning.agg_batch = 8;
+  base.tuning.agg_flush = 6.0;
+  if (streaming) base.result_mode = grid::ResultMode::kStreaming;
+
+  grid::GridConfig retuned = base;
+  retuned.tuning.update_interval = 35.0;
+  retuned.tuning.neighborhood_size = 2;
+  retuned.tuning.link_delay_scale = 1.5;
+  retuned.tuning.agg_fanout = 4;
+  retuned.tuning.agg_batch = 16;
+  retuned.tuning.agg_flush = 2.5;
+  grid::GridConfig rates = retuned;
+  rates.service_rate *= 2.0;
+  rates.workload.mean_interarrival /= 2.0;
+  grid::GridConfig mixed = rates;
+  mixed.heterogeneity = 0.4;
+
+  // Both runs of a pair start from an empty arrival cache, so the
+  // process-wide counts they report (store skips, provenance) agree.
+  auto cold = [] { workload::ArrivalCache::instance().clear(); };
+  SimulationSession session;
+  int step = 0;
+  for (const grid::GridConfig& config :
+       {base, retuned, rates, mixed, base}) {
+    SCOPED_TRACE("step " + std::to_string(step++));
+    cold();
+    const grid::SimulationResult fresh = Scenario(config).run();
+    cold();
+    test::expect_same_result(session.run(config), fresh);
+  }
+  EXPECT_EQ(session.rebuilds(), 1u);
+  cold();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SessionEquivalence,
+    ::testing::Combine(::testing::ValuesIn(kEveryRmsKind), ::testing::Bool(),
+                       ::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<Cell>& info) {
+      std::string name;
+      for (const char c : grid::to_string(std::get<0>(info.param))) {
+        name += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
+      }
+      name += std::get<1>(info.param) ? "_faults" : "_nofaults";
+      name += std::get<2>(info.param) ? "_ctrl" : "_noctrl";
+      name += std::get<3>(info.param) ? "_streaming" : "_full";
+      return name;
+    });
 
 TEST(SessionPool, SlotsAreLazyAndStable) {
   SessionPool pool;

@@ -208,60 +208,9 @@ TEST(EventQueue, PeekTimeMatchesNextTime) {
   EXPECT_DOUBLE_EQ(q.peek_time(), 1.5);
 }
 
-TEST(EventQueue, ClearMatchesFreshQueue) {
-  // clear() must leave the queue indistinguishable from a new one: same
-  // slot handout order and same seq tie-breaking, so a reset simulation
-  // replays bit-identically on a recycled arena.
-  EventQueue used;
-  for (int i = 0; i < 8; ++i) used.push(static_cast<double>(i), [] {});
-  used.pop();
-  used.pop();
-  used.clear();
-  EXPECT_TRUE(used.empty());
-  EXPECT_EQ(used.total_pushed(), 0u);
-
-  EventQueue fresh;
-  std::vector<int> fired_used;
-  std::vector<int> fired_fresh;
-  auto feed = [](EventQueue& q, std::vector<int>& fired) {
-    for (int i = 0; i < 6; ++i) {
-      q.push(3.0, [&fired, i] { fired.push_back(i); });
-    }
-    while (!q.empty()) q.pop().fn();
-  };
-  feed(used, fired_used);
-  feed(fresh, fired_fresh);
-  EXPECT_EQ(fired_used, fired_fresh);
-}
-
-TEST(EventQueue, ClearInvalidatesLiveIds) {
-  EventQueue q;
-  const EventId stale = q.push(1.0, [] {});
-  q.clear();
-  EXPECT_FALSE(q.cancel(stale));
-  bool fired = false;
-  q.push(2.0, [&] { fired = true; });
-  // The recycled slot's new id must work even though the stale one is dead.
-  EXPECT_FALSE(q.cancel(stale));
-  EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
-  EXPECT_TRUE(fired);
-}
-
-TEST(EventQueue, ClearReleasesCallables) {
-  auto token = std::make_shared<int>(7);
-  std::weak_ptr<int> weak = token;
-  EventQueue q;
-  q.push(1.0, [token] {});
-  token.reset();
-  EXPECT_FALSE(weak.expired());
-  q.clear();
-  EXPECT_TRUE(weak.expired());
-}
-
 // ---------------------------------------------------------------------
 // Differential test: a seeded random sequence of push / cancel / pop /
-// fire / clear operations checked against a reference that shares no
+// fire operations checked against a reference that shares no
 // code with the kernel — a std::map ordered by (time, insertion seq).
 // Times come from a coarse grid so ties are common, plus the awkward
 // doubles: -0.0 next to +0.0, subnormals, values around 2^60, +-inf and
@@ -319,8 +268,7 @@ struct Issued {
 // every observable; returns the popped (time, tag) sequence.
 std::vector<std::pair<double, int>> run_differential(EventQueue& q,
                                                      std::uint64_t seed,
-                                                     std::size_t ops,
-                                                     bool allow_clear) {
+                                                     std::size_t ops) {
   const std::vector<double> times = awkward_times();
   SplitMix rng(seed);
   Reference ref;
@@ -350,11 +298,7 @@ std::vector<std::pair<double, int>> run_differential(EventQueue& q,
     // Alternating phases of 10k operations grow the queue to ~2,500
     // events and drain it back to a few dozen.
     const bool up = ref.live.size() < 64 || (op / 10000) % 2 == 0;
-    if (allow_clear && roll == 999 && rng.below(20) == 0) {
-      q.clear();
-      ref = Reference{};
-      EXPECT_EQ(q.total_pushed(), 0u);
-    } else if (roll < (up ? 550u : 250u)) {
+    if (roll < (up ? 550u : 250u)) {
       const double at = times[rng.below(times.size())];
       const int tag = next_tag++;
       const EventId id = q.push(at, [&fired, tag] { fired = tag; });
@@ -382,8 +326,8 @@ std::vector<std::pair<double, int>> run_differential(EventQueue& q,
       EXPECT_EQ(fired, expect.second);
       popped.emplace_back(at, fired);
     } else if (roll < 960) {
-      // Cancel an issued id: pending ones succeed, stale ones (fired,
-      // cancelled, or from before a clear()) are rejected.
+      // Cancel an issued id: pending ones succeed, stale ones (fired or
+      // cancelled) are rejected.
       if (issued.empty()) continue;
       const Issued& pick = issued[rng.below(issued.size())];
       const auto it = ref.live.find(pick.key);
@@ -419,21 +363,8 @@ std::vector<std::pair<double, int>> run_differential(EventQueue& q,
 
 TEST(EventQueueDifferential, MatchesOrderedMapReference) {
   EventQueue q;
-  const auto popped = run_differential(q, 20240611, 150000, true);
+  const auto popped = run_differential(q, 20240611, 150000);
   EXPECT_GT(popped.size(), 30000u);
-}
-
-TEST(EventQueueDifferential, ClearedQueueReplaysLikeFresh) {
-  EventQueue used;
-  run_differential(used, 7, 40000, false);
-  for (int i = 0; i < 100; ++i) used.push(1.0 * i, [] {});
-  const EventId stale = used.push(0.0, [] {});
-  used.clear();
-  EXPECT_FALSE(used.cancel(stale));
-  EventQueue fresh;
-  const auto a = run_differential(used, 99, 60000, false);
-  const auto b = run_differential(fresh, 99, 60000, false);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

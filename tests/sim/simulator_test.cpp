@@ -112,69 +112,10 @@ TEST(Simulator, SimultaneousEventsRunInScheduleOrder) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(Simulator, ResetRewindsToFreshState) {
-  Simulator sim;
-  bool stale_fired = false;
-  sim.schedule_in(2.0, [] {});
-  sim.schedule_in(50.0, [&] { stale_fired = true; });
-  sim.run(10.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-
-  sim.reset();
-  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
-  EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.dispatched_events(), 0u);
-
-  // The rerun replays like a fresh kernel: clock restarts from zero,
-  // pre-reset events are gone, tie order matches schedule order.
-  std::vector<Time> seen;
-  sim.schedule_in(5.0, [&] { seen.push_back(sim.now()); });
-  sim.schedule_in(2.0, [&] { seen.push_back(sim.now()); });
-  sim.run();
-  EXPECT_EQ(seen, (std::vector<Time>{2.0, 5.0}));
-  EXPECT_FALSE(stale_fired);
-  EXPECT_EQ(sim.dispatched_events(), 2u);
-}
-
-TEST(Simulator, ResetDetachesDispatchObserver) {
-  Simulator sim;
-  int ticks = 0;
-  sim.set_dispatch_observer(1, [&](Time, std::uint64_t, std::size_t) {
-    ++ticks;
-  });
-  sim.schedule_in(1.0, [] {});
-  sim.run();
-  EXPECT_EQ(ticks, 1);
-  sim.reset();
-  sim.schedule_in(1.0, [] {});
-  sim.run();
-  EXPECT_EQ(ticks, 1);
-}
-
-TEST(Simulator, ResetDuringRunThrows) {
-  Simulator sim;
-  sim.schedule_in(1.0, [&] { EXPECT_THROW(sim.reset(), std::logic_error); });
-  sim.run();
-}
-
-TEST(Simulator, ThrowingEventLeavesKernelResettable) {
+TEST(Simulator, ThrowingEventLeavesKernelRunnable) {
   // An exception out of an event unwinds run(); the kernel must not stay
   // "running", and the in-flight event's slot must be released, so a
-  // reset() plus a second run dispatches exactly like a fresh simulator.
-  auto record = [](Simulator& sim, std::vector<std::pair<Time, int>>& log) {
-    for (int i = 0; i < 40; ++i) {
-      sim.schedule_at(static_cast<Time>(i % 7), [&sim, &log, i] {
-        log.emplace_back(sim.now(), i);
-        if (i % 5 == 0) {
-          sim.schedule_in(0.5, [&sim, &log, i] {
-            log.emplace_back(sim.now(), 100 + i);
-          });
-        }
-      });
-    }
-    return sim.run();
-  };
-
+  // second run() carries on with the events still pending.
   Simulator sim;
   auto token = std::make_shared<int>(1);
   std::weak_ptr<int> watch = token;
@@ -187,15 +128,13 @@ TEST(Simulator, ThrowingEventLeavesKernelResettable) {
   EXPECT_EQ(sim.dispatched_events(), 1u);
   EXPECT_EQ(sim.pending_events(), 1u);
 
-  sim.reset();
-  std::vector<std::pair<Time, int>> reused;
-  const std::uint64_t reused_count = record(sim, reused);
-
-  Simulator fresh;
-  std::vector<std::pair<Time, int>> expected;
-  EXPECT_EQ(reused_count, record(fresh, expected));
-  EXPECT_EQ(reused, expected);
-  EXPECT_EQ(sim.dispatched_events(), fresh.dispatched_events());
+  std::vector<Time> seen;
+  sim.schedule_in(0.5, [&] { seen.push_back(sim.now()); });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(seen, (std::vector<Time>{2.5}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.dispatched_events(), 3u);
 }
 
 TEST(Simulator, EventCannotCancelItselfWhileRunning) {

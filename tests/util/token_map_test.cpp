@@ -74,14 +74,6 @@ TEST(TokenMap, EraseByIteratorReturnsNext) {
   EXPECT_EQ(m.size(), 2u);
 }
 
-TEST(TokenMap, ClearEmpties) {
-  TokenMap<std::uint64_t, int> m;
-  m.emplace(1, 1);
-  m.clear();
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.find(1), m.end());
-}
-
 TEST(TokenMap, MovableOnlyValues) {
   TokenMap<std::uint64_t, std::unique_ptr<int>> m;
   m.emplace(4, std::make_unique<int>(42));

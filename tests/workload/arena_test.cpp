@@ -97,18 +97,5 @@ TEST(JobArena, ForeignReleaseThrows) {
   other.release(foreign);
 }
 
-TEST(JobArena, ClearWhileHeldThrows) {
-  JobArena arena;
-  Job* slot = arena.acquire();
-  EXPECT_THROW(arena.clear(), std::logic_error);
-  arena.release(slot);
-  arena.clear();
-  EXPECT_EQ(arena.slots(), 0u);
-  // A cleared arena starts over.
-  Job* fresh = arena.acquire();
-  EXPECT_EQ(arena.slots(), 1u);
-  arena.release(fresh);
-}
-
 }  // namespace
 }  // namespace scal::workload
