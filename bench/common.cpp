@@ -5,6 +5,8 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "exec/thread_pool.hpp"
 #include "rms/scenario.hpp"
@@ -24,6 +26,17 @@ namespace {
 
 std::uint64_t bench_seed() {
   return static_cast<std::uint64_t>(util::env_int("SCAL_BENCH_SEED", 42));
+}
+
+/// SCAL_BENCH_EVALS, or `fallback` when unset; a negative budget is an
+/// error rather than a wrapped, endless one.
+std::size_t bench_evals(std::int64_t fallback) {
+  const std::int64_t evals = util::env_int("SCAL_BENCH_EVALS", fallback);
+  if (evals < 0) {
+    throw std::invalid_argument("SCAL_BENCH_EVALS must be >= 0, got " +
+                                std::to_string(evals));
+  }
+  return static_cast<std::size_t>(evals);
 }
 
 grid::GridConfig common_base() {
@@ -103,13 +116,11 @@ core::ProcedureConfig procedure_for(core::ScalingCase scase) {
   procedure.scase = std::move(scase);
   if (fast_mode()) {
     procedure.scale_factors = {1, 2, 3};
-    procedure.tuner.evaluations =
-        static_cast<std::size_t>(util::env_int("SCAL_BENCH_EVALS", 4));
+    procedure.tuner.evaluations = bench_evals(4);
     procedure.warm_evaluations = 3;
   } else {
     procedure.scale_factors = {1, 2, 3, 4, 5, 6};
-    procedure.tuner.evaluations =
-        static_cast<std::size_t>(util::env_int("SCAL_BENCH_EVALS", 24));
+    procedure.tuner.evaluations = bench_evals(24);
     procedure.warm_evaluations = 12;
   }
   // Band widths are per case: the cases whose workload scales against a

@@ -187,14 +187,14 @@ Sample routing_queries() {
 /// one topology through the process-wide SharedTreeCache — the
 /// SessionPool shape, where sibling slots route over identical graphs.
 /// The first router settles and publishes each source tree; the other
-/// seven adopt the snapshots instead of re-running Dijkstra, so the
-/// gated ns/query tracks the sharing layer's whole win + overhead.
+/// seven adopt the trees instead of re-running Dijkstra, so the gated
+/// ns/query tracks the sharing layer's whole win + overhead (each
+/// router's graph digest included, as each session site pays it).
 Sample shared_tree_sweep() {
   net::TopologyConfig tc;
   tc.nodes = 250;
   util::RandomStream rng(42, "perf-smoke-topology");
   const net::Graph graph = net::generate_topology(tc, rng);
-  const auto key = net::graph_digest(graph);
   constexpr std::size_t kRouters = 8;
   Sample sample = timed("shared_tree_sweep", 9, [&] {
     // Each rep starts from an empty shared cache so the publish cost is
@@ -203,7 +203,7 @@ Sample shared_tree_sweep() {
     std::uint64_t queries = 0;
     for (std::size_t r = 0; r < kRouters; ++r) {
       net::Router router(graph);
-      router.enable_tree_sharing(key);
+      router.share_trees();
       for (std::size_t src = 0; src < tc.nodes; src += 5) {
         for (std::size_t dst = 0; dst < tc.nodes; dst += 7) {
           if (src == dst) continue;

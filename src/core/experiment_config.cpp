@@ -2,10 +2,12 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
+#include <utility>
 
 namespace scal::core {
 
@@ -83,6 +85,22 @@ double scale_factor(const std::string& cell) {
   return v;
 }
 
+/// An integer key that counts something: it must be >= 0 and fit `T`,
+/// so a negative or oversized value is an error rather than a wrapped
+/// count.
+template <class T>
+T get_count(const util::IniFile& ini, const std::string& key, T fallback) {
+  const std::int64_t v =
+      ini.get_int(key, static_cast<std::int64_t>(fallback));
+  if (!std::in_range<T>(v)) {
+    throw std::runtime_error(
+        "experiment config: " + key + " = " + std::to_string(v) +
+        " is not in [0, " +
+        std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(v);
+}
+
 /// The complete key vocabulary, used to reject typos.
 const std::set<std::string>& known_keys() {
   static const std::set<std::string> keys = {
@@ -120,16 +138,13 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
 
   ExperimentConfig config;
   grid::GridConfig& g = config.grid;
-  g.topology.nodes = static_cast<std::size_t>(
-      ini.get_int("grid.nodes", static_cast<std::int64_t>(g.topology.nodes)));
+  g.topology.nodes = get_count(ini, "grid.nodes", g.topology.nodes);
   if (const auto topo = ini.get("grid.topology")) {
     g.topology.kind = topology_from_name(*topo);
   }
-  g.cluster_size = static_cast<std::size_t>(ini.get_int(
-      "grid.cluster_size", static_cast<std::int64_t>(g.cluster_size)));
-  g.estimators_per_cluster = static_cast<std::size_t>(
-      ini.get_int("grid.estimators_per_cluster",
-                  static_cast<std::int64_t>(g.estimators_per_cluster)));
+  g.cluster_size = get_count(ini, "grid.cluster_size", g.cluster_size);
+  g.estimators_per_cluster = get_count(ini, "grid.estimators_per_cluster",
+                                       g.estimators_per_cluster);
   g.service_rate = ini.get_double("grid.service_rate", g.service_rate);
   if (const auto rms = ini.get("grid.rms")) {
     g.rms = grid::rms_from_string(*rms);
@@ -147,9 +162,8 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   g.control_loss_probability = ini.get_double(
       "grid.control_loss_probability", g.control_loss_probability);
   g.job_log = ini.get_bool("grid.job_log", g.job_log);
-  g.job_log_capacity = static_cast<std::size_t>(
-      ini.get_int("grid.job_log_capacity",
-                  static_cast<std::int64_t>(g.job_log_capacity)));
+  g.job_log_capacity =
+      get_count(ini, "grid.job_log_capacity", g.job_log_capacity);
   if (const auto mode = ini.get("grid.result_mode")) {
     g.result_mode = grid::result_mode_from_string(*mode);
   }
@@ -170,9 +184,8 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   auto& t = g.tuning;
   t.update_interval =
       ini.get_double("tuning.update_interval", t.update_interval);
-  t.neighborhood_size = static_cast<std::uint32_t>(
-      ini.get_int("tuning.neighborhood_size",
-                  static_cast<std::int64_t>(t.neighborhood_size)));
+  t.neighborhood_size =
+      get_count(ini, "tuning.neighborhood_size", t.neighborhood_size);
   t.link_delay_scale =
       ini.get_double("tuning.link_delay_scale", t.link_delay_scale);
   t.volunteer_interval =
@@ -192,15 +205,13 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   }
   p.chain_warm_start =
       ini.get_bool("procedure.chain_warm_start", p.chain_warm_start);
-  p.warm_evaluations = static_cast<std::size_t>(
-      ini.get_int("procedure.warm_evaluations",
-                  static_cast<std::int64_t>(p.warm_evaluations)));
+  p.warm_evaluations =
+      get_count(ini, "procedure.warm_evaluations", p.warm_evaluations);
   p.tuner.e0 = ini.get_double("tuner.e0", p.tuner.e0);
   p.tuner.band = ini.get_double("tuner.band", p.tuner.band);
-  p.tuner.evaluations = static_cast<std::size_t>(ini.get_int(
-      "tuner.evaluations", static_cast<std::int64_t>(p.tuner.evaluations)));
-  p.tuner.restarts = static_cast<std::size_t>(ini.get_int(
-      "tuner.restarts", static_cast<std::int64_t>(p.tuner.restarts)));
+  p.tuner.evaluations =
+      get_count(ini, "tuner.evaluations", p.tuner.evaluations);
+  p.tuner.restarts = get_count(ini, "tuner.restarts", p.tuner.restarts);
   p.tuner.penalty_weight =
       ini.get_double("tuner.penalty_weight", p.tuner.penalty_weight);
   p.tuner.seed = static_cast<std::uint64_t>(ini.get_int(

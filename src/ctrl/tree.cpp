@@ -1,7 +1,6 @@
 #include "ctrl/tree.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace scal::ctrl {
@@ -32,8 +31,9 @@ AggregationTree build_tree(const net::Router& router, net::NodeId root,
   tree.root = root;
 
   // Order members by routed latency from the root (ties by node id so
-  // the order is total).  Unreachable members sort last — the grid's
-  // graphs are connected, but the tree must stay well-defined anyway.
+  // the order is total).  Unreachable members (latency +inf) sort last —
+  // the grid's graphs are connected, but the tree must stay well-defined
+  // anyway.
   struct Keyed {
     double latency;
     net::NodeId node;
@@ -41,11 +41,7 @@ AggregationTree build_tree(const net::Router& router, net::NodeId root,
   std::vector<Keyed> keyed;
   keyed.reserve(members.size());
   for (const net::NodeId m : members) {
-    const net::RouteInfo info = router.route(root, m);
-    keyed.push_back({info.reachable
-                         ? info.latency
-                         : std::numeric_limits<double>::infinity(),
-                     m});
+    keyed.push_back({router.route(root, m).latency, m});
   }
   std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
     if (a.latency != b.latency) return a.latency < b.latency;

@@ -59,7 +59,9 @@ void GridConfig::validate() const {
     throw std::invalid_argument("GridConfig: horizon must be positive");
   }
   if (!(tuning.update_interval > 0.0) || tuning.neighborhood_size == 0 ||
-      !(tuning.link_delay_scale > 0.0) || !(tuning.volunteer_interval > 0.0)) {
+      !(tuning.link_delay_scale > 0.0) ||
+      !std::isfinite(tuning.link_delay_scale) ||
+      !(tuning.volunteer_interval > 0.0)) {
     throw std::invalid_argument("GridConfig: bad tuning values");
   }
   const auto check_periods = [this](double interval, const char* field) {

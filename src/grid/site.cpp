@@ -2,7 +2,6 @@
 
 #include "grid/digest.hpp"
 #include "net/topology.hpp"
-#include "net/tree_cache.hpp"
 
 namespace scal::grid {
 
@@ -27,10 +26,6 @@ Site::Site(const GridConfig& config)
       middleware_node_ = v;
     }
   }
-}
-
-void Site::share_trees() {
-  router_.enable_tree_sharing(net::graph_digest(graph_));
 }
 
 }  // namespace scal::grid

@@ -43,14 +43,9 @@ class Site {
   const ClusterLayout& layout() const noexcept { return layout_; }
   /// The globally best-connected node, where the middleware lives.
   net::NodeId middleware_node() const noexcept { return middleware_node_; }
+  /// The router over graph(); net::Router::share_trees opts it into the
+  /// process-wide net::SharedTreeCache.
   net::Router& router() noexcept { return router_; }
-
-  /// Opt the router into the process-wide net::SharedTreeCache: sites
-  /// over the same graph settle each source tree once per process.
-  /// Routes are bit-identical either way, but the phase profiler's
-  /// net.route scope counts drop for queries a shared tree answers, so
-  /// instrumented runs use a site that does not share.
-  void share_trees();
 
  private:
   Key key_;

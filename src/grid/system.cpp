@@ -171,7 +171,7 @@ void GridSystem::setup_control_plane() {
     ctrl_trees_[c].reserve(cluster.estimator_nodes.size());
     for (std::size_t e = 0; e < cluster.estimator_nodes.size(); ++e) {
       ControlTree ct;
-      ct.tree = ctrl::build_tree(network_->router(), cluster.estimator_nodes[e],
+      ct.tree = ctrl::build_tree(site_->router(), cluster.estimator_nodes[e],
                                  cluster.resource_nodes,
                                  config_.tuning.agg_fanout);
       // Map each resource to the member hosting its node (first-fit so
@@ -355,7 +355,7 @@ void GridSystem::setup_telemetry() {
     for (auto& cluster : estimators_) {
       for (auto& est : cluster) est->attach_profiler(profiler_, est_update);
     }
-    network_->attach_profiler(profiler_, net_route);
+    site_->router().attach_profiler(profiler_, net_route);
 
     // Distribution probes: registration order fixes the manifest layout.
     obs::HistogramRegistry& h = telemetry.histograms();
@@ -562,7 +562,7 @@ void GridSystem::finish_telemetry(const SimulationResult& result) {
 
 GridSystem::~GridSystem() {
   // A lent site outlives this system; leave its router uninstrumented.
-  if (profiler_ != nullptr) network_->attach_profiler(nullptr, 0);
+  if (profiler_ != nullptr) site_->router().attach_profiler(nullptr, 0);
 }
 
 Resource& GridSystem::resource(ClusterId cluster, ResourceIndex index) {

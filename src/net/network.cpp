@@ -1,18 +1,19 @@
 #include "net/network.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace scal::net {
 
 void Network::set_delay_scale(double scale) {
-  if (!(scale > 0.0)) {
-    throw std::invalid_argument("Network: delay scale must be positive");
+  if (!(scale > 0.0) || !std::isfinite(scale)) {
+    throw std::invalid_argument(
+        "Network: delay scale must be positive and finite");
   }
   delay_scale_ = scale;
 }
 
 double Network::predict_delay(NodeId src, NodeId dst, double size) const {
-  if (src == dst) return 0.0;
   return delay_scale_ * router_.delay(src, dst, size);
 }
 

@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "net/routing.hpp"
-#include "obs/phase_profiler.hpp"
 #include "sim/entity.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +34,7 @@ class Network : public sim::Entity {
   /// Routes over `router`, which must outlive the fabric.  The router is
   /// borrowed so its settled trees survive the fabric: a grid::Site
   /// lends one router to every system built over it.
-  Network(sim::Simulator& sim, sim::EntityId id, Router& router)
+  Network(sim::Simulator& sim, sim::EntityId id, const Router& router)
       : Entity(sim, id, "network"), router_(router) {}
 
   /// Deliver `on_arrival` after the routed delay for a message of `size`
@@ -66,25 +65,15 @@ class Network : public sim::Entity {
   /// One-way delay this fabric would charge right now.
   double predict_delay(NodeId src, NodeId dst, double size) const;
 
+  /// Throws unless 0 < scale < +inf.
   void set_delay_scale(double scale);
   double delay_scale() const noexcept { return delay_scale_; }
-
-  const Router& router() const noexcept { return router_; }
-
-  /// Attach the (optional) phase profiler: forwarded to the router, so
-  /// the phase times shortest-path settling work (not per-message
-  /// bookkeeping — warm route lookups are a few ns and would drown in
-  /// timer overhead).  Purely observational; null detaches.
-  void attach_profiler(obs::PhaseProfiler* profiler,
-                       obs::PhaseId route_phase) noexcept {
-    router_.attach_profiler(profiler, route_phase);
-  }
 
   std::uint64_t messages_sent() const noexcept { return messages_; }
   double bytes_sent() const noexcept { return bytes_; }
 
  private:
-  Router& router_;
+  const Router& router_;
   double delay_scale_ = 1.0;
   std::uint64_t messages_ = 0;
   double bytes_ = 0.0;

@@ -2,111 +2,66 @@
 
 #include <algorithm>
 #include <functional>
-#include <limits>
 #include <stdexcept>
 
 #include "net/tree_cache.hpp"
 
 namespace scal::net {
 
-void Router::ensure_slots() const {
-  const std::size_t n = graph_->node_count();
-  if (cache_.size() != n) cache_.resize(n);
-  if (sharing_ && shared_.size() != n) shared_.resize(n);
+void Router::share_trees() {
+  sharing_ = true;
+  topology_key_ = graph_digest(*graph_);
 }
 
-const TreeSnapshot* Router::adopted_for(NodeId src, NodeId dst) const {
-  if (src >= graph_->node_count()) {
+const SourceTree& Router::lookup(NodeId src, NodeId dst) const {
+  if (dst >= trees_.size()) {
+    throw std::out_of_range("Router: destination out of range");
+  }
+  if (src >= trees_.size()) {
     throw std::out_of_range("Router: source out of range");
   }
-  if (cache_[src] != nullptr) return nullptr;  // owned state is deeper
-  if (shared_[src] == nullptr) {
-    auto snapshot = SharedTreeCache::instance().lookup(topology_key_, src);
-    if (snapshot == nullptr) return nullptr;
-    shared_[src] = std::move(snapshot);
-    ++adopted_;
+  std::shared_ptr<const SourceTree>& slot = trees_[src];
+  if (slot == nullptr && sharing_) {
+    slot = SharedTreeCache::instance().lookup(topology_key_, src);
   }
-  const TreeSnapshot* snapshot = shared_[src].get();
-  if (snapshot->settled[dst] != 0 || snapshot->exhausted) return snapshot;
-  return nullptr;  // too shallow for dst: caller clones and extends
+  if (slot == nullptr || (slot->settled[dst] == 0 && !slot->exhausted)) {
+    slot = settle(src, slot.get(), dst);
+  }
+  return *slot;
 }
 
-Router::SourceTree& Router::tree_for(NodeId src) const {
-  const std::size_t n = graph_->node_count();
-  if (src >= n) {
-    throw std::out_of_range("Router: source out of range");
-  }
-  if (const auto& slot = cache_[src]) return *slot;
-
-  auto tree = std::make_unique<SourceTree>();
-  if (sharing_ && shared_[src] != nullptr) {
-    // Copy-on-extend: resume from the adopted snapshot's frontier in a
-    // private copy; the shared state is never mutated.
-    const TreeSnapshot& snapshot = *shared_[src];
-    tree->info = snapshot.info;
-    tree->predecessor = snapshot.predecessor;
-    tree->dist = snapshot.dist;
-    tree->settled = snapshot.settled;
-    tree->frontier = snapshot.frontier;
-    tree->exhausted = snapshot.exhausted;
-    tree->settled_count = snapshot.settled_count;
-    shared_[src] = nullptr;
-    --adopted_;
+std::shared_ptr<const SourceTree> Router::settle(NodeId src,
+                                                 const SourceTree* from,
+                                                 NodeId dst) const {
+  obs::PhaseProfiler::Scope scope(profiler_, route_phase_);
+  std::shared_ptr<SourceTree> tree;
+  if (from != nullptr) {
+    tree = std::make_shared<SourceTree>(*from);
   } else {
-    tree->info.assign(n, RouteInfo{});
-    tree->predecessor.assign(n, kInvalidNode);
-    tree->dist.assign(n, std::numeric_limits<double>::infinity());
-    tree->settled.assign(n, 0);
-    tree->dist[src] = 0.0;
-    tree->info[src].reachable = true;
+    tree = std::make_shared<SourceTree>();
+    tree->info.resize(trees_.size());
+    tree->settled.assign(trees_.size(), 0);
+    tree->info[src].latency = 0.0;
     tree->frontier.emplace_back(0.0, src);
   }
-
-  cache_[src] = std::move(tree);
-  ++owned_;
-  return *cache_[src];
-}
-
-void Router::publish_snapshot(NodeId src, const SourceTree& tree) const {
-  auto snapshot = std::make_shared<TreeSnapshot>();
-  snapshot->info = tree.info;
-  snapshot->predecessor = tree.predecessor;
-  snapshot->dist = tree.dist;
-  snapshot->settled = tree.settled;
-  snapshot->frontier = tree.frontier;
-  snapshot->exhausted = tree.exhausted;
-  snapshot->settled_count = tree.settled_count;
-  SharedTreeCache::instance().publish(topology_key_, src,
-                                      std::move(snapshot));
-}
-
-void Router::settle(NodeId src, SourceTree& tree, NodeId dst) const {
-  if (tree.settled[dst] != 0 || tree.exhausted) return;
-  obs::PhaseProfiler::Scope scope(profiler_, route_phase_);
-  // Min-heap over the frontier vector; pop/push order is identical to
-  // the std::priority_queue this state used to live in.
-  auto& heap = tree.frontier;
+  std::vector<RouteInfo>& info = tree->info;
+  auto& heap = tree->frontier;
   const std::greater<> cmp;
   bool settled_dst = false;
   while (!heap.empty()) {
     const auto [d, u] = heap.front();
     std::pop_heap(heap.begin(), heap.end(), cmp);
     heap.pop_back();
-    if (d > tree.dist[u]) continue;  // stale entry
-    tree.settled[u] = 1;
-    ++tree.settled_count;
+    if (d > info[u].latency) continue;  // superseded entry
+    tree->settled[u] = 1;
+    ++tree->settled_count;
     for (const Link& l : graph_->neighbors(u)) {
       const double nd = d + l.latency;
       // Strict improvement keeps the tree deterministic given adjacency
       // order (ties resolve to the first-relaxed predecessor).
-      if (nd < tree.dist[l.to]) {
-        tree.dist[l.to] = nd;
-        auto& info = tree.info[l.to];
-        info.reachable = true;
-        info.latency = tree.info[u].latency + l.latency;
-        info.inv_bandwidth = tree.info[u].inv_bandwidth + 1.0 / l.bandwidth;
-        info.hops = tree.info[u].hops + 1;
-        tree.predecessor[l.to] = u;
+      if (nd < info[l.to].latency) {
+        info[l.to].latency = nd;
+        info[l.to].inv_bandwidth = info[u].inv_bandwidth + 1.0 / l.bandwidth;
         heap.emplace_back(nd, l.to);
         std::push_heap(heap.begin(), heap.end(), cmp);
       }
@@ -116,77 +71,26 @@ void Router::settle(NodeId src, SourceTree& tree, NodeId dst) const {
       break;
     }
   }
-  if (!settled_dst) tree.exhausted = true;
-  // Publish the deeper state so sibling routers adopt instead of
-  // re-settling.  Per extension event (rare), not per query.
-  if (sharing_) publish_snapshot(src, tree);
+  if (!settled_dst) tree->exhausted = true;
+  // Publish the deeper tree so sibling routers adopt instead of
+  // re-settling.  The slot keeps this tree even when the cache holds an
+  // older, deeper one, so a router settles (and publishes) exactly as
+  // often as it would extending a private tree.
+  if (sharing_) SharedTreeCache::instance().publish(topology_key_, src, tree);
+  return tree;
 }
 
 RouteInfo Router::route(NodeId src, NodeId dst) const {
-  if (dst >= graph_->node_count()) {
-    throw std::out_of_range("Router: destination out of range");
-  }
-  ensure_slots();
-  if (sharing_) {
-    if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      return snapshot->info[dst];
-    }
-  }
-  SourceTree& tree = tree_for(src);
-  settle(src, tree, dst);
-  return tree.info[dst];
+  return lookup(src, dst).info[dst];
 }
 
 double Router::delay(NodeId src, NodeId dst, double size) const {
-  if (src == dst) return 0.0;
-  if (dst >= graph_->node_count()) {
-    throw std::out_of_range("Router: destination out of range");
-  }
-  ensure_slots();
-  const RouteInfo* info = nullptr;
-  if (sharing_) {
-    if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      info = &snapshot->info[dst];
-    }
-  }
-  if (info == nullptr) {
-    SourceTree& tree = tree_for(src);
-    if (tree.settled[dst] == 0) settle(src, tree, dst);
-    info = &tree.info[dst];
-  }
-  if (!info->reachable) {
+  if (src == dst && src < trees_.size()) return 0.0;
+  const RouteInfo& info = lookup(src, dst).info[dst];
+  if (info.latency == std::numeric_limits<double>::infinity()) {
     throw std::runtime_error("Router::delay: destination unreachable");
   }
-  return info->latency + size * info->inv_bandwidth;
-}
-
-std::vector<NodeId> Router::path(NodeId src, NodeId dst) const {
-  if (dst >= graph_->node_count()) {
-    throw std::out_of_range("Router: destination out of range");
-  }
-  ensure_slots();
-  const std::vector<NodeId>* predecessor = nullptr;
-  const std::vector<RouteInfo>* info = nullptr;
-  if (sharing_) {
-    if (const TreeSnapshot* snapshot = adopted_for(src, dst)) {
-      predecessor = &snapshot->predecessor;
-      info = &snapshot->info;
-    }
-  }
-  if (predecessor == nullptr) {
-    SourceTree& tree = tree_for(src);
-    settle(src, tree, dst);
-    predecessor = &tree.predecessor;
-    info = &tree.info;
-  }
-  if (!(*info)[dst].reachable) return {};
-  std::vector<NodeId> p;
-  for (NodeId n = dst; n != kInvalidNode; n = (*predecessor)[n]) {
-    p.push_back(n);
-    if (n == src) break;
-  }
-  std::reverse(p.begin(), p.end());
-  return p;
+  return info.latency + size * info.inv_bandwidth;
 }
 
 }  // namespace scal::net

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,89 +18,68 @@
 namespace scal::net {
 
 struct RouteInfo {
-  double latency = 0.0;         ///< sum of link latencies on the path
-  double inv_bandwidth = 0.0;   ///< sum of 1/bandwidth on the path
-  std::uint32_t hops = 0;
-  bool reachable = false;
+  /// Sum of link latencies on the path; +inf while (or if never) reached,
+  /// so a destination is reachable exactly when its latency is finite.
+  double latency = std::numeric_limits<double>::infinity();
+  double inv_bandwidth = 0.0;  ///< sum of 1/bandwidth on the path
 };
 
-/// Immutable snapshot of one source's (possibly partially settled)
-/// shortest-path tree: the resumable Dijkstra state at a publication
-/// point.  Snapshots are shared read-only across routers via
-/// net::SharedTreeCache; a router that needs a deeper settle clones the
-/// snapshot into a private tree and extends the copy (copy-on-extend),
-/// so readers never observe a mutating frontier.  Every snapshot of one
-/// (graph, src) agrees on its settled prefix — Dijkstra finalizes in
-/// global distance order — so adopting any of them is route-preserving.
-struct TreeSnapshot {
-  std::vector<RouteInfo> info;       ///< indexed by destination
-  std::vector<NodeId> predecessor;   ///< for path reconstruction
-  std::vector<double> dist;
-  std::vector<char> settled;
-  /// The frontier min-heap's underlying storage (std::*_heap order).
+/// One source's shortest-path tree: the resumable state of a lazy
+/// Dijkstra.  Most sources only ever query a couple of nearby
+/// destinations (a resource talks to its estimator, an estimator to its
+/// scheduler), so a tree settles nodes only until the queried
+/// destination is final, and a later query that reaches further resumes
+/// from the saved frontier.  Dijkstra finalizes in global distance order,
+/// so the settled prefix of every tree of one (graph, src) is what a full
+/// run would produce: laziness never changes a route.
+///
+/// A tree is never mutated once a Router holds it; extending one settles
+/// a copy.  So trees are shared read-only across routers through
+/// net::SharedTreeCache, and no reader observes a moving frontier.
+struct SourceTree {
+  std::vector<RouteInfo> info;  ///< indexed by node; latency is the distance
+  std::vector<char> settled;    ///< info[v] is final
+  /// Min-heap of (distance, node) in std::push_heap/pop_heap order.
   std::vector<std::pair<double, NodeId>> frontier;
-  bool exhausted = false;
   std::size_t settled_count = 0;
+  bool exhausted = false;  ///< the frontier ran dry: the rest is unreachable
 
   /// Approximate resident payload, for the shared cache's byte budget.
   std::size_t bytes() const noexcept {
-    return info.capacity() * sizeof(RouteInfo) +
-           predecessor.capacity() * sizeof(NodeId) +
-           dist.capacity() * sizeof(double) + settled.capacity() +
+    return info.capacity() * sizeof(RouteInfo) + settled.capacity() +
            frontier.capacity() * sizeof(std::pair<double, NodeId>);
   }
 };
 
 class Router {
  public:
-  explicit Router(const Graph& graph) : graph_(&graph) {}
+  /// Routes over `graph`, which must outlive the router and keep its
+  /// nodes and links.
+  explicit Router(const Graph& graph)
+      : graph_(&graph), trees_(graph.node_count()) {}
 
-  /// Route lookup; computes and caches the source's full shortest-path
-  /// tree on first use.
+  /// Route lookup (latency +inf when dst is unreachable); settles the
+  /// source's tree as far as dst on first need.
   RouteInfo route(NodeId src, NodeId dst) const;
 
-  /// End-to-end one-way delay for a message of `size` units.
-  /// Throws if dst is unreachable.
+  /// End-to-end one-way delay for a message of `size` units; 0 when
+  /// src == dst.  Throws if dst is unreachable.
   double delay(NodeId src, NodeId dst, double size) const;
 
-  /// Shortest path (sequence of nodes, src first); empty if unreachable.
-  std::vector<NodeId> path(NodeId src, NodeId dst) const;
-
-  /// Source trees resident in this router (owned + adopted).
-  std::size_t cached_sources() const noexcept { return owned_ + adopted_; }
-  /// Trees this router settled (and owns) itself.
-  std::size_t owned_sources() const noexcept { return owned_; }
-  /// Trees adopted read-only from the shared cache.
-  std::size_t shared_sources() const noexcept { return adopted_; }
-
-  /// Drop this router's view of every tree.  Owned trees are freed;
-  /// adopted snapshots are *detached* (the shared_ptr is released, the
-  /// shared cache and its other readers are never touched).  Sharing
-  /// stays enabled, so later queries re-adopt.
-  void clear_cache() const {
-    cache_.clear();
-    shared_.clear();
-    owned_ = 0;
-    adopted_ = 0;
-  }
-
-  /// Opt into the process-wide SharedTreeCache under this topology key
-  /// (net::graph_digest of the graph this router serves).  Purely a
-  /// wall-clock optimization: adopted snapshots return bit-identical
-  /// routes, but profiler `net.route` scope counts drop for queries a
+  /// Opt into the process-wide SharedTreeCache under the digest of this
+  /// router's graph (net::graph_digest): a source's first touch adopts
+  /// the cached tree, and every tree this router settles is published.
+  /// Purely a wall-clock optimization: routes are bit-identical either
+  /// way, but profiler `net.route` scope counts drop for queries a
   /// shared tree already answers, so instrumented runs leave it off.
-  void enable_tree_sharing(const std::array<std::uint64_t, 2>& key) noexcept {
-    sharing_ = true;
-    topology_key_ = key;
-  }
-  bool tree_sharing() const noexcept { return sharing_; }
+  void share_trees();
 
   /// Attach the (optional) phase profiler: shortest-path settling work
   /// (the incremental Dijkstra) runs inside the given phase.  Warm
-  /// queries — the overwhelming majority — pay only the existing
-  /// settled test, so instrumentation stays off the hot path.  The
-  /// scope count is the number of queries that extended a tree, a pure
-  /// function of the query sequence.
+  /// queries — the overwhelming majority — pay only the settled test,
+  /// so instrumentation stays off the hot path.  The scope count is the
+  /// number of queries that extended a tree, a pure function of the
+  /// query sequence.  Null detaches.
   void attach_profiler(obs::PhaseProfiler* profiler,
                        obs::PhaseId route_phase) noexcept {
     profiler_ = profiler;
@@ -107,52 +87,20 @@ class Router {
   }
 
  private:
-  struct SourceTree {
-    std::vector<RouteInfo> info;       // indexed by destination
-    std::vector<NodeId> predecessor;   // for path reconstruction
-    // Incremental Dijkstra state.  Most sources only ever query a
-    // couple of nearby destinations (a resource talks to its estimator,
-    // an estimator to its scheduler), so the search settles nodes lazily
-    // — only until the queried destination is final — and resumes from
-    // the saved frontier when a later query reaches further.  The
-    // settled prefix is identical to what a full run would produce
-    // (Dijkstra finalizes in global distance order), so laziness never
-    // changes a route.
-    std::vector<RouteInfo>::size_type settled_count = 0;
-    std::vector<double> dist;
-    std::vector<char> settled;
-    // Min-heap via std::push_heap/pop_heap with std::greater — the same
-    // algorithm priority_queue runs, kept as a plain vector so the
-    // state snapshots into a TreeSnapshot with a straight copy.
-    std::vector<std::pair<double, NodeId>> frontier;
-    bool exhausted = false;
-  };
-  /// The owned tree for src, creating (or cloning the adopted snapshot
-  /// of) it on first need.
-  SourceTree& tree_for(NodeId src) const;
-  /// Run the tree's Dijkstra until `dst` is settled (or the frontier
-  /// empties, proving unreachability); publishes the deeper state when
-  /// sharing is on.
-  void settle(NodeId src, SourceTree& tree, NodeId dst) const;
-  /// The adopted snapshot that can answer (src, dst), or null (also
-  /// null when an owned tree exists — owned state is always at least
-  /// as deep).  Attempts adoption from the shared cache on first touch.
-  const TreeSnapshot* adopted_for(NodeId src, NodeId dst) const;
-  /// Copy the tree's current state into the shared cache.
-  void publish_snapshot(NodeId src, const SourceTree& tree) const;
-  void ensure_slots() const;
+  /// src's tree, settled at least as far as dst: the slot's tree, or
+  /// (after a first-touch cache lookup when sharing) a deeper one settled
+  /// into the slot.  Range-checks both ids.
+  const SourceTree& lookup(NodeId src, NodeId dst) const;
+  /// A copy of `from` (a fresh tree when null) settled until dst is
+  /// final or the frontier runs dry; published when sharing.
+  std::shared_ptr<const SourceTree> settle(NodeId src, const SourceTree* from,
+                                           NodeId dst) const;
 
   const Graph* graph_;
-  // Flat per-source cache indexed by node id: the schedulers query the
+  // One slot per source, indexed by node id: the schedulers query the
   // same (src, dst) pairs every update interval, so the hot path is a
-  // null test + two vector indexes instead of a hash lookup.
-  mutable std::vector<std::unique_ptr<SourceTree>> cache_;
-  // Adopted read-only snapshots, same indexing.  A source has an owned
-  // tree, an adopted snapshot, or neither — never both (cloning into an
-  // owned tree releases the adopted slot).
-  mutable std::vector<std::shared_ptr<const TreeSnapshot>> shared_;
-  mutable std::size_t owned_ = 0;
-  mutable std::size_t adopted_ = 0;
+  // null test plus two vector indexes instead of a hash lookup.
+  mutable std::vector<std::shared_ptr<const SourceTree>> trees_;
   bool sharing_ = false;
   std::array<std::uint64_t, 2> topology_key_{};
   obs::PhaseProfiler* profiler_ = nullptr;

@@ -34,17 +34,16 @@ SharedTreeCache& SharedTreeCache::instance() {
 
 // Out of line, so the cache is instantiated here and not in every
 // router's hot translation unit.
-std::shared_ptr<const TreeSnapshot> SharedTreeCache::lookup(
-    const Key& topology, NodeId src) {
+std::shared_ptr<const SourceTree> SharedTreeCache::lookup(const Key& topology,
+                                                         NodeId src) {
   return TreeFifo::lookup(detail::TreeKey{topology, src});
 }
 
-std::shared_ptr<const TreeSnapshot> SharedTreeCache::publish(
-    const Key& topology, NodeId src,
-    std::shared_ptr<const TreeSnapshot> snapshot) {
-  const std::size_t depth = snapshot->settled_count;
-  return insert(detail::TreeKey{topology, src}, std::move(snapshot),
-                [depth](const TreeSnapshot& existing) {
+std::shared_ptr<const SourceTree> SharedTreeCache::publish(
+    const Key& topology, NodeId src, std::shared_ptr<const SourceTree> tree) {
+  const std::size_t depth = tree->settled_count;
+  return insert(detail::TreeKey{topology, src}, std::move(tree),
+                [depth](const SourceTree& existing) {
                   return depth > existing.settled_count;
                 });
 }

@@ -7,17 +7,17 @@
 // once per process instead of once per GridSystem (the PR 5 profiling
 // carry-over).
 //
-// Entries are immutable TreeSnapshot values behind shared_ptr, so
-// concurrent readers never observe a mutating Dijkstra frontier.  A
-// router that needs to settle *further* than a snapshot reaches clones
-// the snapshot into a private tree and extends that copy (copy-on-
-// extend), publishing the deeper state back; publication is
-// first-publish-wins with strictly-deeper upgrades, and every snapshot
-// agrees on its settled prefix (Dijkstra finalizes in global distance
-// order), so which snapshot a reader adopts can never change a route.
+// Entries are the immutable net::SourceTree values routers hold in their
+// slots, behind shared_ptr, so concurrent readers never observe a
+// mutating Dijkstra frontier.  A router that needs to settle *further*
+// than a tree reaches settles a copy (copy-on-extend) and publishes it;
+// publication is first-publish-wins with strictly-deeper upgrades, and
+// every tree agrees on its settled prefix (Dijkstra finalizes in global
+// distance order), so which tree a reader adopts can never change a
+// route.
 //
 // A util::FifoCache keyed on (topology, source) in which a strictly
-// deeper snapshot replaces the entry: set_max_bytes (or
+// deeper tree replaces the entry: set_max_bytes (or
 // SCAL_TREE_CACHE_BYTES at first use) caps the resident payload,
 // oldest-first.
 
@@ -50,7 +50,7 @@ struct TreeKeyHash {
         (static_cast<std::uint64_t>(k.src) * 0xC2B2AE3D27D4EB4Full));
   }
 };
-using TreeFifo = util::FifoCache<TreeKey, TreeSnapshot, TreeKeyHash>;
+using TreeFifo = util::FifoCache<TreeKey, SourceTree, TreeKeyHash>;
 }  // namespace detail
 
 class SharedTreeCache : private detail::TreeFifo {
@@ -60,39 +60,37 @@ class SharedTreeCache : private detail::TreeFifo {
   using Key = std::array<std::uint64_t, 2>;
 
   SharedTreeCache()
-      : TreeFifo([](const TreeSnapshot& s) { return s.bytes(); }) {}
+      : TreeFifo([](const SourceTree& t) { return t.bytes(); }) {}
 
   /// The process-wide instance every sharing Router consults.  The
   /// first call reads SCAL_TREE_CACHE_BYTES (bytes; unset or 0 keeps
   /// the cache unbounded) into the byte budget.
   static SharedTreeCache& instance();
 
-  /// The cached snapshot for (topology, src), or null.  Counts a share
-  /// or a miss.
-  std::shared_ptr<const TreeSnapshot> lookup(const Key& topology,
-                                             NodeId src);
+  /// The cached tree for (topology, src), or null.  Counts a share or
+  /// a miss.
+  std::shared_ptr<const SourceTree> lookup(const Key& topology, NodeId src);
 
-  /// Publish a snapshot for (topology, src).  First-publish-wins; a
-  /// later snapshot replaces the entry only when strictly deeper
-  /// (more settled nodes), so racing publishers of the same settle
-  /// depth keep the canonical first entry.  Returns the entry now in
-  /// the cache (the prior one when the publish lost the race), or
-  /// `snapshot` unstored when the byte budget cannot keep it.
-  std::shared_ptr<const TreeSnapshot> publish(
-      const Key& topology, NodeId src,
-      std::shared_ptr<const TreeSnapshot> snapshot);
+  /// Publish a tree for (topology, src).  First-publish-wins; a later
+  /// tree replaces the entry only when strictly deeper (more settled
+  /// nodes), so racing publishers of the same settle depth keep the
+  /// canonical first entry.  Returns the entry now in the cache (the
+  /// prior one when the publish lost the race), or `tree` unstored when
+  /// the byte budget cannot keep it.
+  std::shared_ptr<const SourceTree> publish(
+      const Key& topology, NodeId src, std::shared_ptr<const SourceTree> tree);
 
   /// Byte budget, resident bytes and entries, evictions (entries
-  /// dropped or snapshots refused for the budget), and clear() (drops
-  /// every entry and zeroes the counters; routers holding adopted
-  /// snapshots keep them alive; the budget is kept).
+  /// dropped or trees refused for the budget), and clear() (drops every
+  /// entry and zeroes the counters; routers holding adopted trees keep
+  /// them alive; the budget is kept).
   using TreeFifo::set_max_bytes, TreeFifo::max_bytes, TreeFifo::bytes,
       TreeFifo::size, TreeFifo::misses, TreeFifo::evictions, TreeFifo::clear;
 
   std::uint64_t shares() const { return hits(); }  ///< lookups answered
-  /// Snapshots accepted, upgrades included.
+  /// Trees accepted, upgrades included.
   std::uint64_t publishes() const { return inserts() + replacements(); }
-  /// Publishes that replaced a shallower snapshot.
+  /// Publishes that replaced a shallower tree.
   std::uint64_t upgrades() const { return replacements(); }
 };
 

@@ -54,7 +54,7 @@ struct RunManifest {
   // volatile in tools/compare_runs.py.
   bool reuse_enabled = false;
   std::uint64_t reuse_tree_shares = 0;     ///< router trees adopted
-  std::uint64_t reuse_tree_publishes = 0;  ///< snapshots published
+  std::uint64_t reuse_tree_publishes = 0;  ///< router trees published
   std::uint64_t reuse_inflight_waits = 0;  ///< evals answered by a wait
   std::uint64_t reuse_disk_hits = 0;       ///< evals answered from disk
   std::uint64_t reuse_disk_entries = 0;    ///< entries preloaded from disk

@@ -13,7 +13,7 @@ grid::SimulationResult SimulationSession::run(const grid::GridConfig& config) {
   if (site_ == nullptr || site_->key() != grid::site_digest(config)) {
     site_.reset();  // free the old routes before settling new ones
     site_ = std::make_unique<grid::Site>(config);
-    site_->share_trees();
+    site_->router().share_trees();
     ++rebuilds_;
   }
   return grid::GridSystem(*site_, config, scheduler_factory(config.rms)).run();

@@ -8,7 +8,7 @@
 // Entries are pure functions of their keys, so insertion is
 // first-insert-wins: racing producers build equal values and the first
 // one becomes canonical.  A caller may let a better value replace an
-// entry (the tree cache takes a strictly deeper snapshot); a
+// entry (the tree cache takes a strictly deeper tree); a
 // replacement happens in place and keeps the entry's FIFO slot.
 //
 // A value larger than the whole budget is handed back unstored: it

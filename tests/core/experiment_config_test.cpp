@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace scal::core {
 namespace {
@@ -90,6 +91,41 @@ TEST(ExperimentConfig, RejectsBadScaleFactorCells) {
       EXPECT_NE(what.find("'" + cell + "'"), std::string::npos) << what;
     }
   }
+}
+
+TEST(ExperimentConfig, RejectsCountsThatWouldWrap) {
+  // Each count key must be >= 0 and fit its field; the error names the
+  // key.  (tuner.evaluations = -1 used to become 2^64 - 1, and
+  // tuning.neighborhood_size = 4294967297 used to become 1.)
+  const std::pair<const char*, const char*> cases[] = {
+      {"grid.nodes", "-1"},
+      {"grid.cluster_size", "-20"},
+      {"grid.estimators_per_cluster", "-1"},
+      {"grid.job_log_capacity", "-9223372036854775808"},
+      {"tuning.neighborhood_size", "4294967297"},
+      {"tuning.neighborhood_size", "-3"},
+      {"procedure.warm_evaluations", "-2"},
+      {"tuner.evaluations", "-1"},
+      {"tuner.restarts", "-1"},
+  };
+  for (const auto& [key, value] : cases) {
+    const std::string name(key);
+    const std::string dot = name.substr(0, name.find('.'));
+    const std::string ini = "[" + dot + "]\n" +
+                            name.substr(name.find('.') + 1) + " = " + value +
+                            "\n";
+    try {
+      experiment_from_ini(util::IniFile::parse(ini));
+      ADD_FAILURE() << "accepted " << key << " = " << value;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest value that fits is accepted.
+  const auto config = experiment_from_ini(
+      util::IniFile::parse("[tuning]\nneighborhood_size = 4294967295\n"));
+  EXPECT_EQ(config.grid.tuning.neighborhood_size, 4294967295u);
 }
 
 TEST(ExperimentConfig, CaseAliases) {

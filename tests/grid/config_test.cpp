@@ -95,6 +95,20 @@ TEST(GridConfig, ValidationCatchesNonsense) {
   expect_invalid(c);
 }
 
+TEST(GridConfig, RejectsNonFiniteLinkDelayScale) {
+  // tuning.link_delay_scale = inf would schedule every message at +inf
+  // and report a run with no completed work.
+  GridConfig c;
+  c.topology.nodes = 100;
+  c.tuning.link_delay_scale = 1e300;
+  EXPECT_NO_THROW(c.validate());
+  for (const double scale : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    c.tuning.link_delay_scale = scale;
+    EXPECT_THROW(c.validate(), std::invalid_argument) << scale;
+  }
+}
+
 TEST(GridConfig, AcceptsShortAndHugeFiniteIntervals) {
   GridConfig c;
   c.horizon = 100.0;

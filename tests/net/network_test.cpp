@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+
 namespace scal::net {
 namespace {
 
@@ -46,6 +50,28 @@ TEST(Network, SelfSendIsImmediateButAsync) {
   sim.run();
   EXPECT_TRUE(delivered);
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+}
+
+TEST(Network, SelfDelayChecksTheNode) {
+  // A zero self-delay is only for a node of the graph.
+  sim::Simulator sim;
+  const Graph g = pair_graph();
+  Router router(g);
+  Network net(sim, 0, router);
+  EXPECT_EQ(net.predict_delay(1, 1, 5.0), 0.0);
+  EXPECT_THROW(net.predict_delay(2, 2, 5.0), std::out_of_range);
+}
+
+TEST(Network, DelayScaleMustBeFinite) {
+  // An infinite scale would schedule every message at +inf.
+  sim::Simulator sim;
+  const Graph g = pair_graph();
+  Router router(g);
+  Network net(sim, 0, router);
+  EXPECT_THROW(net.set_delay_scale(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(net.set_delay_scale(std::nan("")), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(net.delay_scale(), 1.0);
 }
 
 TEST(Network, DelayScaleMultiplies) {

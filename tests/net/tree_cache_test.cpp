@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "net/routing.hpp"
 #include "net/topology.hpp"
+#include "support/settle_count.hpp"
 #include "util/rng.hpp"
 
 namespace scal::net {
@@ -19,6 +21,8 @@ Graph test_graph(std::size_t nodes = 60, std::uint64_t seed = 7) {
   util::RandomStream rng(seed, "tree-cache-test");
   return generate_topology(tc, rng);
 }
+
+using test::SettleCount;
 
 /// The shared cache is process-wide; every test starts and ends clean
 /// so ordering (and the session tests that also share it) never leaks.
@@ -47,7 +51,7 @@ TEST_F(TreeCacheTest, PublishThenLookupReturnsSnapshot) {
   EXPECT_EQ(cache.lookup(key, 0), nullptr);
   EXPECT_EQ(cache.misses(), 1u);
 
-  auto snap = std::make_shared<TreeSnapshot>();
+  auto snap = std::make_shared<SourceTree>();
   snap->settled_count = 3;
   const auto stored = cache.publish(key, 0, snap);
   EXPECT_EQ(stored, snap);
@@ -64,18 +68,18 @@ TEST_F(TreeCacheTest, PublishThenLookupReturnsSnapshot) {
 TEST_F(TreeCacheTest, FirstPublishWinsUnlessStrictlyDeeper) {
   SharedTreeCache& cache = SharedTreeCache::instance();
   const SharedTreeCache::Key key{1, 2};
-  auto shallow = std::make_shared<TreeSnapshot>();
+  auto shallow = std::make_shared<SourceTree>();
   shallow->settled_count = 5;
   cache.publish(key, 0, shallow);
 
   // Equal depth: the canonical first entry is kept.
-  auto rival = std::make_shared<TreeSnapshot>();
+  auto rival = std::make_shared<SourceTree>();
   rival->settled_count = 5;
   EXPECT_EQ(cache.publish(key, 0, rival), shallow);
   EXPECT_EQ(cache.upgrades(), 0u);
 
   // Strictly deeper: replaces.
-  auto deeper = std::make_shared<TreeSnapshot>();
+  auto deeper = std::make_shared<SourceTree>();
   deeper->settled_count = 6;
   EXPECT_EQ(cache.publish(key, 0, deeper), deeper);
   EXPECT_EQ(cache.upgrades(), 1u);
@@ -84,111 +88,105 @@ TEST_F(TreeCacheTest, FirstPublishWinsUnlessStrictlyDeeper) {
 
 TEST_F(TreeCacheTest, SharedRoutesAreBitIdenticalToUnshared) {
   const Graph graph = test_graph();
-  const auto key = graph_digest(graph);
   const auto n = static_cast<NodeId>(graph.node_count());
+  const SharedTreeCache& cache = SharedTreeCache::instance();
 
   Router plain(graph);
   Router writer(graph);
-  writer.enable_tree_sharing(key);
+  writer.share_trees();
   // Writer settles (and publishes) everything; the reader then adopts.
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
       const RouteInfo a = plain.route(src, dst);
       const RouteInfo b = writer.route(src, dst);
-      EXPECT_EQ(a.reachable, b.reachable);
-      EXPECT_EQ(a.hops, b.hops);
-      EXPECT_EQ(a.latency, b.latency);          // bitwise: same settles
+      EXPECT_EQ(a.latency, b.latency);  // bitwise: same settles
       EXPECT_EQ(a.inv_bandwidth, b.inv_bandwidth);
     }
   }
-  ASSERT_GT(SharedTreeCache::instance().publishes(), 0u);
+  ASSERT_GT(cache.publishes(), 0u);
+  EXPECT_EQ(cache.misses(), n);  // one first-touch lookup per source
+  EXPECT_EQ(cache.shares(), 0u);
 
   Router reader(graph);
-  reader.enable_tree_sharing(key);
+  reader.share_trees();
+  const SettleCount reader_settles(reader);
   for (NodeId src = 0; src < n; ++src) {
     for (NodeId dst = 0; dst < n; ++dst) {
       const RouteInfo a = plain.route(src, dst);
       const RouteInfo b = reader.route(src, dst);
-      EXPECT_EQ(a.reachable, b.reachable);
-      EXPECT_EQ(a.hops, b.hops);
       EXPECT_EQ(a.latency, b.latency);
       EXPECT_EQ(a.inv_bandwidth, b.inv_bandwidth);
-      if (a.reachable) {
-        EXPECT_EQ(plain.path(src, dst), reader.path(src, dst));
-        EXPECT_EQ(plain.delay(src, dst, 4.0), reader.delay(src, dst, 4.0));
-      }
+      EXPECT_EQ(plain.delay(src, dst, 4.0), reader.delay(src, dst, 4.0));
     }
   }
-  // The reader answered everything from adopted snapshots.
-  EXPECT_EQ(reader.owned_sources(), 0u);
-  EXPECT_EQ(reader.shared_sources(), reader.cached_sources());
-  EXPECT_GT(reader.shared_sources(), 0u);
+  // The reader answered everything from adopted trees.
+  EXPECT_EQ(reader_settles(), 0u);
+  EXPECT_EQ(cache.shares(), n);
+  EXPECT_EQ(cache.misses(), n);
+}
+
+TEST_F(TreeCacheTest, WriterHoldsThePublishedTreeItself) {
+  // A sharing router's slot and the cache hold one tree, not two copies.
+  const Graph graph = test_graph();
+  SharedTreeCache& cache = SharedTreeCache::instance();
+  auto writer = std::make_unique<Router>(graph);
+  writer->share_trees();
+  (void)writer->route(0, 5);
+  const auto tree = cache.lookup(graph_digest(graph), 0);
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree.use_count(), 3);  // the cache, the writer's slot, `tree`
+  writer.reset();
+  EXPECT_EQ(tree.use_count(), 2);
 }
 
 TEST_F(TreeCacheTest, AdoptedShallowSnapshotIsClonedAndExtended) {
   const Graph graph = test_graph();
   const auto key = graph_digest(graph);
+  SharedTreeCache& cache = SharedTreeCache::instance();
 
   // Publish a shallow tree: settled only far enough for dst=1.
   Router writer(graph);
-  writer.enable_tree_sharing(key);
+  writer.share_trees();
   (void)writer.route(0, 1);
-  ASSERT_GT(SharedTreeCache::instance().publishes(), 0u);
-  const auto snap = SharedTreeCache::instance().lookup(key, 0);
+  ASSERT_EQ(cache.publishes(), 1u);
+  const auto snap = cache.lookup(key, 0);
   ASSERT_NE(snap, nullptr);
   const std::size_t shallow_depth = snap->settled_count;
-
-  // A reader needing a deeper destination clones and extends privately.
-  Router reader(graph);
-  reader.enable_tree_sharing(key);
   const auto far = static_cast<NodeId>(graph.node_count() - 1);
+  ASSERT_FALSE(snap->settled[far] || snap->exhausted);
+
+  // A reader needing a deeper destination adopts the tree, then settles
+  // a copy of it further and publishes that.
+  Router reader(graph);
+  reader.share_trees();
+  const SettleCount reader_settles(reader);
   Router plain(graph);
   const RouteInfo expect = plain.route(0, far);
   const RouteInfo got = reader.route(0, far);
-  EXPECT_EQ(expect.reachable, got.reachable);
   EXPECT_EQ(expect.latency, got.latency);
-  EXPECT_EQ(expect.hops, got.hops);
-  if (!snap->settled[far] && !snap->exhausted) {
-    // Clone-on-extend: the adopted slot became an owned tree.
-    EXPECT_EQ(reader.owned_sources(), 1u);
-    EXPECT_EQ(reader.shared_sources(), 0u);
-  }
-  // The adopted snapshot object itself never mutated; the reader's
-  // deeper clone replaced it in the cache (strictly-deeper upgrade).
+  EXPECT_EQ(expect.inv_bandwidth, got.inv_bandwidth);
+  EXPECT_EQ(reader_settles(), 1u);
+  EXPECT_EQ(cache.shares(), 2u);  // the lookup above and the reader's
+  EXPECT_EQ(cache.publishes(), 2u);
+  EXPECT_EQ(cache.upgrades(), 1u);
+  // The adopted tree itself never mutated; the reader's deeper copy
+  // replaced it in the cache (strictly-deeper upgrade).
   EXPECT_EQ(snap->settled_count, shallow_depth);
-  EXPECT_GE(SharedTreeCache::instance().lookup(key, 0)->settled_count,
-            shallow_depth);
-}
-
-TEST_F(TreeCacheTest, ClearCacheDetachesWithoutTouchingSharedState) {
-  const Graph graph = test_graph();
-  const auto key = graph_digest(graph);
-  Router writer(graph);
-  writer.enable_tree_sharing(key);
-  (void)writer.route(0, 5);
-
-  Router reader(graph);
-  reader.enable_tree_sharing(key);
-  (void)reader.route(0, 5);
-  ASSERT_GT(reader.shared_sources(), 0u);
-  const std::size_t cache_size = SharedTreeCache::instance().size();
-
-  reader.clear_cache();
-  EXPECT_EQ(reader.cached_sources(), 0u);
-  // Detach only: the shared cache still serves everyone else.
-  EXPECT_EQ(SharedTreeCache::instance().size(), cache_size);
-  const RouteInfo again = reader.route(0, 5);  // re-adopts after clear
-  EXPECT_EQ(again.latency, writer.route(0, 5).latency);
-  EXPECT_TRUE(reader.tree_sharing());
+  const auto upgraded = cache.lookup(key, 0);
+  EXPECT_GT(upgraded->settled_count, shallow_depth);
+  EXPECT_TRUE(upgraded->settled[far]);
+  // A destination inside the adopted prefix needs no settling.
+  (void)reader.route(0, 1);
+  EXPECT_EQ(reader_settles(), 1u);
 }
 
 TEST_F(TreeCacheTest, ByteBudgetEvictsOldestFirst) {
   SharedTreeCache& cache = SharedTreeCache::instance();
   auto sized = [](std::size_t n) {
-    auto snap = std::make_shared<TreeSnapshot>();
-    snap->dist.resize(n);
-    snap->settled_count = 1;
-    return snap;
+    auto tree = std::make_shared<SourceTree>();
+    tree->info.resize(n);
+    tree->settled_count = 1;
+    return tree;
   };
   const std::size_t unit = sized(100)->bytes();
   cache.set_max_bytes(2 * unit);
@@ -210,7 +208,6 @@ TEST_F(TreeCacheTest, ByteBudgetEvictsOldestFirst) {
 
 TEST_F(TreeCacheTest, ConcurrentRoutersAgreeWithSerialReference) {
   const Graph graph = test_graph(80);
-  const auto key = graph_digest(graph);
   const auto n = static_cast<NodeId>(graph.node_count());
 
   // Serial reference delays, computed without sharing.
@@ -230,7 +227,7 @@ TEST_F(TreeCacheTest, ConcurrentRoutersAgreeWithSerialReference) {
       // Each thread owns its router (the SessionPool slot discipline);
       // only the SharedTreeCache is shared state.
       Router router(graph);
-      router.enable_tree_sharing(key);
+      router.share_trees();
       for (NodeId src = 0; src < n; src += 3) {
         for (NodeId dst = 0; dst < n; dst += 5) {
           got[static_cast<std::size_t>(t)].push_back(
