@@ -1,11 +1,11 @@
 #include "common.hpp"
 
 #include <chrono>
+#include <cstdlib>
 #include <iomanip>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "exec/thread_pool.hpp"
@@ -22,21 +22,32 @@ bool fast_mode() { return util::env_flag("SCAL_BENCH_FAST"); }
 
 std::string csv_dir() { return util::env_or("SCAL_BENCH_CSV", "."); }
 
+void knob_error(const std::string& variable, std::string reason) {
+  // The util::env_* readers name the variable themselves.
+  const std::string prefix = variable + ": ";
+  if (reason.rfind(prefix, 0) == 0) reason.erase(0, prefix.size());
+  std::cerr << "error: " << variable << ": " << reason << "\n";
+  std::exit(2);
+}
+
+std::uint64_t count_knob(const std::string& variable,
+                         std::uint64_t fallback) {
+  return read_knob(variable,
+                   [&] { return util::env_count(variable, fallback); });
+}
+
 namespace {
 
 std::uint64_t bench_seed() {
-  return static_cast<std::uint64_t>(util::env_int("SCAL_BENCH_SEED", 42));
+  return read_knob("SCAL_BENCH_SEED", [] {
+    return static_cast<std::uint64_t>(util::env_int("SCAL_BENCH_SEED", 42));
+  });
 }
 
 /// SCAL_BENCH_EVALS, or `fallback` when unset; a negative budget is an
 /// error rather than a wrapped, endless one.
-std::size_t bench_evals(std::int64_t fallback) {
-  const std::int64_t evals = util::env_int("SCAL_BENCH_EVALS", fallback);
-  if (evals < 0) {
-    throw std::invalid_argument("SCAL_BENCH_EVALS must be >= 0, got " +
-                                std::to_string(evals));
-  }
-  return static_cast<std::size_t>(evals);
+std::size_t bench_evals(std::uint64_t fallback) {
+  return static_cast<std::size_t>(count_knob("SCAL_BENCH_EVALS", fallback));
 }
 
 grid::GridConfig common_base() {
@@ -54,8 +65,10 @@ grid::GridConfig common_base() {
   config.workload_source = workload_source();
   // Memory tier (docs/PERFORMANCE.md): full unless the env knob flips
   // the whole bench onto the streaming result path.
-  config.result_mode = grid::result_mode_from_string(
-      util::env_or("SCAL_BENCH_RESULT_MODE", "full"));
+  config.result_mode = read_knob("SCAL_BENCH_RESULT_MODE", [] {
+    return grid::result_mode_from_string(
+        util::env_or("SCAL_BENCH_RESULT_MODE", "full"));
+  });
   return config;
 }
 

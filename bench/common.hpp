@@ -25,7 +25,12 @@
 //   SCAL_BENCH_RESULT_MODE=m  result path: "full" (default, exact) or
 //                        "streaming" (O(1) per-job memory; see
 //                        docs/PERFORMANCE.md memory tiers)
+//
+// A set knob with a bad value ends the bench with exit status 2 and
+// "error: <variable>: <reason>" on stderr, as a bad flag does.
 
+#include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,26 @@
 #include "obs/telemetry.hpp"
 
 namespace scal::bench {
+
+/// Print "error: <variable>: <reason>" to stderr and exit 2: the bench
+/// answer to an environment knob with a bad value.
+[[noreturn]] void knob_error(const std::string& variable,
+                             std::string reason);
+
+/// `read()`, the reader of knob `variable`; any exception it throws ends
+/// the process through knob_error.
+template <typename Read>
+auto read_knob(const std::string& variable, Read&& read) -> decltype(read()) {
+  try {
+    return read();
+  } catch (const std::exception& e) {
+    knob_error(variable, e.what());
+  }
+}
+
+/// A count knob (util::env_count): `fallback` when unset, exit 2 when
+/// not a non-negative integer.
+std::uint64_t count_knob(const std::string& variable, std::uint64_t fallback);
 
 /// The job count of this bench process: --jobs if Options::parse saw
 /// one, else SCAL_JOBS, else 1.

@@ -2,9 +2,9 @@
 // (docs/PERFORMANCE.md memory tiers).  The paper's figures run ~10^3-10^4
 // jobs per point; this bench pushes a Case-1-style configuration to
 // 10^6-10^8 jobs by stretching the horizon, running the streaming result
-// path (result_mode = streaming): arrivals are pulled one at a time
-// through the JobStream interface into recycled arena slots, and results
-// fold online, so per-job memory is O(1).
+// path (result_mode = streaming): arrivals are pulled live from the
+// source, one pending job at a time, and results fold online, so
+// per-job memory is O(1).
 //
 // The bench runs an ascending ladder of job-count targets in ONE process
 // and reports peak RSS after each rung.  Peak RSS is monotone over the
@@ -32,7 +32,6 @@
 #include "options.hpp"
 #include "rms/scenario.hpp"
 #include "util/csv.hpp"
-#include "util/env.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
           ? opts.telemetry.manifest_path
           : bench::csv_dir() + "/ext_million_jobs.jsonl";
 
-  const auto target = static_cast<std::uint64_t>(util::env_int(
-      "SCAL_BENCH_TARGET_JOBS", bench::fast_mode() ? 100'000 : 1'000'000));
+  const std::uint64_t target = bench::count_knob(
+      "SCAL_BENCH_TARGET_JOBS", bench::fast_mode() ? 100'000 : 1'000'000);
 
   // Ascending ladder: two decades below the target (rungs under 10k jobs
   // are dropped — too small to measure).  Running smallest-first inside

@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "opt/annealing.hpp"
@@ -66,7 +68,11 @@ void BM_WorkloadGeneration(benchmark::State& state) {
   for (auto _ : state) {
     workload::WorkloadGenerator gen(config,
                                     util::RandomStream(42, "bench-wl"));
-    const auto jobs = gen.generate_until(1000.0);
+    std::vector<workload::Job> jobs;
+    for (workload::Job job = gen.next(); job.arrival < 1000.0;
+         job = gen.next()) {
+      jobs.push_back(job);
+    }
     benchmark::DoNotOptimize(jobs.size());
   }
 }

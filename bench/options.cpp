@@ -1,8 +1,10 @@
 #include "options.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "common.hpp"
 #include "exec/jobs.hpp"
@@ -27,20 +29,34 @@ bool g_modulate_spec_set = false;
 std::string g_eval_cache_path;
 bool g_eval_cache_path_set = false;
 
+/// A time knob: 0 when unset or empty, else a finite positive number,
+/// ending the process through knob_error on anything else.
 double env_real(const std::string& name) {
-  const std::string text = util::env_or(name, "");
-  if (text.empty()) return 0.0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  return (end != text.c_str() && *end == '\0') ? v : 0.0;
+  return read_knob(name, [&] {
+    const std::string text = util::env_or(name, "");
+    if (text.empty()) return 0.0;
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || !(v > 0.0)) {
+      throw std::invalid_argument("'" + text +
+                                  "' is not a finite positive number");
+    }
+    return v;
+  });
 }
 }  // namespace
+
+// Options::parse has checked the flags, so only the environment's text
+// can fail to parse below.
 
 fault::FaultPlan fault_plan() {
   const std::string spec = g_fault_spec_set
                                ? g_fault_spec
                                : util::env_or("SCAL_BENCH_FAULTS", "");
-  fault::FaultPlan plan = fault::FaultPlan::parse(spec);
+  fault::FaultPlan plan = read_knob(
+      "SCAL_BENCH_FAULTS", [&] { return fault::FaultPlan::parse(spec); });
   const double mtbf = g_mtbf > 0.0 ? g_mtbf : env_real("SCAL_BENCH_MTBF");
   const double mttr = g_mttr > 0.0 ? g_mttr : env_real("SCAL_BENCH_MTTR");
   if (mtbf > 0.0) {
@@ -54,7 +70,9 @@ fault::FaultPlan fault_plan() {
 }
 
 std::size_t job_count() {
-  if (g_jobs == 0) g_jobs = exec::env_jobs(1);
+  if (g_jobs == 0) {
+    g_jobs = read_knob("SCAL_JOBS", [] { return exec::env_jobs(1); });
+  }
   return g_jobs;
 }
 
@@ -62,12 +80,16 @@ workload::SourceSpec workload_source() {
   const std::string source =
       g_workload_spec_set ? g_workload_spec
                           : util::env_or("SCAL_BENCH_WORKLOAD", "");
-  workload::SourceSpec spec = workload::SourceSpec::parse(source);
+  workload::SourceSpec spec = read_knob("SCAL_BENCH_WORKLOAD", [&] {
+    return workload::SourceSpec::parse(source);
+  });
   const std::string chain =
       g_modulate_spec_set ? g_modulate_spec
                           : util::env_or("SCAL_BENCH_MODULATE", "");
   if (!chain.empty()) {
-    for (workload::ModulatorSpec& stage : workload::parse_modulators(chain)) {
+    for (workload::ModulatorSpec& stage :
+         read_knob("SCAL_BENCH_MODULATE",
+                   [&] { return workload::parse_modulators(chain); })) {
       spec.modulators.push_back(std::move(stage));
     }
   }

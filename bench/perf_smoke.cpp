@@ -278,9 +278,8 @@ Sample workload_generation(const std::string& name,
   return timed(name, 5, [&] {
     std::uint64_t jobs = 0;
     for (std::uint64_t s = 0; s < kSeeds; ++s) {
-      jobs += workload::make_source(spec, wl, 1000 + s, kHorizon)
-                  ->generate_until(kHorizon)
-                  .size();
+      auto source = workload::make_source(spec, wl, 1000 + s, kHorizon);
+      jobs += workload::collect(*source).size();
     }
     return jobs;
   });
@@ -305,9 +304,11 @@ Sample workload_generation_warm() {
   auto key = [](std::uint64_t s) {
     return workload::ArrivalCache::Key{0xC0FFEEull, s};
   };
-  workload::ArrivalCache::instance().clear();
+  workload::ArrivalCache& cache = workload::ArrivalCache::instance();
+  cache.clear();
   for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    workload::cached_arrivals(key(s), spec, wl, 1000 + s, kHorizon);
+    workload::arrivals(key(s), spec, wl, 1000 + s, kHorizon,
+                       /*memoize=*/true);
   }
   // Many rounds per rep: one recall is sub-microsecond, so the timed
   // body is stretched until clock jitter is negligible for the gate.
@@ -316,14 +317,12 @@ Sample workload_generation_warm() {
     std::uint64_t jobs = 0;
     for (std::uint64_t round = 0; round < kRounds; ++round) {
       for (std::uint64_t s = 0; s < kSeeds; ++s) {
-        jobs +=
-            workload::cached_arrivals(key(s), spec, wl, 1000 + s, kHorizon)
-                .jobs->size();
+        jobs += cache.lookup(key(s))->size();
       }
     }
     return jobs;
   });
-  workload::ArrivalCache::instance().clear();  // keep the macros cold
+  cache.clear();  // keep the macros cold
   return sample;
 }
 

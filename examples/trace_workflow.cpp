@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "rms/scenario.hpp"
 #include "util/table.hpp"
@@ -30,7 +31,8 @@ int main(int argc, char** argv) {
   wl.diurnal_period = 500.0;
   wl.origin_hotspot_weight = 0.3;
   workload::WorkloadGenerator gen(wl, util::RandomStream(7, "trace-demo"));
-  const auto jobs = gen.generate_until(1e18, n_jobs);
+  std::vector<workload::Job> jobs(n_jobs);
+  for (workload::Job& job : jobs) job = gen.next();
   workload::save_trace_file(jobs, path);
 
   const workload::TraceStats stats = workload::summarize(jobs);

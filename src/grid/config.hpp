@@ -215,12 +215,12 @@ struct GridConfig {
   std::size_t job_log_capacity = 0;
 
   /// How per-job results accumulate (docs/PERFORMANCE.md memory tiers).
-  /// kFull (default) keeps the exact response samples and is
-  /// byte-identical to the pre-streaming seed path.  kStreaming folds
-  /// everything online and pulls arrivals through the JobStream
-  /// interface, making per-job memory O(1): F/G/H, every counter, and
-  /// the mean response are bit-identical to kFull; only p95_response
-  /// switches to the HDR-histogram approximation.
+  /// kFull (default) memoizes the arrival stream and keeps the exact
+  /// response samples.  kStreaming pulls a cache miss live from its
+  /// source and folds responses into an HDR histogram, making per-job
+  /// memory O(1): F/G/H, every counter, and the mean response are
+  /// bit-identical to kFull; only p95_response switches to the
+  /// histogram approximation.
   ResultMode result_mode = ResultMode::kFull;
 
   /// Suppress a periodic update when the integer load is unchanged

@@ -1,20 +1,8 @@
 #include "grid/metrics.hpp"
 
-#include <stdexcept>
-
 #include "obs/histogram.hpp"
 
 namespace scal::grid {
-
-const util::Samples& MetricsCollector::response_times() const {
-  const util::Samples* samples = sink_->samples();
-  if (samples == nullptr) {
-    throw std::logic_error(
-        "MetricsCollector::response_times: the streaming sink keeps no "
-        "sample store; use response_mean()/response_p95()");
-  }
-  return *samples;
-}
 
 void MetricsCollector::observe_decision_queue(std::size_t depth) {
   if (queue_depth_hist_ != nullptr) {
@@ -41,7 +29,7 @@ void MetricsCollector::record_completion(const workload::Job& job,
   ++counts_.jobs_completed;
   counts_.control_overhead += control_cost;
   const double response = completion - job.arrival;
-  sink_->record_response(response);
+  sink_.record_response(response);
   if (response_hist_ != nullptr) response_hist_->record(response);
   if (wait_hist_ != nullptr) wait_hist_->record(response - service_time);
   if (slowdown_hist_ != nullptr && service_time > 0.0) {

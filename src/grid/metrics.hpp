@@ -58,29 +58,20 @@ struct MetricsSnapshot {
 
 class MetricsCollector {
  public:
-  MetricsCollector() = default;
-  // The default sink is embedded (sink_ points into *this), so copies
-  // and moves would alias the wrong sink; the collector is shared by
-  // reference everywhere anyway.
-  MetricsCollector(const MetricsCollector&) = delete;
-  MetricsCollector& operator=(const MetricsCollector&) = delete;
+  /// `mode` is GridConfig::result_mode: how the sink keeps response
+  /// times.
+  explicit MetricsCollector(ResultMode mode = ResultMode::kFull)
+      : sink_(mode) {}
 
-  /// Attach the result sink (GridConfig::result_mode selects the
-  /// implementation).  Non-owning; null restores the embedded full
-  /// sink.  A standalone collector (tests, per-task shards) works
-  /// without ever attaching one.
-  void attach_sink(ResultSink* sink) noexcept {
-    sink_ = sink != nullptr ? sink : &default_sink_;
-  }
-  ResultSink& sink() noexcept { return *sink_; }
-  const ResultSink& sink() const noexcept { return *sink_; }
+  ResultSink& sink() noexcept { return sink_; }
+  const ResultSink& sink() const noexcept { return sink_; }
 
   /// Record one job-lifecycle event into the sink's log.  The single
   /// mutation path into the log — components call this instead of
   /// writing the log directly, so the sink can bound the storage.
   void record_job_event(workload::JobId job, JobEvent event, sim::Time at,
                         std::uint32_t place = 0) {
-    sink_->log().record(job, event, at, place);
+    sink_.log().record(job, event, at, place);
   }
 
   /// Attach (optional) distribution probes; any pointer may be null.
@@ -134,24 +125,18 @@ class MetricsCollector {
   /// the servers); valid mid-run.
   const MetricsSnapshot& snapshot() const noexcept { return counts_; }
 
-  /// The exact response-time samples (full mode only; throws
-  /// std::logic_error when the attached sink folds online — use
-  /// response_mean()/response_p95() there).
-  const util::Samples& response_times() const;
   std::uint64_t response_count() const noexcept {
-    return sink_->response_count();
+    return sink_.response_count();
   }
-  /// Mean response time — bitwise identical across sink modes (both
-  /// fold a 0.0-seeded sum in completion order).
-  double response_mean() const { return sink_->response_mean(); }
+  /// Mean response time — bitwise identical across result modes.
+  double response_mean() const noexcept { return sink_.response_mean(); }
   /// 95th-percentile response: exact in full mode, HDR-histogram
   /// approximate in streaming mode.
-  double response_p95() const { return sink_->response_p95(); }
+  double response_p95() const { return sink_.response_p95(); }
 
  private:
   MetricsSnapshot counts_;
-  FullResultSink default_sink_;
-  ResultSink* sink_ = &default_sink_;
+  ResultSink sink_;
   obs::Histogram* wait_hist_ = nullptr;
   obs::Histogram* response_hist_ = nullptr;
   obs::Histogram* slowdown_hist_ = nullptr;

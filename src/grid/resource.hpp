@@ -90,8 +90,6 @@ class Resource : public sim::Entity {
   /// Service time already invested in the in-service job as of `now`;
   /// used by the horizon sweep to charge partial work as waste.
   double in_service_partial() const noexcept;
-  /// Jobs sitting in this resource's queue at the horizon.
-  std::size_t unstarted_jobs() const noexcept { return queue_.size(); }
 
   ClusterId cluster() const noexcept { return cluster_; }
   ResourceIndex index() const noexcept { return index_; }

@@ -1,6 +1,5 @@
 #include "grid/result_sink.hpp"
 
-#include <memory>
 #include <stdexcept>
 
 namespace scal::grid {
@@ -18,13 +17,6 @@ ResultMode result_mode_from_string(const std::string& name) {
   if (name == "streaming") return ResultMode::kStreaming;
   throw std::invalid_argument("result_mode_from_string: unknown mode '" +
                               name + "' (expected full|streaming)");
-}
-
-std::unique_ptr<ResultSink> make_result_sink(ResultMode mode) {
-  if (mode == ResultMode::kStreaming) {
-    return std::make_unique<StreamingResultSink>();
-  }
-  return std::make_unique<FullResultSink>();
 }
 
 }  // namespace scal::grid

@@ -1,29 +1,24 @@
 #pragma once
-// ResultSink — the result half of the streaming tier's API split.
+// ResultSink — the per-job result storage of one run.
 //
-// MetricsCollector used to play two roles: fold the F/G/H counters AND
-// own the per-job result storage (the exact response-time samples, the
-// lifecycle log).  The counters are O(1) already; the storage is what
-// capped runs at ~10^6 jobs.  A ResultSink isolates that storage choice
-// behind an interface selected by GridConfig::result_mode:
+// The F/G/H counters in MetricsCollector are O(1) already; what grows
+// with the job count is the response-time store and the lifecycle log.
+// The sink holds both, and GridConfig::result_mode picks how the
+// response times are kept:
 //
-//   FullResultSink      — util::Samples + unbounded JobLog.  Exact
-//                         percentiles; byte-identical to the legacy
-//                         collector.  O(jobs) memory.
-//   StreamingResultSink — running sum/count (the mean is bitwise
-//                         identical to Samples::mean, which sums in the
-//                         same insertion order) + an HDR histogram for
-//                         percentiles (<= one sub-bucket of relative
-//                         error) + a capacity-bounded JobLog.  O(1)
-//                         memory per job.
+//   full       — an exact util::Samples store: exact percentiles,
+//                O(jobs) memory.
+//   streaming  — an HDR histogram: percentiles within one sub-bucket of
+//                relative error, O(1) memory per job.
 //
-// Every sink owns a JobLog so lifecycle events always have one
-// destination; policies and components record through
-// MetricsCollector::record_job_event instead of mutating job_log()
+// In both modes a running count and sum give the mean: the exact fold
+// util::Samples::mean performs (a 0.0-seeded sum in completion order),
+// so the mean is bitwise identical across modes.  The JobLog is bounded
+// by GridConfig::job_log_capacity; policies and components record
+// through MetricsCollector::record_job_event instead of writing it
 // directly.
 
 #include <cstdint>
-#include <memory>
 
 #include "grid/joblog.hpp"
 #include "grid/result_mode.hpp"
@@ -34,71 +29,42 @@ namespace scal::grid {
 
 class ResultSink {
  public:
-  virtual ~ResultSink() = default;
+  explicit ResultSink(ResultMode mode = ResultMode::kFull) : mode_(mode) {}
+
+  ResultMode mode() const noexcept { return mode_; }
 
   JobLog& log() noexcept { return log_; }
   const JobLog& log() const noexcept { return log_; }
 
-  virtual ResultMode mode() const noexcept = 0;
-
   /// Fold one completed job's response time.
-  virtual void record_response(double response) = 0;
-  virtual std::uint64_t response_count() const noexcept = 0;
-  virtual double response_mean() const = 0;
-  virtual double response_p95() const = 0;
-
-  /// The exact sample store, or null when the sink folds online.
-  virtual const util::Samples* samples() const noexcept { return nullptr; }
-
- private:
-  JobLog log_;
-};
-
-class FullResultSink final : public ResultSink {
- public:
-  ResultMode mode() const noexcept override { return ResultMode::kFull; }
-  void record_response(double response) override { response_.add(response); }
-  std::uint64_t response_count() const noexcept override {
-    return response_.count();
-  }
-  double response_mean() const override { return response_.mean(); }
-  double response_p95() const override { return response_.percentile(95.0); }
-  const util::Samples* samples() const noexcept override { return &response_; }
-
- private:
-  util::Samples response_;
-};
-
-class StreamingResultSink final : public ResultSink {
- public:
-  ResultMode mode() const noexcept override { return ResultMode::kStreaming; }
-  void record_response(double response) override {
-    // Identical op sequence to Samples::mean()'s fold (0.0-seeded sum in
-    // completion order), so response_mean() is bitwise identical to the
-    // full sink's.
+  void record_response(double response) {
     ++count_;
     sum_ += response;
-    hist_.record(response);
+    if (mode_ == ResultMode::kFull) {
+      exact_.add(response);
+    } else {
+      approx_.record(response);
+    }
   }
-  std::uint64_t response_count() const noexcept override { return count_; }
-  double response_mean() const override {
+
+  std::uint64_t response_count() const noexcept { return count_; }
+  double response_mean() const noexcept {
     return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
   }
-  /// Approximate: HDR-histogram percentile (fixed memory, <= one
-  /// sub-bucket of relative error) — exact streaming percentiles would
-  /// need O(jobs) state.
-  double response_p95() const override {
-    return count_ > 0 ? hist_.percentile(95.0) : 0.0;
+  /// 95th-percentile response: exact in full mode, an HDR-histogram
+  /// estimate in streaming mode; 0 before any completion.
+  double response_p95() const {
+    return mode_ == ResultMode::kFull ? exact_.percentile(95.0)
+                                      : approx_.percentile(95.0);
   }
-  const obs::Histogram& response_histogram() const noexcept { return hist_; }
 
  private:
+  ResultMode mode_;
+  JobLog log_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
-  obs::Histogram hist_;
+  util::Samples exact_;     ///< full mode only
+  obs::Histogram approx_;   ///< streaming mode only
 };
-
-/// Build the sink matching `mode`.
-std::unique_ptr<ResultSink> make_result_sink(ResultMode mode);
 
 }  // namespace scal::grid

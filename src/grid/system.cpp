@@ -19,12 +19,12 @@ GridSystem::GridSystem(Site& site, GridConfig config, SchedulerFactory factory)
     : GridSystem(&site, std::move(config), std::move(factory)) {}
 
 GridSystem::GridSystem(Site* site, GridConfig config, SchedulerFactory factory)
-    : config_(std::move(config)), site_(site) {
+    : config_(std::move(config)),
+      site_(site),
+      metrics_(config_.result_mode) {
   config_.validate();
-  sink_ = make_result_sink(config_.result_mode);
-  sink_->log().set_enabled(config_.job_log);
-  sink_->log().set_capacity(config_.job_log_capacity);
-  metrics_.attach_sink(sink_.get());
+  metrics_.sink().log().set_enabled(config_.job_log);
+  metrics_.sink().log().set_capacity(config_.job_log_capacity);
   if (!factory) {
     throw std::invalid_argument("GridSystem: null scheduler factory");
   }
@@ -377,11 +377,8 @@ void GridSystem::setup_telemetry() {
     }
   }
 
-  if (!tc.trace_enabled()) {
-    // Probe / manifest need no construction-time wiring.
-    trace_jobs_ = false;
-    return;
-  }
+  // Probe / manifest need no construction-time wiring.
+  if (!tc.trace_enabled()) return;
   trace_ = &telemetry.trace();
 
   if (tc.metrics_enabled()) {
@@ -391,45 +388,33 @@ void GridSystem::setup_telemetry() {
                             trace_->register_track("profiler (wall us)"));
   }
 
-  if (tc.dispatch_sample_every > 0) {
-    const obs::TraceTid kernel_tid = trace_->register_track("sim/kernel");
-    sim_.set_dispatch_observer(
-        tc.dispatch_sample_every,
-        [this, kernel_tid](sim::Time at, std::uint64_t dispatched,
-                           std::size_t pending) {
-          trace_->counter(kernel_tid, "events_dispatched", at,
-                          static_cast<double>(dispatched));
-          trace_->counter(kernel_tid, "pending_events", at,
-                          static_cast<double>(pending));
-        });
-  }
+  // Kernel counters are sampled every 256 fired events, not per event,
+  // so instrumentation does not distort G(k) measurements.
+  const obs::TraceTid kernel_tid = trace_->register_track("sim/kernel");
+  sim_.set_dispatch_observer(
+      256, [this, kernel_tid](sim::Time at, std::uint64_t dispatched,
+                              std::size_t pending) {
+        trace_->counter(kernel_tid, "events_dispatched", at,
+                        static_cast<double>(dispatched));
+        trace_->counter(kernel_tid, "pending_events", at,
+                        static_cast<double>(pending));
+      });
 
-  if (tc.trace_spans) {
-    for (auto& sched : schedulers_) {
-      sched->attach_trace(trace_, trace_->register_track(sched->name()));
+  for (auto& sched : schedulers_) {
+    sched->attach_trace(trace_, trace_->register_track(sched->name()));
+  }
+  for (std::size_t c = 0; c < estimators_.size(); ++c) {
+    for (std::size_t e = 0; e < estimators_[c].size(); ++e) {
+      estimators_[c][e]->attach_trace(
+          trace_, trace_->register_track("estimator/" + std::to_string(c) +
+                                         "." + std::to_string(e)));
     }
-    for (std::size_t c = 0; c < estimators_.size(); ++c) {
-      for (std::size_t e = 0; e < estimators_[c].size(); ++e) {
-        estimators_[c][e]->attach_trace(
-            trace_, trace_->register_track(
-                        "estimator/" + std::to_string(c) + "." +
-                        std::to_string(e)));
-      }
-    }
-    middleware_->attach_trace(trace_, trace_->register_track("middleware"));
   }
-
-  if (tc.trace_messages) {
-    trace_messages_ = true;
-    msg_tid_ = trace_->register_track("rms/messages");
-  }
-
-  if (tc.trace_jobs) {
-    // Job spans are reconstructed from the lifecycle log after the run.
-    trace_jobs_ = true;
-    sink_->log().set_enabled(true);
-    jobs_tid_ = trace_->register_track("jobs");
-  }
+  middleware_->attach_trace(trace_, trace_->register_track("middleware"));
+  msg_tid_ = trace_->register_track("rms/messages");
+  // Job spans are reconstructed from the lifecycle log after the run.
+  metrics_.sink().log().set_enabled(true);
+  jobs_tid_ = trace_->register_track("jobs");
 }
 
 void GridSystem::probe_tick() {
@@ -536,9 +521,7 @@ void GridSystem::finish_telemetry(const SimulationResult& result) {
       for (auto& est : cluster) est->close_open_span(config_.horizon);
     }
     middleware_->close_open_span(config_.horizon);
-    if (trace_jobs_) {
-      export_job_spans(sink_->log(), *trace_, jobs_tid_, config_.horizon);
-    }
+    export_job_spans(job_log(), *trace_, jobs_tid_, config_.horizon);
   }
   if (obs::TimeSeriesProbe* probe = telemetry.probe()) {
     // Final row at the horizon, cumulative terms copied from the
@@ -580,7 +563,7 @@ void GridSystem::route_message(net::NodeId from_node, RmsMessage msg,
     metrics_.record_job_event(msg.job->id, JobEvent::kTransfer, sim_.now(),
                               msg.to);
   }
-  if (trace_messages_) {
+  if (trace_ != nullptr) {
     trace_->instant(msg_tid_, to_string(msg.kind), "rms", sim_.now(),
                     {{"from", static_cast<double>(msg.from)},
                      {"to", static_cast<double>(msg.to)}});
@@ -652,17 +635,13 @@ void GridSystem::deliver_arrival(const workload::Job& job) {
 }
 
 void GridSystem::schedule_next_arrival() {
-  workload::Job* slot = arrival_arena_.acquire();
-  if (!arrival_stream_->next(*slot)) {
-    arrival_arena_.release(slot);
-    return;
-  }
-  stream_stats_.add(*slot);
-  sim_.schedule_at(slot->arrival, [this, slot]() {
-    const workload::Job job = *slot;
-    arrival_arena_.release(slot);
-    // Chain the successor before delivering, so on a shared arrival time
-    // the next job's event is enqueued ahead of anything delivery spawns.
+  if (!arrivals_->next(pending_)) return;
+  stream_stats_.add(pending_);
+  sim_.schedule_at(pending_.arrival, [this]() {
+    // Copy the job out before chaining: the successor is pulled into
+    // pending_.  Chaining before delivering enqueues the next job's event,
+    // on a shared arrival time, ahead of anything delivery spawns.
+    const workload::Job job = pending_;
     schedule_next_arrival();
     deliver_arrival(job);
   });
@@ -671,32 +650,19 @@ void GridSystem::schedule_next_arrival() {
 void GridSystem::schedule_arrivals() {
   workload::WorkloadConfig wl = config_.workload;
   wl.clusters = static_cast<std::uint32_t>(cluster_count());
-  const workload::SourceSpec& spec = config_.workload_source;
-
-  // Every run keeps one arrival pending: each arrival event pulls its
-  // successor from arrival_stream_ through an arena slot.
-  if (config_.result_mode == ResultMode::kStreaming) {
-    // A cache hit replays the materialized vector; a miss streams live
-    // and is NOT stored (one-shot scale runs must not leave a multi-GB
-    // vector behind), so peak memory is independent of the job count.
+  // The stream depends only on workload_digest's inputs (never the
+  // tuning enablers).  Full mode memoizes it in the process-wide
+  // ArrivalCache, so one generation serves every run that shares them;
+  // streaming mode pulls a miss live and stores nothing, so one-shot
+  // scale runs leave no multi-GB vector behind and peak memory is
+  // independent of the job count.
+  {
     obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-    workload::PulledArrivals pulled = workload::cached_stream(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
-    arrival_stream_ = std::move(pulled.stream);
+    workload::Arrivals pulled = workload::arrivals(
+        workload_digest(config_), config_.workload_source, wl, config_.seed,
+        config_.horizon, config_.result_mode == ResultMode::kFull);
+    arrivals_ = std::move(pulled.source);
     workload_from_cache_ = pulled.from_cache;
-  } else {
-    // Full mode materializes the stream through the process-wide
-    // ArrivalCache: it depends only on workload_digest's inputs (never
-    // the tuning enablers), so one generation serves every run that
-    // shares them.
-    obs::PhaseProfiler::Scope scope(profiler_, workload_phase_);
-    workload::ArrivalStream stream = workload::cached_arrivals(
-        workload_digest(config_), spec, wl, config_.seed, config_.horizon);
-    SCAL_INFO("grid: " << stream.jobs->size() << " jobs over horizon "
-                       << config_.horizon);
-    arrival_stream_ =
-        std::make_unique<workload::VectorReplayStream>(std::move(stream.jobs));
-    workload_from_cache_ = stream.from_cache;
   }
   schedule_next_arrival();
 }
@@ -852,17 +818,16 @@ SimulationResult GridSystem::assemble_result() {
   r.throughput = config_.horizon > 0.0
                      ? static_cast<double>(r.jobs_completed) / config_.horizon
                      : 0.0;
-  // Mean before p95: in full mode percentile() sorts the sample store,
-  // which would change the mean's summation order (and its last bits).
   r.mean_response = metrics_.response_mean();
   r.p95_response = metrics_.response_p95();
   r.workload_stats = stream_stats_.stats();
   r.workload_from_cache = workload_from_cache_;
   r.result_mode = config_.result_mode;
-  r.job_log_records = sink_->log().size();
-  r.job_log_dropped = sink_->log().dropped();
-  r.arena_high_water = arrival_arena_.high_water();
-  r.arena_reuses = arrival_arena_.reuses();
+  r.job_log_records = job_log().size();
+  r.job_log_dropped = job_log().dropped();
+  // One pending slot, refilled once per pulled job.
+  r.arena_high_water = 1;
+  r.arena_reuses = r.workload_stats.jobs;
   r.arrival_cache_evictions = workload::ArrivalCache::instance().evictions();
   r.arrival_cache_store_skips =
       workload::ArrivalCache::instance().store_skips();

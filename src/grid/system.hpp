@@ -22,13 +22,11 @@
 #include "grid/metrics.hpp"
 #include "grid/middleware.hpp"
 #include "grid/resource.hpp"
-#include "grid/result_sink.hpp"
 #include "grid/scheduler.hpp"
 #include "grid/site.hpp"
 #include "net/network.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/simulator.hpp"
-#include "workload/arena.hpp"
 #include "workload/generator.hpp"
 #include "workload/stream.hpp"
 #include "workload/trace.hpp"
@@ -94,10 +92,7 @@ class GridSystem {
                      bool via_middleware);
 
   /// Job-lifecycle log (empty unless config.job_log was set).
-  const JobLog& job_log() const noexcept { return sink_->log(); }
-
-  /// The active result sink (full or streaming, per config.result_mode).
-  const ResultSink& result_sink() const noexcept { return *sink_; }
+  const JobLog& job_log() const noexcept { return metrics_.sink().log(); }
 
   /// Run telemetry handle (null unless config.telemetry was set).
   obs::Telemetry* telemetry() noexcept { return config_.telemetry; }
@@ -107,11 +102,6 @@ class GridSystem {
                             ResourceIndex index, workload::Job job);
 
   std::uint64_t seed() const noexcept { return config_.seed; }
-
-  /// True when status updates flow through the aggregation trees
-  /// (control plane on AND the knobs are off the degenerate bypass
-  /// point).
-  bool control_plane_active() const noexcept { return ctrl_active_; }
 
  private:
   /// Builds a private site when `site` is null.
@@ -148,11 +138,10 @@ class GridSystem {
   double current_overhead_work() const;
   void finish_telemetry(const SimulationResult& result);
 
-  /// Deliver one pulled/materialized arrival into the system: metrics,
-  /// optional job trace, and the CENTRAL gateway forward.  Shared by the
-  /// materialized and streaming arrival paths so both are bit-identical.
+  /// Deliver one pulled arrival into the system: metrics, optional job
+  /// trace, and the CENTRAL gateway forward.
   void deliver_arrival(const workload::Job& job);
-  /// Streaming path: schedule the next pulled arrival (chained — each
+  /// Pull the next arrival into pending_ and schedule it (chained: each
   /// arrival event schedules its successor, so at most one job is ever
   /// pending in the event queue).
   void schedule_next_arrival();
@@ -161,10 +150,9 @@ class GridSystem {
   std::unique_ptr<Site> owned_site_;  ///< null when the site is lent
   Site* site_;
   sim::Simulator sim_;
-  MetricsCollector metrics_;
-  /// Owns the response accumulator and the job log; selected from
+  /// Owns the result sink (response times and job log), built for
   /// config.result_mode.
-  std::unique_ptr<ResultSink> sink_;
+  MetricsCollector metrics_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<Middleware> middleware_;
   // resources_[cluster][index]
@@ -186,12 +174,12 @@ class GridSystem {
   bool ran_ = false;
   sim::EntityId next_entity_id_ = 0;
   bool workload_from_cache_ = false;
-  // The one arrival path: jobs are pulled one at a time from this stream
+  // The one arrival path: jobs are pulled one at a time from this source
   // (in full mode a replay of the vector the process-wide ArrivalCache
-  // holds) into an arena slot, so one arrival event is pending at a
-  // time; the accumulator folds the workload stats in stream order.
-  std::unique_ptr<workload::JobStream> arrival_stream_;
-  workload::JobArena arrival_arena_;
+  // holds) into pending_, so one arrival event is pending at a time; the
+  // accumulator folds the workload stats in stream order.
+  std::unique_ptr<workload::WorkloadSource> arrivals_;
+  workload::Job pending_;
   workload::TraceStatsAccumulator stream_stats_;
 
   // Telemetry state (inert when config_.telemetry is null).
@@ -199,10 +187,8 @@ class GridSystem {
   obs::PhaseId run_phase_ = 0;
   obs::PhaseId workload_phase_ = 0;
   obs::TraceRecorder* trace_ = nullptr;  ///< cached from the handle
-  bool trace_messages_ = false;
   obs::TraceTid msg_tid_ = 0;
   obs::TraceTid jobs_tid_ = 0;
-  bool trace_jobs_ = false;
   // Previous probe window, for busy-time-delta utilizations.
   double probe_prev_time_ = 0.0;
   double probe_prev_sched_busy_ = 0.0;

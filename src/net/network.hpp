@@ -52,7 +52,6 @@ class Network : public sim::Entity {
   /// Enable loss injection.  p in [0, 1); the stream seeds the drop
   /// decisions so runs stay deterministic.
   void set_loss(double probability, util::RandomStream rng);
-  double loss_probability() const noexcept { return loss_probability_; }
   std::uint64_t messages_dropped() const noexcept { return dropped_; }
 
   /// Enable the fault-subsystem message model.  Each unreliable message

@@ -24,7 +24,7 @@ std::array<std::uint64_t, 2> graph_digest(const Graph& graph) {
 SharedTreeCache& SharedTreeCache::instance() {
   static SharedTreeCache cache;
   static const bool env_applied = [] {
-    const std::int64_t budget = util::env_int("SCAL_TREE_CACHE_BYTES", 0);
+    const std::uint64_t budget = util::env_count("SCAL_TREE_CACHE_BYTES", 0);
     if (budget > 0) cache.set_max_bytes(static_cast<std::size_t>(budget));
     return true;
   }();

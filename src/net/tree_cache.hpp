@@ -64,7 +64,8 @@ class SharedTreeCache : private detail::TreeFifo {
 
   /// The process-wide instance every sharing Router consults.  The
   /// first call reads SCAL_TREE_CACHE_BYTES (bytes; unset or 0 keeps
-  /// the cache unbounded) into the byte budget.
+  /// the cache unbounded) into the byte budget, and throws
+  /// std::invalid_argument when it is not a non-negative integer.
   static SharedTreeCache& instance();
 
   /// The cached tree for (topology, src), or null.  Counts a share or

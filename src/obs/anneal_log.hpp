@@ -38,7 +38,6 @@ class AnnealLog {
   }
   std::size_t size() const noexcept { return records_.size(); }
   bool empty() const noexcept { return records_.empty(); }
-  void clear() { records_.clear(); }
 
   std::uint64_t accepted_count() const noexcept;
   std::uint64_t improving_count() const noexcept;

@@ -123,9 +123,6 @@ class HistogramRegistry {
   /// new names append in `other`'s registration order.
   void merge(const HistogramRegistry& other);
 
-  /// Drop every entry (names included).
-  void clear() { entries_.clear(); }
-
   /// {"name": {histogram json}, ...} in registration order.
   std::string to_json() const;
 

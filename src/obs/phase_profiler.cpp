@@ -63,12 +63,6 @@ void PhaseProfiler::merge(const PhaseProfiler& other) {
   }
 }
 
-void PhaseProfiler::clear() {
-  phases_.clear();
-  stack_.clear();
-  trace_epoch_ticks_ = 0;
-}
-
 std::string PhaseProfiler::to_json() const {
   JsonObject obj;
   for (const PhaseStats& stats : phases_) {

@@ -90,9 +90,6 @@ class PhaseProfiler {
   /// deterministic reduction for parallel stages.
   void merge(const PhaseProfiler& other);
 
-  /// Drop every phase (names included) and any open scopes.
-  void clear();
-
   /// Optionally mirror completed scopes into a Chrome trace as 'X'
   /// complete events on `tid`.  Timestamps are wall-clock microseconds
   /// since the first recorded scope (NOT scaled sim time — the track

@@ -63,7 +63,6 @@ class TimeSeriesProbe {
     return samples_;
   }
   bool empty() const noexcept { return samples_.empty(); }
-  void clear() { samples_.clear(); }
 
   static std::vector<std::string> csv_header();
   void write_csv(std::ostream& os) const;

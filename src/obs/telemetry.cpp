@@ -16,7 +16,6 @@ double monotonic_seconds() {
 
 Telemetry::Telemetry(TelemetryConfig config)
     : config_(std::move(config)),
-      trace_(config_.trace_time_scale),
       // A probe path with a bad interval throws here (TimeSeriesProbe);
       // without a path the interval is unused.
       probe_(config_.probe_enabled() ? config_.probe_interval : 1.0),
@@ -36,22 +35,6 @@ void Telemetry::mark_run_end() {
   if (run_started_wall_ > 0.0) {
     manifest_.wall_seconds = monotonic_seconds() - run_started_wall_;
   }
-}
-
-void Telemetry::reset_run() {
-  trace_.clear();
-  probe_.clear();
-  anneal_.clear();
-  histograms_.clear();
-  profiler_.clear();
-  const std::string label = manifest_.label;
-  const std::string git = manifest_.git_version;
-  const std::uint64_t jobs = manifest_.jobs;
-  manifest_ = RunManifest{};
-  manifest_.label = label;
-  manifest_.git_version = git;
-  manifest_.jobs = jobs;
-  run_started_wall_ = 0.0;
 }
 
 bool Telemetry::export_all() const {

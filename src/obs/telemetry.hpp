@@ -11,10 +11,9 @@
 //   anneal_path    per-iteration tuner telemetry CSV
 //
 // A Telemetry instance describes ONE instrumented run; reuse across runs
-// without reset_run() concatenates their events.  The handle is
-// non-owning from the config's point of view (GridConfig carries a raw
-// pointer, null by default), so the zero-telemetry path costs a null
-// check and nothing else.
+// concatenates their events.  The handle is non-owning from the config's
+// point of view (GridConfig carries a raw pointer, null by default), so
+// the zero-telemetry path costs a null check and nothing else.
 
 #include <string>
 
@@ -28,17 +27,12 @@
 namespace scal::obs {
 
 struct TelemetryConfig {
-  /// Chrome trace JSON output; empty disables tracing.
+  /// Chrome trace JSON output; empty disables tracing.  A trace holds
+  /// scheduler/estimator/middleware busy spans, per-protocol message
+  /// instants, job lifecycle async spans (the run keeps a job log) and
+  /// kernel counters sampled every 256 fired events; one sim time unit
+  /// renders as 1 ms.
   std::string trace_path;
-  /// Trace microseconds per sim time unit (1000 displays 1 unit as 1ms).
-  double trace_time_scale = 1000.0;
-  /// Emit an events-dispatched counter sample every N kernel events;
-  /// 0 disables the kernel dispatch track.  Sampling (not per-event
-  /// tracing) keeps instrumentation from distorting G(k) measurements.
-  std::uint64_t dispatch_sample_every = 256;
-  bool trace_spans = true;     ///< scheduler/estimator/middleware busy spans
-  bool trace_messages = true;  ///< per-protocol message instants
-  bool trace_jobs = true;      ///< job lifecycle async spans (needs job log)
 
   /// Time-series CSV output; empty disables the probe.  With a path
   /// the interval must be finite and positive (Telemetry throws
@@ -100,9 +94,6 @@ class Telemetry {
   void mark_run_start();
   /// Stamp the run end; fills manifest wall_seconds.
   void mark_run_end();
-
-  /// Drop all recorded data so the handle can instrument another run.
-  void reset_run();
 
   /// Write every configured artifact.  Returns true when all writes
   /// succeeded; failures are logged and do not abort the others.

@@ -105,8 +105,6 @@ void TraceRecorder::async_end(TraceTid tid, std::uint64_t id, const char* cat,
   ev.cat = cat;
 }
 
-void TraceRecorder::clear() { events_.clear(); }
-
 namespace {
 
 void write_event(std::ostream& os, const TraceEvent& ev) {

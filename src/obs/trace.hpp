@@ -82,7 +82,6 @@ class TraceRecorder {
   std::size_t size() const noexcept { return events_.size(); }
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   const std::vector<std::string>& tracks() const noexcept { return tracks_; }
-  void clear();
 
   /// Chrome trace_event JSON ({"traceEvents": [...], ...}).
   void write_json(std::ostream& os) const;

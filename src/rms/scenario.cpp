@@ -15,14 +15,6 @@ Scenario& Scenario::workload(const std::string& spec) {
   return *this;
 }
 
-Scenario& Scenario::swf_trace(const std::string& path, double time_scale) {
-  config_.workload_source.kind = workload::SourceKind::kSwf;
-  config_.workload_source.path = path;
-  config_.workload_source.time_scale = time_scale;
-  config_.workload_source.validate();
-  return *this;
-}
-
 Scenario& Scenario::modulate(const std::string& spec) {
   for (workload::ModulatorSpec& stage : workload::parse_modulators(spec)) {
     config_.workload_source.modulators.push_back(std::move(stage));

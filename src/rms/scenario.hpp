@@ -73,10 +73,6 @@ class Scenario {
   /// Workload source from its spec grammar, e.g. "swf:trace.swf@0.01"
   /// or "synthetic".  Throws on a bad spec.
   Scenario& workload(const std::string& spec);
-  /// Replay a Standard Workload Format log, with arrival and run times
-  /// multiplied by `time_scale` (SWF logs are in seconds; scale them
-  /// into sim time units).
-  Scenario& swf_trace(const std::string& path, double time_scale = 1.0);
   /// Append one load-modulator stage to the source's chain, e.g.
   /// "diurnal:amplitude=0.6,period=500" (docs/WORKLOADS.md grammar).
   /// Chainable: each call appends; stages apply in call order.  Throws

@@ -92,8 +92,6 @@ class InlineFn {
   /// Invoke; precondition: non-null.
   void operator()() { vt_->invoke(buf_); }
 
-  static constexpr std::size_t inline_capacity() noexcept { return Capacity; }
-
  private:
   struct VTable {
     void (*invoke)(void*);

@@ -74,43 +74,6 @@ double Samples::max() const {
   return *std::max_element(xs_.begin(), xs_.end());
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("Histogram: need lo < hi and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  auto bin = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::cdf(double x) const noexcept {
-  if (total_ == 0) return 0.0;
-  std::size_t below = 0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    if (bin_hi(b) <= x) {
-      below += counts_[b];
-    } else {
-      break;
-    }
-  }
-  return static_cast<double>(below) / static_cast<double>(total_);
-}
-
 LineFit fit_line(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     throw std::invalid_argument("fit_line: need >= 2 paired samples");

@@ -57,26 +57,6 @@ class Samples {
   void ensure_sorted() const;
 };
 
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// edge bins.  Used by workload-model tests and the ASCII charts.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x) noexcept;
-  std::size_t bin_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  std::size_t total() const noexcept { return total_; }
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
-  /// Fraction of samples in [lo, x).
-  double cdf(double x) const noexcept;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 /// Least-squares line fit y = a + b*x over paired samples; used to report
 /// the scalability slope of G(k) across a window of scale factors.
 struct LineFit {

@@ -7,7 +7,8 @@ namespace scal::workload {
 ArrivalCache& ArrivalCache::instance() {
   static ArrivalCache cache;
   static const bool env_applied = []() {
-    const std::int64_t budget = util::env_int("SCAL_ARRIVAL_CACHE_BYTES", 0);
+    const std::uint64_t budget =
+        util::env_count("SCAL_ARRIVAL_CACHE_BYTES", 0);
     if (budget > 0) cache.set_max_bytes(static_cast<std::size_t>(budget));
     return true;
   }();

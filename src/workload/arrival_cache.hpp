@@ -2,17 +2,17 @@
 // Process-wide memo of generated arrival streams, keyed on a 128-bit
 // workload digest (grid::workload_digest covers every stream-shaping
 // input: workload config, source spec, seed, horizon, cluster count).
-// Every full-mode GridSystem asks it, so the runs of a session, a sweep
-// or parallel tuner lanes replay the same streams; memoizing them takes
-// workload synthesis off the build critical path.  Entries are immutable shared vectors, so
-// concurrent consumers alias one allocation safely; insertion is
-// first-insert-wins (racing generators produce bit-identical vectors,
-// the first one becomes canonical).
+// Every GridSystem asks it, so the runs of a session, a sweep or
+// parallel tuner lanes replay the same streams; memoizing them takes
+// workload synthesis off the build critical path.  Entries are
+// immutable shared vectors, so concurrent consumers alias one
+// allocation safely; insertion is first-insert-wins (racing generators
+// produce bit-identical vectors, the first one becomes canonical).
 //
 // A util::FifoCache plus one count: set_max_bytes (or
 // SCAL_ARRIVAL_CACHE_BYTES at first use) caps the resident payload,
 // oldest-first.  One-shot streaming runs bypass the store entirely
-// (cached_stream) and only count the skip.
+// (workload::arrivals without memoize) and only count the skip.
 
 #include <array>
 #include <atomic>
@@ -49,7 +49,8 @@ class ArrivalCache : private detail::ArrivalFifo {
 
   /// The process-wide instance every GridSystem consults.  The first
   /// call reads SCAL_ARRIVAL_CACHE_BYTES (bytes; unset or 0 keeps the
-  /// cache unbounded) into the byte budget.
+  /// cache unbounded) into the byte budget, and throws
+  /// std::invalid_argument when it is not a non-negative integer.
   static ArrivalCache& instance();
 
   /// The cached stream for `key`, or null.  Counts a hit or a miss.
@@ -68,7 +69,8 @@ class ArrivalCache : private detail::ArrivalFifo {
       ArrivalFifo::bytes, ArrivalFifo::size, ArrivalFifo::hits,
       ArrivalFifo::misses, ArrivalFifo::evictions;
 
-  /// Stores skipped by one-shot streaming runs (cached_stream misses).
+  /// Stores skipped by one-shot streaming runs (arrivals() misses
+  /// without memoize).
   std::uint64_t store_skips() const {
     return store_skips_.load(std::memory_order_relaxed);
   }

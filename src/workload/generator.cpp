@@ -107,15 +107,4 @@ Job WorkloadGenerator::next() {
   return job;
 }
 
-std::vector<Job> WorkloadGenerator::generate_until(sim::Time horizon,
-                                                   std::size_t max_jobs) {
-  std::vector<Job> jobs;
-  while (jobs.size() < max_jobs) {
-    Job job = next();
-    if (job.arrival >= horizon) break;
-    jobs.push_back(job);
-  }
-  return jobs;
-}
-
 }  // namespace scal::workload

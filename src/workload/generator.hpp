@@ -7,8 +7,6 @@
 // we expose the LOCAL/REMOTE split fraction so experiments can verify the
 // T_CPU classification behaves like the paper's.
 
-#include <vector>
-
 #include "util/rng.hpp"
 #include "workload/job.hpp"
 
@@ -77,12 +75,7 @@ class WorkloadGenerator {
   /// Next job in arrival order.  Arrival times are strictly increasing.
   Job next();
 
-  /// Generate jobs until `horizon` (exclusive); at most `max_jobs`.
-  std::vector<Job> generate_until(sim::Time horizon,
-                                  std::size_t max_jobs = SIZE_MAX);
-
   const WorkloadConfig& config() const noexcept { return config_; }
-  JobId jobs_emitted() const noexcept { return next_id_; }
 
  private:
   double draw_exec_time();

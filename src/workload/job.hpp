@@ -36,11 +36,6 @@ struct Job {
   /// Crash-requeue attempts consumed so far (fault subsystem; runtime
   /// state, not part of the workload characterization or trace format).
   std::uint32_t attempts = 0;
-
-  /// Latest acceptable completion when the job runs at `service_rate`.
-  sim::Time deadline_instant(double service_rate) const noexcept {
-    return arrival + benefit_factor * exec_time / service_rate;
-  }
 };
 
 }  // namespace scal::workload

@@ -357,7 +357,7 @@ ModulatedSource::ModulatedSource(std::unique_ptr<WorkloadSource> base,
 
 ModulatedSource::~ModulatedSource() = default;
 
-bool ModulatedSource::produce(Job& out) {
+bool ModulatedSource::next(Job& out) {
   if (!base_->next(out)) return false;
   out.arrival = warp_->warp(out.arrival);
   return true;

@@ -98,17 +98,6 @@ SourceSpec SourceSpec::parse(const std::string& text) {
   return spec;
 }
 
-std::vector<Job> WorkloadSource::generate_until(sim::Time horizon,
-                                                std::size_t max_jobs) {
-  std::vector<Job> jobs;
-  Job job;
-  while (jobs.size() < max_jobs && next(job)) {
-    if (job.arrival >= horizon) break;
-    jobs.push_back(job);
-  }
-  return jobs;
-}
-
 namespace {
 std::ifstream open_trace(const std::string& path) {
   std::ifstream in(path);
@@ -128,7 +117,7 @@ TraceSource::TraceSource(const std::string& path, sim::Time horizon,
   }
 }
 
-bool TraceSource::produce(Job& out) {
+bool TraceSource::next(Job& out) {
   // Skip-and-continue on the horizon filter: the reader requires
   // nondecreasing arrivals, so every row after the first one past the
   // horizon is skipped too — but it is still read, and still validated.
@@ -157,6 +146,8 @@ std::unique_ptr<WorkloadSource> make_source(const SourceSpec& spec,
           std::make_unique<TraceSource>(spec.path, horizon, workload.clusters);
       break;
     case SourceKind::kSwf: {
+      // The stable sort by submit time and the first-arrival rebase need
+      // the whole log, so an SWF source replays the loaded vector.
       SwfMapping mapping;
       mapping.time_scale = spec.time_scale;
       mapping.t_cpu = workload.t_cpu;
@@ -164,7 +155,9 @@ std::unique_ptr<WorkloadSource> make_source(const SourceSpec& spec,
       mapping.benefit_hi = workload.benefit_hi;
       mapping.clusters = workload.clusters;
       mapping.seed = seed;
-      source = std::make_unique<SwfSource>(spec.path, mapping);
+      source = std::make_unique<VectorReplayStream>(
+          std::make_shared<const std::vector<Job>>(
+              load_swf_file(spec.path, mapping)));
       break;
     }
   }
@@ -173,41 +166,26 @@ std::unique_ptr<WorkloadSource> make_source(const SourceSpec& spec,
     source = std::make_unique<ModulatedSource>(
         std::move(source), spec.modulators[i], seeds.at(i));
   }
-  return source;
+  return std::make_unique<BoundedStream>(std::move(source), horizon);
 }
 
-std::unique_ptr<JobStream> make_stream(const SourceSpec& spec,
-                                       const WorkloadConfig& workload,
-                                       std::uint64_t seed, sim::Time horizon,
-                                       std::size_t max_jobs) {
-  return std::make_unique<BoundedStream>(
-      make_source(spec, workload, seed, horizon), horizon, max_jobs);
-}
-
-ArrivalStream cached_arrivals(const std::array<std::uint64_t, 2>& key,
-                              const SourceSpec& spec,
-                              const WorkloadConfig& workload,
-                              std::uint64_t seed, sim::Time horizon) {
-  ArrivalCache& cache = ArrivalCache::instance();
-  if (auto jobs = cache.lookup(key)) return {std::move(jobs), true};
-  auto generated = std::make_shared<const std::vector<Job>>(
-      make_source(spec, workload, seed, horizon)->generate_until(horizon));
-  return {cache.store(key, std::move(generated)), false};
-}
-
-PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
-                             const SourceSpec& spec,
-                             const WorkloadConfig& workload,
-                             std::uint64_t seed, sim::Time horizon) {
+Arrivals arrivals(const std::array<std::uint64_t, 2>& key,
+                  const SourceSpec& spec, const WorkloadConfig& workload,
+                  std::uint64_t seed, sim::Time horizon, bool memoize) {
   ArrivalCache& cache = ArrivalCache::instance();
   if (auto jobs = cache.lookup(key)) {
     return {std::make_unique<VectorReplayStream>(std::move(jobs)), true};
   }
-  // One-shot run: keep the generator live instead of materializing —
-  // the whole point of the streaming tier (the skipped store is visible
-  // on the cache for the manifest's workload block).
-  cache.count_store_skip();
-  return {make_stream(spec, workload, seed, horizon), false};
+  if (!memoize) {
+    // A one-shot run keeps the stack live instead of materializing it;
+    // the skipped store shows in the manifest's workload block.
+    cache.count_store_skip();
+    return {make_source(spec, workload, seed, horizon), false};
+  }
+  auto jobs = cache.store(key, std::make_shared<const std::vector<Job>>(
+                                   collect(*make_source(spec, workload, seed,
+                                                        horizon))));
+  return {std::make_unique<VectorReplayStream>(std::move(jobs)), false};
 }
 
 }  // namespace scal::workload

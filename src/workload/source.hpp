@@ -4,8 +4,8 @@
 // synthetic generator, a saved CSV trace, or a Standard Workload Format
 // log — optionally wrapped in composable load modulators.  A SourceSpec
 // names one such stack declaratively (so configs stay hashable and
-// digest-able), and cached_arrivals() memoizes fully generated streams
-// process-wide so the systems of a sweep, a session or a tuner lane stop
+// digest-able), and arrivals() memoizes collected streams process-wide
+// so the systems of a sweep, a session or a tuner lane stop
 // regenerating identical arrivals.
 
 #include <array>
@@ -61,18 +61,6 @@ struct SourceSpec {
   static SourceSpec parse(const std::string& text);
 };
 
-/// An ordered stream of jobs.  Implementations produce arrivals in
-/// nondecreasing time order; ids are stream-local and stable.  A source
-/// IS a JobStream: consumers pull via next()/peek() (O(1) memory per
-/// job); generate_until remains as the materializing shim.
-class WorkloadSource : public JobStream {
- public:
-  /// Drain the stream up to `horizon` (exclusive); at most `max_jobs`.
-  /// Legacy shim over the pull interface — use next() to stay O(1).
-  std::vector<Job> generate_until(sim::Time horizon,
-                                  std::size_t max_jobs = SIZE_MAX);
-};
-
 /// The existing generator behind the source interface.  Constructed the
 /// way GridSystem always seeded it — util::RandomStream(seed,
 /// "workload") — so the emitted stream is the seed stream, job for job.
@@ -81,8 +69,7 @@ class SyntheticSource : public WorkloadSource {
   SyntheticSource(const WorkloadConfig& config, util::RandomStream rng)
       : gen_(config, rng) {}
 
- protected:
-  bool produce(Job& out) override {
+  bool next(Job& out) override {
     out = gen_.next();
     return true;  // unbounded: the horizon terminates the stream
   }
@@ -101,8 +88,7 @@ class TraceSource : public WorkloadSource {
   TraceSource(const std::string& path, sim::Time horizon,
               std::uint32_t clusters);
 
- protected:
-  bool produce(Job& out) override;
+  bool next(Job& out) override;
 
  private:
   std::ifstream file_;
@@ -120,62 +106,41 @@ class ModulatedSource : public WorkloadSource {
                   const ModulatorSpec& spec, std::uint64_t warp_seed);
   ~ModulatedSource() override;
 
- protected:
-  bool produce(Job& out) override;
+  bool next(Job& out) override;
 
  private:
   std::unique_ptr<WorkloadSource> base_;
   std::unique_ptr<TimeWarp> warp_;
 };
 
-/// Build the full source stack for `spec`: the base source (seeded and
-/// bounded like the grid expects, with `workload.clusters` already set
-/// to the run's cluster count) wrapped by the modulator chain in spec
-/// order, position i drawing from modulator_seeds(seed).at(i).
+/// Build the full source stack for `spec`, bounded at `horizon`: the
+/// base source (seeded like the grid expects, with `workload.clusters`
+/// already set to the run's cluster count) wrapped by the modulator
+/// chain in spec order, position i drawing from
+/// modulator_seeds(seed).at(i), and the whole stack wrapped in a
+/// BoundedStream, so pulling it yields exactly the run's arrivals.
 std::unique_ptr<WorkloadSource> make_source(const SourceSpec& spec,
                                             const WorkloadConfig& workload,
                                             std::uint64_t seed,
                                             sim::Time horizon);
 
-/// The full stack bounded at the horizon: make_source wrapped in a
-/// BoundedStream, so pulling it yields exactly the jobs generate_until
-/// would have materialized — one at a time.
-std::unique_ptr<JobStream> make_stream(const SourceSpec& spec,
-                                       const WorkloadConfig& workload,
-                                       std::uint64_t seed, sim::Time horizon,
-                                       std::size_t max_jobs = SIZE_MAX);
-
-/// A memoized arrival stream: the generated jobs (shared, immutable)
-/// plus whether the process-wide ArrivalCache already held them.
-struct ArrivalStream {
-  std::shared_ptr<const std::vector<Job>> jobs;
+/// One run's arrival stream, plus whether the ArrivalCache already held
+/// it.
+struct Arrivals {
+  std::unique_ptr<WorkloadSource> source;
   bool from_cache = false;
 };
 
-/// Generate-or-recall the arrival stream for (spec, workload, seed,
-/// horizon).  `key` must fingerprint every input that shapes the stream
-/// (grid::workload_digest provides exactly that); equal keys return the
-/// same shared vector without regenerating.  Thread-safe.
-ArrivalStream cached_arrivals(const std::array<std::uint64_t, 2>& key,
-                              const SourceSpec& spec,
-                              const WorkloadConfig& workload,
-                              std::uint64_t seed, sim::Time horizon);
-
-/// The pull-based face of the arrival memo: a stream handle plus cache
-/// provenance.
-struct PulledArrivals {
-  std::unique_ptr<JobStream> stream;
-  bool from_cache = false;
-};
-
-/// Stream-or-recall the arrivals for `key`.  A cache hit replays the
-/// memoized vector (free, O(1) state).  A miss returns the live
-/// generator without storing anything, keeping per-job memory O(1) for
-/// one-shot runs (the store skip is counted on the cache); callers that
-/// want the stream memoized use cached_arrivals.  Thread-safe.
-PulledArrivals cached_stream(const std::array<std::uint64_t, 2>& key,
-                             const SourceSpec& spec,
-                             const WorkloadConfig& workload,
-                             std::uint64_t seed, sim::Time horizon);
+/// The arrivals for (spec, workload, seed, horizon), after one
+/// ArrivalCache lookup under `key`, which must fingerprint every input
+/// that shapes the stream (grid::workload_digest provides exactly that).
+/// A hit replays the memoized vector.  On a miss, `memoize` collects the
+/// stack and stores the vector for later runs with the same key;
+/// otherwise the skipped store is counted and the live stack is
+/// returned, keeping per-job memory O(1) for one-shot runs.
+/// Thread-safe.
+Arrivals arrivals(const std::array<std::uint64_t, 2>& key,
+                  const SourceSpec& spec, const WorkloadConfig& workload,
+                  std::uint64_t seed, sim::Time horizon, bool memoize);
 
 }  // namespace scal::workload

@@ -2,12 +2,10 @@
 
 namespace scal::workload {
 
-std::vector<Job> collect(JobStream& stream, std::size_t max_jobs) {
+std::vector<Job> collect(WorkloadSource& source) {
   std::vector<Job> jobs;
   Job job;
-  while (jobs.size() < max_jobs && stream.next(job)) {
-    jobs.push_back(job);
-  }
+  while (source.next(job)) jobs.push_back(job);
   return jobs;
 }
 

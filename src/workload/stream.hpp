@@ -1,22 +1,15 @@
 #pragma once
-// JobStream — the pull-based arrival surface (docs/WORKLOADS.md).
+// WorkloadSource — the one pull interface for arrivals
+// (docs/WORKLOADS.md).
 //
-// Every consumer of a workload pulls jobs one at a time through this
-// interface, so per-job memory stays O(1) no matter how long the stream
-// runs: a 100M-job horizon costs the same resident set as a 1k-job one.
-// The eager std::vector<Job> surfaces (generate_until, load_trace, the
-// ArrivalCache values) are shims over streams now — materializing is a
-// choice the caller makes, not a property of the API.
-//
-// Implementations override produce(); consumers call next()/peek().
-// peek() keeps a one-slot lookahead so a consumer can inspect the next
-// arrival (e.g. to decide whether it crosses a horizon) without
-// consuming it.
+// Every consumer of a workload pulls jobs one at a time through next(),
+// so per-job memory stays O(1) no matter how long the stream runs: a
+// 100M-job horizon costs the same resident set as a 1k-job one.
+// Materializing is a choice the caller makes with collect(), the one
+// drain.
 
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -24,62 +17,29 @@
 
 namespace scal::workload {
 
-class JobStream {
+/// An ordered stream of jobs: arrivals in nondecreasing time order, ids
+/// stream-local and stable.
+class WorkloadSource {
  public:
-  virtual ~JobStream() = default;
+  virtual ~WorkloadSource() = default;
 
-  /// Pull the next job; false when the stream is exhausted (and then
-  /// forever after).
-  bool next(Job& out) {
-    if (lookahead_.has_value()) {
-      out = *lookahead_;
-      lookahead_.reset();
-      ++produced_;
-      return true;
-    }
-    if (!produce(out)) return false;
-    ++produced_;
-    return true;
-  }
-
-  /// The next job without consuming it; null when exhausted.  The
-  /// pointer stays valid until the next next()/peek() call.
-  const Job* peek() {
-    if (!lookahead_.has_value()) {
-      Job job;
-      if (!produce(job)) return nullptr;
-      lookahead_ = job;
-    }
-    return &*lookahead_;
-  }
-
-  /// Jobs handed out via next() so far.
-  std::uint64_t produced() const noexcept { return produced_; }
-
- protected:
-  /// Produce the next job; false when the stream is exhausted.
-  virtual bool produce(Job& out) = 0;
-
- private:
-  std::optional<Job> lookahead_;
-  std::uint64_t produced_ = 0;
+  /// Pull the next job into `out`; false when the stream is exhausted
+  /// (and then forever after).
+  virtual bool next(Job& out) = 0;
 };
 
-/// Drain a stream into a vector (at most `max_jobs`) — the materializing
-/// shim for callers that genuinely need every job resident.
-std::vector<Job> collect(JobStream& stream,
-                         std::size_t max_jobs =
-                             std::numeric_limits<std::size_t>::max());
+/// Drain a source into a vector, for callers that need every job
+/// resident.
+std::vector<Job> collect(WorkloadSource& source);
 
 /// Replay of an already-materialized stream (an ArrivalCache entry, a
-/// loaded fixture): shares the immutable vector, holds O(1) state.
-class VectorReplayStream final : public JobStream {
+/// loaded log): shares the immutable vector, holds O(1) state.
+class VectorReplayStream final : public WorkloadSource {
  public:
   explicit VectorReplayStream(std::shared_ptr<const std::vector<Job>> jobs)
       : jobs_(std::move(jobs)) {}
 
- protected:
-  bool produce(Job& out) override {
+  bool next(Job& out) override {
     if (jobs_ == nullptr || pos_ >= jobs_->size()) return false;
     out = (*jobs_)[pos_++];
     return true;
@@ -90,36 +50,25 @@ class VectorReplayStream final : public JobStream {
   std::size_t pos_ = 0;
 };
 
-/// Terminate a base stream at `horizon` (exclusive) and after at most
-/// `max_jobs` emitted jobs — exactly the generate_until contract: the
-/// first job at or past the horizon is consumed from the base stream and
-/// dropped, and the stream is exhausted from then on.
-class BoundedStream final : public JobStream {
+/// Terminate a base source at `horizon` (exclusive): the first job at or
+/// past the horizon is consumed from the base and dropped, and the
+/// stream is exhausted from then on.
+class BoundedStream final : public WorkloadSource {
  public:
-  BoundedStream(std::unique_ptr<JobStream> base, sim::Time horizon,
-                std::size_t max_jobs =
-                    std::numeric_limits<std::size_t>::max())
-      : base_(std::move(base)), horizon_(horizon), max_jobs_(max_jobs) {}
+  BoundedStream(std::unique_ptr<WorkloadSource> base, sim::Time horizon)
+      : base_(std::move(base)), horizon_(horizon) {}
 
- protected:
-  bool produce(Job& out) override {
-    if (done_ || emitted_ >= max_jobs_ || !base_->next(out)) {
+  bool next(Job& out) override {
+    if (done_ || !base_->next(out) || out.arrival >= horizon_) {
       done_ = true;
       return false;
     }
-    if (out.arrival >= horizon_) {
-      done_ = true;
-      return false;
-    }
-    ++emitted_;
     return true;
   }
 
  private:
-  std::unique_ptr<JobStream> base_;
+  std::unique_ptr<WorkloadSource> base_;
   sim::Time horizon_;
-  std::size_t max_jobs_;
-  std::size_t emitted_ = 0;
   bool done_ = false;
 };
 

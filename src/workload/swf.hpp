@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "workload/job.hpp"
-#include "workload/source.hpp"
 
 namespace scal::workload {
 
@@ -50,28 +49,5 @@ struct SwfMapping {
 std::vector<Job> load_swf(std::istream& in, const SwfMapping& mapping);
 std::vector<Job> load_swf_file(const std::string& path,
                                const SwfMapping& mapping);
-
-/// An SWF log behind the source interface: the file is parsed once at
-/// construction (load_swf_file) and streamed in arrival order.  SWF
-/// stays materialized internally — the stable sort by submit time and
-/// the first-arrival rebase need the whole log — but consumers still
-/// pull it through the JobStream interface like every other source.
-class SwfSource : public WorkloadSource {
- public:
-  SwfSource(const std::string& path, const SwfMapping& mapping)
-      : jobs_(load_swf_file(path, mapping)) {}
-  explicit SwfSource(std::vector<Job> jobs) : jobs_(std::move(jobs)) {}
-
- protected:
-  bool produce(Job& out) override {
-    if (pos_ >= jobs_.size()) return false;
-    out = jobs_[pos_++];
-    return true;
-  }
-
- private:
-  std::vector<Job> jobs_;
-  std::size_t pos_ = 0;
-};
 
 }  // namespace scal::workload

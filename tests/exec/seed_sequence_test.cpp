@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "exec/jobs.hpp"
 #include "util/rng.hpp"
@@ -67,6 +70,24 @@ TEST(Jobs, RejectsGarbageViaFallback) {
   EXPECT_EQ(parse_jobs("0", 9), 9u);
   EXPECT_EQ(parse_jobs("-3", 9), 9u);
   EXPECT_EQ(parse_jobs("4x", 9), 9u);
+}
+
+TEST(Jobs, EnvJobsRejectsBadText) {
+  const char* saved = std::getenv("SCAL_JOBS");
+  const std::string restore = saved != nullptr ? saved : "";
+  setenv("SCAL_JOBS", "3", 1);
+  EXPECT_EQ(env_jobs(1), 3u);
+  // Out of range is rejected like garbage, never saturated.
+  EXPECT_EQ(parse_jobs("99999999999999999999", 9), 9u);
+  for (const char* bad : {"abc", "0", "-2", "4x", "99999999999999999999"}) {
+    setenv("SCAL_JOBS", bad, 1);
+    EXPECT_THROW(env_jobs(1), std::invalid_argument) << bad;
+  }
+  setenv("SCAL_JOBS", "", 1);
+  EXPECT_EQ(env_jobs(5), 5u);
+  unsetenv("SCAL_JOBS");
+  EXPECT_EQ(env_jobs(5), 5u);
+  if (saved != nullptr) setenv("SCAL_JOBS", restore.c_str(), 1);
 }
 
 }  // namespace

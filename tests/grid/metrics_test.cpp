@@ -63,7 +63,7 @@ TEST(MetricsCollector, ResponseTimeSamplesRecorded) {
   MetricsCollector m;
   m.record_completion(job_with(10.0, 0.0, 100.0), 5.0, 1.0, 0.0);
   m.record_completion(job_with(10.0, 0.0, 100.0), 15.0, 1.0, 0.0);
-  EXPECT_DOUBLE_EQ(m.response_times().mean(), 10.0);
+  EXPECT_DOUBLE_EQ(m.response_mean(), 10.0);
 }
 
 TEST(SimulationResult, EfficiencyFormula) {

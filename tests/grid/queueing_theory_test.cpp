@@ -53,7 +53,7 @@ TEST(QueueingTheory, MM1MeanResponseMatchesFormula) {
   }
   station.sim.run();
   ASSERT_EQ(station.metrics.snapshot().jobs_completed, n);
-  EXPECT_NEAR(station.metrics.response_times().mean(), 1.0 / (1.0 - 0.7),
+  EXPECT_NEAR(station.metrics.response_mean(), 1.0 / (1.0 - 0.7),
               0.25);
 }
 
@@ -96,7 +96,7 @@ TEST(QueueingTheory, RandomDispatchBankBehavesLikeParallelMM1) {
     });
   }
   station.sim.run();
-  EXPECT_NEAR(station.metrics.response_times().mean(), 2.5, 0.25);
+  EXPECT_NEAR(station.metrics.response_mean(), 2.5, 0.25);
 }
 
 TEST(QueueingTheory, JoinShortestQueueBeatsRandomDispatch) {
@@ -132,7 +132,7 @@ TEST(QueueingTheory, JoinShortestQueueBeatsRandomDispatch) {
       });
     }
     station.sim.run();
-    return station.metrics.response_times().mean();
+    return station.metrics.response_mean();
   };
 
   const double w_random = run(false);

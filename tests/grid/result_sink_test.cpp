@@ -1,8 +1,9 @@
-// ResultSink — the storage half of the streaming-tier API split.  The
-// load-bearing contracts: the streaming sink's mean is bitwise identical
-// to the full sink's (same 0.0-seeded fold in completion order), its p95
-// is a bounded-error histogram estimate, and every sink's JobLog honors
-// the capacity bound.
+// ResultSink — a run's per-job result storage.  The load-bearing
+// contracts: the mean is bitwise identical in both modes and to
+// util::Samples::mean (the same 0.0-seeded fold in completion order),
+// the full-mode p95 is the exact sample percentile, the streaming p95 is
+// a bounded-error histogram estimate, and the JobLog honors the capacity
+// bound.
 
 #include "grid/result_sink.hpp"
 
@@ -37,29 +38,31 @@ TEST(ResultModeTest, RoundTripsThroughStrings) {
 }
 
 TEST(MakeResultSink, BuildsTheRequestedMode) {
-  EXPECT_EQ(make_result_sink(ResultMode::kFull)->mode(), ResultMode::kFull);
-  EXPECT_EQ(make_result_sink(ResultMode::kStreaming)->mode(),
+  EXPECT_EQ(ResultSink().mode(), ResultMode::kFull);
+  EXPECT_EQ(ResultSink(ResultMode::kFull).mode(), ResultMode::kFull);
+  EXPECT_EQ(ResultSink(ResultMode::kStreaming).mode(),
             ResultMode::kStreaming);
-  EXPECT_NE(make_result_sink(ResultMode::kFull)->samples(), nullptr);
-  EXPECT_EQ(make_result_sink(ResultMode::kStreaming)->samples(), nullptr);
+  EXPECT_EQ(MetricsCollector(ResultMode::kStreaming).sink().mode(),
+            ResultMode::kStreaming);
 }
 
 TEST(FullResultSink, IsExactlyTheSampleStore) {
-  FullResultSink sink;
+  ResultSink sink(ResultMode::kFull);
   util::Samples expected;
   for (const double v : noisy_responses(500, 7)) {
     sink.record_response(v);
     expected.add(v);
   }
   EXPECT_EQ(sink.response_count(), 500u);
-  EXPECT_EQ(sink.response_mean(), expected.mean());
+  const double completion_order_mean = expected.mean();
+  // p95 first: the query sorts the sample store, and the mean must not
+  // depend on that order.
   EXPECT_EQ(sink.response_p95(), expected.percentile(95.0));
-  ASSERT_NE(sink.samples(), nullptr);
-  EXPECT_EQ(sink.samples()->values(), expected.values());
+  EXPECT_EQ(sink.response_mean(), completion_order_mean);
 }
 
 TEST(StreamingResultSink, MeanBitwiseIdenticalToSamples) {
-  StreamingResultSink streaming;
+  ResultSink streaming(ResultMode::kStreaming);
   util::Samples exact;
   for (const double v : noisy_responses(2000, 11)) {
     streaming.record_response(v);
@@ -73,7 +76,7 @@ TEST(StreamingResultSink, MeanBitwiseIdenticalToSamples) {
 }
 
 TEST(StreamingResultSink, P95IsABoundedErrorEstimate) {
-  StreamingResultSink streaming;
+  ResultSink streaming(ResultMode::kStreaming);
   util::Samples exact;
   for (const double v : noisy_responses(5000, 13)) {
     streaming.record_response(v);
@@ -88,10 +91,12 @@ TEST(StreamingResultSink, P95IsABoundedErrorEstimate) {
 }
 
 TEST(StreamingResultSink, EmptyReadsAsZero) {
-  StreamingResultSink sink;
-  EXPECT_EQ(sink.response_count(), 0u);
-  EXPECT_EQ(sink.response_mean(), 0.0);
-  EXPECT_EQ(sink.response_p95(), 0.0);
+  for (const ResultMode mode : {ResultMode::kFull, ResultMode::kStreaming}) {
+    const ResultSink sink(mode);
+    EXPECT_EQ(sink.response_count(), 0u);
+    EXPECT_EQ(sink.response_mean(), 0.0);
+    EXPECT_EQ(sink.response_p95(), 0.0);
+  }
 }
 
 TEST(JobLogCapacity, KeepsFirstNThenCounts) {
@@ -108,35 +113,18 @@ TEST(JobLogCapacity, KeepsFirstNThenCounts) {
 }
 
 TEST(MetricsCollector, RecordJobEventRoutesToTheAttachedSink) {
-  MetricsCollector metrics;
-  StreamingResultSink sink;
-  sink.log().set_enabled(true);
-  metrics.attach_sink(&sink);
-  metrics.record_job_event(7, JobEvent::kDispatch, 1.5, 3);
-  ASSERT_EQ(sink.log().size(), 1u);
-  EXPECT_EQ(sink.log().records()[0].job, 7u);
-  EXPECT_EQ(sink.log().records()[0].place, 3u);
-
-  // Detaching restores the embedded full sink, whose own log takes the
-  // next events.
-  metrics.attach_sink(nullptr);
-  EXPECT_EQ(metrics.sink().mode(), ResultMode::kFull);
+  MetricsCollector metrics(ResultMode::kStreaming);
   metrics.sink().log().set_enabled(true);
-  metrics.record_job_event(8, JobEvent::kStart, 2.0, 1);
+  metrics.record_job_event(7, JobEvent::kDispatch, 1.5, 3);
   ASSERT_EQ(metrics.sink().log().size(), 1u);
-  EXPECT_EQ(metrics.sink().log().records()[0].job, 8u);
-  EXPECT_EQ(sink.log().size(), 1u);
-}
+  EXPECT_EQ(metrics.sink().log().records()[0].job, 7u);
+  EXPECT_EQ(metrics.sink().log().records()[0].place, 3u);
 
-TEST(MetricsCollector, ResponseTimesThrowOnStreamingSink) {
-  MetricsCollector metrics;
-  StreamingResultSink sink;
-  metrics.attach_sink(&sink);
-  EXPECT_THROW(metrics.response_times(), std::logic_error);
-  // The mode-agnostic accessors keep working.
-  sink.record_response(4.0);
+  // Completions fold into the same sink.
+  metrics.record_completion(workload::Job{}, 4.0, 1.0, 0.0);
   EXPECT_EQ(metrics.response_count(), 1u);
   EXPECT_EQ(metrics.response_mean(), 4.0);
+  EXPECT_EQ(metrics.sink().response_count(), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "workload/arrival_cache.hpp"
 #include "workload/generator.hpp"
 #include "workload/trace.hpp"
+#include "support/draw_jobs.hpp"
 #include "support/result_equal.hpp"
 
 namespace scal::rms {
@@ -114,8 +115,8 @@ grid::GridConfig bad_trace_config(const std::string& path) {
   wl.mean_interarrival = 1.0;
   wl.clusters = 4;
   workload::WorkloadGenerator gen(wl, util::RandomStream(42, "session"));
-  const std::vector<workload::Job> jobs = gen.generate_until(295.0, 200);
-  EXPECT_EQ(jobs.size(), 200u);
+  const std::vector<workload::Job> jobs = test::first_jobs(gen, 200);
+  EXPECT_LT(jobs.back().arrival, 295.0);
   std::stringstream text;
   workload::save_trace(jobs, text);
   std::vector<std::string> lines;

@@ -85,34 +85,6 @@ TEST(Samples, AddAfterPercentileStillCorrect) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to bin 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, CdfMonotone) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 1000; ++i) h.add(static_cast<double>(i % 100));
-  double prev = 0.0;
-  for (double x = 0.0; x <= 100.0; x += 10.0) {
-    const double c = h.cdf(x);
-    EXPECT_GE(c, prev);
-    prev = c;
-  }
-  EXPECT_DOUBLE_EQ(h.cdf(100.0), 1.0);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(LineFit, ExactLine) {
   const std::vector<double> x{1, 2, 3, 4, 5};
   const std::vector<double> y{3, 5, 7, 9, 11};  // y = 1 + 2x

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "workload/generator.hpp"
+#include "support/draw_jobs.hpp"
 
 namespace scal::workload {
 namespace {
@@ -20,7 +21,7 @@ WorkloadConfig modulated_config() {
 TEST(DiurnalModulation, PeakTroughContrast) {
   WorkloadGenerator gen(modulated_config(),
                         util::RandomStream(42, "mod"));
-  const auto jobs = gen.generate_until(20000.0);
+  const auto jobs = test::jobs_before(gen, 20000.0);
   ASSERT_GT(jobs.size(), 2000u);
   // Count arrivals in the peak quarter (t mod P in [P/8, 3P/8]) vs the
   // trough quarter ([5P/8, 7P/8]) of each period.
@@ -37,7 +38,7 @@ TEST(DiurnalModulation, PeakTroughContrast) {
 TEST(DiurnalModulation, MeanRatePreserved) {
   WorkloadGenerator gen(modulated_config(),
                         util::RandomStream(7, "mod"));
-  const auto jobs = gen.generate_until(40000.0);
+  const auto jobs = test::jobs_before(gen, 40000.0);
   // Long-run mean interarrival should still be ~ the configured mean
   // (the sin term integrates to zero over whole periods).
   const double mean = 40000.0 / static_cast<double>(jobs.size());

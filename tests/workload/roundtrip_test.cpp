@@ -38,8 +38,7 @@ TEST(TraceRoundTrip, ReplayReproducesIdenticalRun) {
 
   // Save exactly the stream the run consumed (same spec, seed, horizon).
   const std::vector<Job> jobs =
-      make_source(SourceSpec{}, wl, config.seed, config.horizon)
-          ->generate_until(config.horizon);
+      collect(*make_source(SourceSpec{}, wl, config.seed, config.horizon));
   ASSERT_EQ(jobs.size(), direct.jobs_arrived);
   const std::string path =
       ::testing::TempDir() + "/scal_roundtrip_workload.csv";

@@ -7,6 +7,7 @@
 
 #include "workload/arrival_cache.hpp"
 #include "workload/generator.hpp"
+#include "support/draw_jobs.hpp"
 
 namespace scal::workload {
 namespace {
@@ -22,8 +23,8 @@ TEST(SyntheticSource, MatchesGeneratorJobForJob) {
   const WorkloadConfig config = small_workload();
   WorkloadGenerator gen(config, util::RandomStream(42, "workload"));
   SyntheticSource source(config, util::RandomStream(42, "workload"));
-  const auto expected = gen.generate_until(500.0);
-  const auto actual = source.generate_until(500.0);
+  const auto expected = test::first_jobs(gen, 250);
+  const auto actual = test::first_jobs(source, 250);
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i].id, expected[i].id);
@@ -253,10 +254,9 @@ TEST(MakeSource, ModulatorsReshapeArrivalsOnly) {
   SourceSpec modulated;
   modulated.modulators =
       parse_modulators("diurnal:amplitude=0.8,period=250");
-  const auto base = make_source(plain, config, 42, 1e9)
-                        ->generate_until(1e9, 500);
-  const auto warped = make_source(modulated, config, 42, 1e9)
-                          ->generate_until(1e9, 500);
+  const auto base = test::first_jobs(*make_source(plain, config, 42, 1e9), 500);
+  const auto warped =
+      test::first_jobs(*make_source(modulated, config, 42, 1e9), 500);
   ASSERT_EQ(warped.size(), base.size());  // count preserved
   double prev = -1.0;
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -282,10 +282,10 @@ TEST(MakeSource, ChainPositionsDrawFromIsolatedSubstreams) {
   // could only come from the burst stage drawing a different substream.
   burst_plus_identity.modulators.push_back(
       parse_modulators("diurnal:amplitude=0,period=1").front());
-  const auto a = make_source(just_burst, config, 42, 1e9)
-                     ->generate_until(1e9, 300);
-  const auto b = make_source(burst_plus_identity, config, 42, 1e9)
-                     ->generate_until(1e9, 300);
+  const auto a =
+      test::first_jobs(*make_source(just_burst, config, 42, 1e9), 300);
+  const auto b = test::first_jobs(
+      *make_source(burst_plus_identity, config, 42, 1e9), 300);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].arrival, b[i].arrival);
@@ -297,13 +297,16 @@ TEST(ArrivalCacheTest, MissGeneratesThenHitsRecall) {
   const WorkloadConfig config = small_workload();
   const SourceSpec spec;
   const std::array<std::uint64_t, 2> key = {0xabcdefULL, 0x123456ULL};
-  const ArrivalStream first = cached_arrivals(key, spec, config, 42, 400.0);
+  const Arrivals first = arrivals(key, spec, config, 42, 400.0, true);
   EXPECT_FALSE(first.from_cache);
-  ASSERT_TRUE(first.jobs);
-  EXPECT_FALSE(first.jobs->empty());
-  const ArrivalStream second = cached_arrivals(key, spec, config, 42, 400.0);
+  const auto stored = ArrivalCache::instance().lookup(key);
+  ASSERT_TRUE(stored);
+  EXPECT_FALSE(stored->empty());
+  const Arrivals second = arrivals(key, spec, config, 42, 400.0, true);
   EXPECT_TRUE(second.from_cache);
-  EXPECT_EQ(second.jobs.get(), first.jobs.get());  // shared, not copied
+  // Shared, not copied: the cache still holds the one vector.
+  EXPECT_EQ(ArrivalCache::instance().lookup(key).get(), stored.get());
+  EXPECT_EQ(ArrivalCache::instance().size(), 1u);
   EXPECT_GE(ArrivalCache::instance().hits(), 1u);
 }
 

@@ -1,9 +1,9 @@
-// The pull-based workload surface: JobStream next()/peek() semantics,
-// the bounding and replay adapters, the materializing shims, and the
-// byte-budgeted ArrivalCache the streams are memoized in.  The contract
-// under test is the streaming tier's foundation: pulling a stream yields
-// exactly the jobs the eager generate_until path materialized, job for
-// job, while holding O(1) state.
+// The pull interface: WorkloadSource::next() semantics, the bounding and
+// replay adapters, collect() as the one drain, and the byte-budgeted
+// ArrivalCache that arrivals() memoizes streams in.  The contract under
+// test is the streaming tier's foundation: pulling the horizon-bounded
+// stack yields exactly the jobs the generator emits before the horizon,
+// job for job, while holding O(1) state.
 
 #include "workload/stream.hpp"
 
@@ -16,6 +16,7 @@
 #include "workload/generator.hpp"
 #include "workload/source.hpp"
 #include "workload/trace.hpp"
+#include "support/draw_jobs.hpp"
 
 namespace scal::workload {
 namespace {
@@ -66,28 +67,6 @@ TEST(JobStream, NextDrainsInOrderThenStaysExhausted) {
   }
   EXPECT_FALSE(stream->next(job));
   EXPECT_FALSE(stream->next(job));  // exhaustion is terminal
-  EXPECT_EQ(stream->produced(), 3u);
-}
-
-TEST(JobStream, PeekDoesNotConsume) {
-  auto stream = replay(jobs_at({1.0, 2.0}));
-  const Job* ahead = stream->peek();
-  ASSERT_NE(ahead, nullptr);
-  EXPECT_DOUBLE_EQ(ahead->arrival, 1.0);
-  // Repeated peeks see the same job; produced() is untouched.
-  EXPECT_DOUBLE_EQ(stream->peek()->arrival, 1.0);
-  EXPECT_EQ(stream->produced(), 0u);
-
-  Job job;
-  ASSERT_TRUE(stream->next(job));  // the peeked job, now consumed
-  EXPECT_DOUBLE_EQ(job.arrival, 1.0);
-  EXPECT_EQ(stream->produced(), 1u);
-
-  EXPECT_DOUBLE_EQ(stream->peek()->arrival, 2.0);
-  ASSERT_TRUE(stream->next(job));
-  EXPECT_DOUBLE_EQ(job.arrival, 2.0);
-  EXPECT_EQ(stream->peek(), nullptr);  // exhausted
-  EXPECT_FALSE(stream->next(job));
 }
 
 TEST(VectorReplayStream, SharesTheVectorWithoutCopying) {
@@ -109,8 +88,8 @@ TEST(VectorReplayStream, NullVectorIsEmpty) {
 }
 
 TEST(BoundedStream, DropsTheFirstBeyondHorizonJobAndTerminates) {
-  // generate_until contract: the first job at or past the horizon is
-  // consumed from the base stream and dropped; the bound is exclusive.
+  // The first job at or past the horizon is consumed from the base
+  // stream and dropped; the bound is exclusive.
   BoundedStream stream(replay(jobs_at({1.0, 4.0, 5.0, 6.0})), 5.0);
   Job job;
   ASSERT_TRUE(stream.next(job));
@@ -121,49 +100,30 @@ TEST(BoundedStream, DropsTheFirstBeyondHorizonJobAndTerminates) {
   EXPECT_FALSE(stream.next(job));  // even though 6.0 < infinity remains
 }
 
-TEST(BoundedStream, MaxJobsCapsEmission) {
-  BoundedStream stream(replay(jobs_at({1.0, 2.0, 3.0, 4.0})), 100.0, 2);
-  Job job;
-  ASSERT_TRUE(stream.next(job));
-  ASSERT_TRUE(stream.next(job));
-  EXPECT_DOUBLE_EQ(job.arrival, 2.0);
-  EXPECT_FALSE(stream.next(job));
-}
-
 TEST(Collect, MaterializesTheStreamUpToMaxJobs) {
   const std::vector<Job> expected = jobs_at({1.0, 2.0, 3.0});
   auto full = replay(expected);
   expect_same_jobs(collect(*full), expected);
-
-  auto capped = replay(expected);
-  EXPECT_EQ(collect(*capped, 2).size(), 2u);
 }
 
 TEST(MakeStream, PullsExactlyWhatGenerateUntilMaterializes) {
+  // The horizon-bounded stack is the generator, seeded the way the grid
+  // seeds it, cut at the first arrival at or past the horizon.
   const WorkloadConfig config = small_workload();
-  const SourceSpec spec;
-  const auto expected =
-      make_source(spec, config, 42, 400.0)->generate_until(400.0);
+  WorkloadGenerator gen(config, util::RandomStream(42, "workload"));
+  const auto expected = test::jobs_before(gen, 400.0);
   ASSERT_FALSE(expected.empty());
 
-  auto stream = make_stream(spec, config, 42, 400.0);
+  auto stream = make_source(SourceSpec{}, config, 42, 400.0);
   std::vector<Job> pulled;
   Job job;
   while (stream->next(job)) pulled.push_back(job);
   expect_same_jobs(pulled, expected);
-  EXPECT_EQ(stream->produced(), expected.size());
-}
-
-TEST(MakeStream, HonorsMaxJobs) {
-  const WorkloadConfig config = small_workload();
-  auto stream = make_stream(SourceSpec{}, config, 42, 400.0, 5);
-  EXPECT_EQ(collect(*stream).size(), 5u);
 }
 
 TEST(TraceStatsAccumulator, BitwiseIdenticalToSummarize) {
   const WorkloadConfig config = small_workload();
-  const auto jobs =
-      make_source(SourceSpec{}, config, 42, 600.0)->generate_until(600.0);
+  const auto jobs = collect(*make_source(SourceSpec{}, config, 42, 600.0));
   ASSERT_GT(jobs.size(), 10u);
 
   TraceStatsAccumulator acc;
@@ -238,10 +198,11 @@ TEST(CachedStream, OneShotMissStreamsLiveAndCountsTheSkip) {
   const std::array<std::uint64_t, 2> key = {0x51717ULL, 0xf100dULL};
   const std::uint64_t skips_before = cache.store_skips();
 
-  PulledArrivals pulled = cached_stream(key, SourceSpec{}, config, 42, 400.0);
+  Arrivals pulled =
+      arrivals(key, SourceSpec{}, config, 42, 400.0, /*memoize=*/false);
   EXPECT_FALSE(pulled.from_cache);
-  ASSERT_NE(pulled.stream, nullptr);
-  const std::vector<Job> live = collect(*pulled.stream);
+  ASSERT_NE(pulled.source, nullptr);
+  const std::vector<Job> live = collect(*pulled.source);
   ASSERT_FALSE(live.empty());
 
   // Nothing was stored: the one-shot run kept per-job memory O(1).
@@ -249,9 +210,8 @@ TEST(CachedStream, OneShotMissStreamsLiveAndCountsTheSkip) {
   EXPECT_EQ(cache.store_skips(), skips_before + 1);
 
   // The live stream is still the canonical stream, job for job.
-  const auto expected =
-      make_source(SourceSpec{}, config, 42, 400.0)->generate_until(400.0);
-  expect_same_jobs(live, expected);
+  expect_same_jobs(live,
+                   collect(*make_source(SourceSpec{}, config, 42, 400.0)));
   cache.clear();
 }
 
@@ -261,17 +221,20 @@ TEST(CachedStream, ReusableMissStoresAndHitReplays) {
   const WorkloadConfig config = small_workload();
   const std::array<std::uint64_t, 2> key = {0xcafeULL, 0xbeefULL};
 
-  // The reusable path (cached_arrivals) materializes and stores.
-  const ArrivalStream first =
-      cached_arrivals(key, SourceSpec{}, config, 42, 400.0);
+  // A memoizing miss collects the stack and stores the vector.
+  Arrivals first =
+      arrivals(key, SourceSpec{}, config, 42, 400.0, /*memoize=*/true);
   EXPECT_FALSE(first.from_cache);
-  const std::vector<Job> generated = *first.jobs;
+  const std::vector<Job> generated = collect(*first.source);
   EXPECT_NE(cache.lookup(key), nullptr);
+  EXPECT_EQ(cache.store_skips(), 0u);
 
-  // A later pull replays the memoized vector.
-  PulledArrivals second = cached_stream(key, SourceSpec{}, config, 42, 400.0);
+  // A later pull, memoizing or not, replays the memoized vector.
+  Arrivals second =
+      arrivals(key, SourceSpec{}, config, 42, 400.0, /*memoize=*/false);
   EXPECT_TRUE(second.from_cache);
-  expect_same_jobs(collect(*second.stream), generated);
+  expect_same_jobs(collect(*second.source), generated);
+  EXPECT_EQ(cache.store_skips(), 0u);
   cache.clear();
 }
 

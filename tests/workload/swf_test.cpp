@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
+
+#include "workload/source.hpp"
 
 namespace scal::workload {
 namespace {
@@ -222,22 +226,48 @@ TEST(Swf, MissingFileThrows) {
                std::runtime_error);
 }
 
+/// Writes `text` to a temporary SWF file and returns its path.
+std::string swf_file(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// The workload config whose SWF mapping is small_mapping().
+WorkloadConfig small_workload() {
+  WorkloadConfig config;
+  config.t_cpu = small_mapping().t_cpu;
+  config.clusters = small_mapping().clusters;
+  return config;
+}
+
 TEST(SwfSource, StreamsJobsInOrderThenExhausts) {
-  std::istringstream in(row(0.0, 10.0) + row(5.0, 20.0));
-  SwfSource source(load_swf(in, small_mapping()));
+  const std::string path =
+      swf_file("scal_swf_source.swf", row(0.0, 10.0) + row(5.0, 20.0));
+  auto source = make_source(SourceSpec::parse("swf:" + path),
+                            small_workload(), 42, 1e9);
+  const std::vector<Job> expected = load_swf_file(path, small_mapping());
   Job j;
-  ASSERT_TRUE(source.next(j));
+  ASSERT_TRUE(source->next(j));
   EXPECT_DOUBLE_EQ(j.arrival, 0.0);
-  ASSERT_TRUE(source.next(j));
+  EXPECT_EQ(j.benefit_factor, expected[0].benefit_factor);
+  ASSERT_TRUE(source->next(j));
   EXPECT_DOUBLE_EQ(j.arrival, 5.0);
-  EXPECT_FALSE(source.next(j));
+  EXPECT_EQ(j.benefit_factor, expected[1].benefit_factor);
+  EXPECT_FALSE(source->next(j));
+  EXPECT_FALSE(source->next(j));
+  std::remove(path.c_str());
 }
 
 TEST(SwfSource, GenerateUntilRespectsHorizon) {
-  std::istringstream in(row(0.0, 10.0) + row(5.0, 10.0) + row(50.0, 10.0));
-  SwfSource source(load_swf(in, small_mapping()));
-  const auto jobs = source.generate_until(50.0);
-  EXPECT_EQ(jobs.size(), 2u);  // arrival 50 is at the horizon: excluded
+  const std::string path = swf_file(
+      "scal_swf_horizon.swf",
+      row(0.0, 10.0) + row(5.0, 10.0) + row(50.0, 10.0));
+  auto source = make_source(SourceSpec::parse("swf:" + path),
+                            small_workload(), 42, 50.0);
+  // Arrival 50 is at the horizon: excluded.
+  EXPECT_EQ(collect(*source).size(), 2u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "workload/generator.hpp"
+#include "support/draw_jobs.hpp"
 
 namespace scal::workload {
 namespace {
@@ -16,7 +17,7 @@ std::vector<Job> sample_jobs(std::size_t n) {
   config.mean_interarrival = 3.0;
   config.clusters = 5;
   WorkloadGenerator gen(config, util::RandomStream(42, "trace"));
-  return gen.generate_until(1e12, n);
+  return test::first_jobs(gen, n);
 }
 
 TEST(Trace, RoundTripPreservesEveryField) {
