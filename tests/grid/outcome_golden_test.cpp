@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -36,11 +35,14 @@
 #include "obs/probe.hpp"
 #include "obs/telemetry.hpp"
 #include "rms/scenario.hpp"
+#include "support/hash64.hpp"
 #include "support/result_equal.hpp"
 #include "workload/arrival_cache.hpp"
 
 namespace scal::grid {
 namespace {
+
+using test::Hash64;
 
 constexpr const char* kFaultSpec = "churn:mtbf=200,mttr=25;net:drop=0.02";
 constexpr std::uint64_t kSeeds[] = {42, 7};
@@ -54,27 +56,6 @@ constexpr RmsKind kKinds[] = {
     RmsKind::kSenderInitiated, RmsKind::kReceiverInitiated,
     RmsKind::kSymmetric,       RmsKind::kHierarchical,
     RmsKind::kRandom,
-};
-
-/// 64-bit FNV-1a over the little-endian bytes of each folded word.
-class Hash64 {
- public:
-  void add(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      state_ ^= (word >> (8 * i)) & 0xffu;
-      state_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double value) { add(test::result_equal_detail::bits(value)); }
-  std::string hex() const {
-    char out[17];
-    std::snprintf(out, sizeof(out), "%016llx",
-                  static_cast<unsigned long long>(state_));
-    return out;
-  }
-
- private:
-  std::uint64_t state_ = 0xcbf29ce484222325ull;
 };
 
 struct Row {
