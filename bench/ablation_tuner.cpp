@@ -14,11 +14,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.hpp"
 #include "core/eval_store.hpp"
+#include "exec/thread_pool.hpp"
 #include "net/tree_cache.hpp"
 #include "options.hpp"
 #include "opt/search.hpp"
@@ -56,11 +58,18 @@ int main(int argc, char** argv) {
   // One evaluation cache and session pool span both SA arms (the second
   // arm re-probes points the first already simulated); the non-tuner
   // searches below get the same warm-session treatment so the comparison
-  // stays budget-fair in wall-clock too.
+  // stays budget-fair in wall-clock too (at --jobs 1).
   core::EvalCache cache;
   rms::SessionPool sessions;
   tuner.cache = &cache;
   tuner.sessions = &sessions;
+  // --jobs N runs the annealing chains on N - 1 workers plus this
+  // thread; every output file is byte-identical at any N.
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (opts.jobs > 1) {
+    pool = std::make_unique<exec::ThreadPool>(opts.jobs - 1);
+    tuner.pool = pool.get();
+  }
 
   if (!opts.eval_cache_path.empty()) {
     const core::EvalStoreStats warm =

@@ -9,8 +9,10 @@
 #include <string>
 
 #include "exec/thread_pool.hpp"
+#include "net/tree_cache.hpp"
 #include "rms/scenario.hpp"
 #include "util/env.hpp"
+#include "workload/arrival_cache.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -34,6 +36,12 @@ std::uint64_t count_knob(const std::string& variable,
                          std::uint64_t fallback) {
   return read_knob(variable,
                    [&] { return util::env_count(variable, fallback); });
+}
+
+void read_cache_budgets() {
+  read_knob("SCAL_ARRIVAL_CACHE_BYTES",
+            [] { workload::ArrivalCache::instance(); });
+  read_knob("SCAL_TREE_CACHE_BYTES", [] { net::SharedTreeCache::instance(); });
 }
 
 namespace {
@@ -69,6 +77,7 @@ grid::GridConfig common_base() {
     return grid::result_mode_from_string(
         util::env_or("SCAL_BENCH_RESULT_MODE", "full"));
   });
+  read_cache_budgets();
   return config;
 }
 

@@ -25,6 +25,9 @@
 //   SCAL_BENCH_RESULT_MODE=m  result path: "full" (default, exact) or
 //                        "streaming" (O(1) per-job memory; see
 //                        docs/PERFORMANCE.md memory tiers)
+//   SCAL_ARRIVAL_CACHE_BYTES=n  byte budgets of the process-wide arrival
+//   SCAL_TREE_CACHE_BYTES=n     and shortest-path-tree caches (unset or
+//                        0 = unbounded; docs/PERFORMANCE.md)
 //
 // A set knob with a bad value ends the bench with exit status 2 and
 // "error: <variable>: <reason>" on stderr, as a bad flag does.
@@ -61,6 +64,11 @@ auto read_knob(const std::string& variable, Read&& read) -> decltype(read()) {
 /// A count knob (util::env_count): `fallback` when unset, exit 2 when
 /// not a non-negative integer.
 std::uint64_t count_knob(const std::string& variable, std::uint64_t fallback);
+
+/// Reads SCAL_ARRIVAL_CACHE_BYTES and SCAL_TREE_CACHE_BYTES.  The two
+/// process-wide caches read their budget at first use; this is that use,
+/// made at startup, so a bad value exits 2 instead of ending a run.
+void read_cache_budgets();
 
 /// The job count of this bench process: --jobs if Options::parse saw
 /// one, else SCAL_JOBS, else 1.

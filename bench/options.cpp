@@ -202,6 +202,7 @@ Options Options::parse(int argc, char** argv,
   opts.jobs = job_count();
   opts.faults = fault_plan();
   opts.workload = workload_source();
+  read_cache_budgets();
   opts.eval_cache_path = g_eval_cache_path_set
                              ? g_eval_cache_path
                              : util::env_or("SCAL_BENCH_EVAL_CACHE", "");

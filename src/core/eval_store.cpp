@@ -131,9 +131,7 @@ struct Reader {
   bool ok() const { return good && static_cast<bool>(in); }
 };
 
-/// Every stored SimulationResult field, in schema order.  The non-owning
-/// telemetry pointer is not in the schema (meaningless across processes;
-/// deserialized values leave it null).
+/// Every stored SimulationResult field, in schema order.
 template <typename Codec, typename Result>
 void visit_value(Codec& c, Result& r) {
   grid::for_each_field([&c](grid::FieldName, auto& v) { c.field(v); }, r);
@@ -188,8 +186,6 @@ std::size_t save_eval_cache(const EvalCache& cache, const std::string& path,
     w.raw64(key.digest[1]);
     w.raw32(static_cast<std::uint32_t>(key.point.size()));
     for (const double coordinate : key.point) w.f64(coordinate);
-    // The pointer field is process-local; the walk below skips it and
-    // loaders leave it null.
     visit_value(w, value);
   }
   out.close();

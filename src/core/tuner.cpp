@@ -1,7 +1,6 @@
 #include "core/tuner.hpp"
 
 #include <cmath>
-#include <limits>
 #include <unordered_set>
 #include <vector>
 
@@ -31,38 +30,16 @@ double penalized_objective(const grid::SimulationResult& result,
 
 namespace {
 
-/// Best-evaluation tracker.  The search runs one of these per annealing
-/// chain (plus one for the warm-start anchor probes), so concurrent
-/// chains never share mutable state; tune_enablers then reduces them in
-/// slot order, which reproduces the historical serial bookkeeping
-/// (anchors first, then chain 0, chain 1, ...) bit for bit.
-struct EvalTrack {
-  double value = std::numeric_limits<double>::infinity();
+/// One objective evaluation, as its slot recorded it.  The tune reports
+/// only what a serial replay of these records derives, never which
+/// thread physically reached the cache first, so its outcome, hit
+/// statistics and anneal log are identical at any --jobs count.
+struct Evaluation {
+  opt::EvalKey key;
+  bool claimed = false;  ///< this evaluation claimed the key and ran it
+  double value = 0.0;    ///< penalized objective
   grid::Tuning tuning;
   grid::SimulationResult result;
-  std::size_t evaluations = 0;
-  bool have = false;
-
-  void consider(double candidate_value, const grid::Tuning& candidate_tuning,
-                const grid::SimulationResult& candidate_result) {
-    ++evaluations;
-    if (!have || candidate_value < value) {
-      have = true;
-      value = candidate_value;
-      tuning = candidate_tuning;
-      result = candidate_result;
-    }
-  }
-};
-
-/// One evaluation's identity as recorded by its slot (anchors = slot 0,
-/// chain c = slot 1 + c).  The `cached` flags and the hit statistics are
-/// derived from these traces by a *serial replay* in slot order, not
-/// from which thread physically reached the cache first — so they are
-/// identical at any --jobs count.
-struct TraceEntry {
-  opt::EvalKey key;
-  bool prior_epoch = false;  ///< key answered by an earlier tune's epoch
 };
 
 }  // namespace
@@ -73,18 +50,16 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
                           const std::optional<grid::Tuning>& warm_start) {
   const opt::Space space = enabler_space(scase);
 
-  // Track the best *simulation* alongside the best objective so the
-  // outcome does not need a re-run at the optimum.  Slot 0 collects the
-  // warm-start anchors; slot 1 + c belongs to chain c.
-  std::vector<EvalTrack> tracks(1 + tuner.restarts);
-  std::vector<std::vector<TraceEntry>> traces(1 + tuner.restarts);
+  // Every evaluation's record, one list per slot: slot 0 collects the
+  // warm-start anchors, slot 1 + c belongs to chain c, so concurrent
+  // chains never share mutable state.
+  std::vector<std::vector<Evaluation>> slots(1 + tuner.restarts);
 
   // The memoization table.  A private one still deduplicates repeated
   // points within this tune (annealing revisits clamped boundary points
   // constantly); a shared one additionally answers from earlier tunes.
   EvalCache local_cache;
   EvalCache& cache = tuner.cache != nullptr ? *tuner.cache : local_cache;
-  cache.begin_epoch();
 
   // Reusable-session backend for the empty-runner sentinel.  Serial
   // searches funnel every evaluation through one session so the warm
@@ -94,11 +69,9 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
       tuner.sessions != nullptr ? *tuner.sessions : local_sessions;
   const bool serial = tuner.pool == nullptr;
 
-  // One profiler per slot (anchors + chains), same scheme as the
-  // EvalTrack slots: concurrent chains never share one, and the
-  // slot-order merge afterwards is the deterministic reduction.  Every
-  // slot registers the phase first, so id 0 is "tuner.evaluate" in all
-  // of them.
+  // One profiler per slot, like the record lists: the slot-order merge
+  // afterwards is the deterministic reduction.  Every slot registers the
+  // phase first, so id 0 is "tuner.evaluate" in all of them.
   std::vector<obs::PhaseProfiler> slot_profilers;
   obs::PhaseId eval_phase = 0;
   if (tuner.profiler != nullptr) {
@@ -114,7 +87,7 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
     // every chain objective up front, so SessionPool growth never races.
     rms::SimulationSession* session =
         runner ? nullptr : &sessions.slot(serial ? 0 : slot);
-    return [&config, &scase, &tuner, &runner, &cache, &tracks, &traces,
+    return [&config, &scase, &tuner, &runner, &cache, &slots,
             &slot_profilers, eval_phase, session,
             slot](const opt::Point& point) {
       // The scope covers the whole logical evaluation, cache hit or
@@ -123,46 +96,36 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
       obs::PhaseProfiler::Scope eval_scope(
           slot_profilers.empty() ? nullptr : &slot_profilers[slot],
           eval_phase);
-      const grid::Tuning tuning =
-          tuning_from_point(scase, config.tuning, point);
+      Evaluation& e = slots[slot].emplace_back();
+      e.tuning = tuning_from_point(scase, config.tuning, point);
       grid::GridConfig candidate = config;
-      candidate.tuning = tuning;
+      candidate.tuning = e.tuning;
       // Search evaluations stay silent: only the caller's own instrumented
       // run records traces/probes, never the tuner's probing.
       candidate.telemetry = nullptr;
-      opt::EvalKey key{grid::config_digest(candidate), point};
-      grid::SimulationResult result;
+      e.key = opt::EvalKey{grid::config_digest(candidate), point};
       // Future-based path: a concurrent chain that reaches the same key
       // while the first evaluator is mid-run blocks on its result instead
-      // of recomputing.  The claim carries the epoch stamp the eventual
-      // fulfill would have, so `prior_epoch` — the only fact the trace
-      // records — is unchanged by the dedup.
-      EvalCache::Acquired acquired = cache.acquire(key);
-      traces[slot].push_back(TraceEntry{key, acquired.prior_epoch});
-      if (acquired.value) {
-        result = *std::move(acquired.value);
+      // of recomputing.  Which of them claims it is scheduling; that this
+      // tune claimed it is not.
+      if (std::optional<grid::SimulationResult> hit = cache.acquire(e.key)) {
+        e.result = *std::move(hit);
       } else {
+        e.claimed = true;
         try {
-          result = runner ? runner(candidate) : session->run(candidate);
+          e.result = runner ? runner(candidate) : session->run(candidate);
         } catch (...) {
-          cache.abandon(key);  // let a waiter re-claim
+          cache.abandon(e.key);  // let a waiter re-claim
           throw;
         }
-        cache.fulfill(key, result);
+        cache.fulfill(e.key, e.result);
       }
       // The penalty is recomputed at hit time: a shared cache may span
       // tunes with different e0/band parameters.
-      const double value = penalized_objective(result, tuner);
-      tracks[slot].consider(value, tuning, result);
-      return value;
+      e.value = penalized_objective(e.result, tuner);
+      return e.value;
     };
   };
-
-  // Serial-replay seen-set for the anneal log's `cached` flags.  Anchors
-  // feed it as they are logged (they run serially, first); the observer
-  // then consumes chain traces in the same chain-major order anneal
-  // replays steps in, on the calling thread.
-  std::unordered_set<opt::EvalKey, opt::EvalKeyHash> seen;
 
   opt::AnnealingConfig anneal_config;
   anneal_config.iterations = tuner.evaluations;
@@ -176,104 +139,95 @@ TuneOutcome tune_enablers(const grid::GridConfig& config,
   anneal_config.chain_objective = [&](std::size_t chain) {
     return make_objective(1 + chain);
   };
-  if (tuner.anneal_log != nullptr) {
-    // The observer runs on the caller's thread in chain-major order
-    // after the chains finished, so the log rows stay well-formed and
-    // identically ordered at any job count.
-    anneal_config.observer = [&tuner, &traces, &seen](
-                                 const opt::AnnealStep& step) {
-      obs::AnnealRecord rec;
-      rec.label = tuner.anneal_label;
-      rec.chain = step.chain;
-      rec.iteration = step.iteration;
-      rec.temperature = step.temperature;
-      rec.candidate_value = step.candidate_value;
-      rec.current_value = step.current_value;
-      rec.best_value = step.best_value;
-      rec.accepted = step.accepted;
-      rec.improved = step.improved;
-      // Chains make exactly one objective call per iteration, so the
-      // trace row for this step is traces[1 + chain][iteration].
-      const TraceEntry& trace = traces[1 + step.chain][step.iteration];
-      rec.cached = trace.prior_epoch || !seen.insert(trace.key).second;
-      tuner.anneal_log->add(std::move(rec));
-    };
-  }
 
-  // Warm-start anchor probes run serially before the chains and are
-  // telemetry-visible (temperature 0, outside any chain's numbering).
-  opt::Objective anchor_objective = make_objective(0);
-  auto log_anchor = [&](double value) {
-    if (tuner.anneal_log == nullptr) return;
-    const TraceEntry& trace = traces[0].back();
-    obs::AnnealRecord rec;
-    rec.label = tuner.anneal_label;
-    rec.candidate_value = value;
-    rec.current_value = value;
-    rec.best_value = tracks[0].value;
-    rec.accepted = true;
-    rec.cached = trace.prior_epoch || !seen.insert(trace.key).second;
-    tuner.anneal_log->add(std::move(rec));
-  };
+  // Warm-start anchor probes run serially before the chains.
   if (warm_start) {
     // A warm-start chain can drift into a region that stops being
     // band-feasible as k grows; anchoring each point on the untouched
     // default tuning as well costs one evaluation and lets the search
     // recover.  Start the chain from the better of the two anchors.
+    const opt::Objective anchor_objective = make_objective(0);
     const opt::Point warm_point =
         space.clamp(point_from_tuning(scase, *warm_start));
     const opt::Point default_point =
         space.clamp(point_from_tuning(scase, config.tuning));
     const double warm_value = anchor_objective(warm_point);
-    log_anchor(warm_value);
     double default_value = warm_value;
     if (default_point != warm_point) {
       default_value = anchor_objective(default_point);
-      log_anchor(default_value);
     }
     anneal_config.initial_point =
         default_value < warm_value ? default_point : warm_point;
     if (anneal_config.iterations > 2) anneal_config.iterations -= 2;
   }
   util::RandomStream search_rng(tuner.seed, "enabler-tuner");
-  opt::anneal(space, opt::Objective{}, anneal_config, search_rng);
+  const opt::AnnealingResult search =
+      opt::anneal(space, opt::Objective{}, anneal_config, search_rng);
 
-  // Slot-order profiler reduction, mirroring the EvalTrack one below.
   if (tuner.profiler != nullptr) {
     for (const obs::PhaseProfiler& slot_profiler : slot_profilers) {
       tuner.profiler->merge(slot_profiler);
     }
   }
 
-  // Deterministic reduction in slot order (anchors, then chains).
+  // A key no evaluation of this tune claimed was answered by an earlier
+  // tune sharing the cache, or by the disk file.  (Two tunes never use
+  // one cache at once, so no other tune can claim a key meanwhile.)
+  std::unordered_set<opt::EvalKey, opt::EvalKeyHash> claimed;
+  for (const std::vector<Evaluation>& slot : slots) {
+    for (const Evaluation& e : slot) {
+      if (e.claimed) claimed.insert(e.key);
+    }
+  }
+
+  // The serial replay, in slot order (anchors, then chains by index).
+  // An evaluation is a hit when its key came up earlier in this order or
+  // this tune never claimed it; the best setting is the first minimum.
+  // Chains make exactly one objective call per iteration, so their
+  // evaluations map one to one onto the chain-major search.steps.
   TuneOutcome outcome;
-  double best_value = std::numeric_limits<double>::infinity();
-  bool have = false;
-  for (const EvalTrack& track : tracks) {
-    outcome.evaluations += track.evaluations;
-    if (track.have && (!have || track.value < best_value)) {
-      have = true;
-      best_value = track.value;
-      outcome.tuning = track.tuning;
-      outcome.result = track.result;
-      outcome.objective = track.value;
-    }
-  }
+  std::unordered_set<opt::EvalKey, opt::EvalKeyHash> seen;
+  const Evaluation* best = nullptr;
+  std::size_t step = 0;
+  for (std::size_t s = 0; s < slots.size(); ++s) {
+    for (const Evaluation& e : slots[s]) {
+      ++outcome.evaluations;
+      const bool repeat = !seen.insert(e.key).second;
+      const bool prior = claimed.count(e.key) == 0;
+      const bool cached = repeat || prior;
+      if (cached) ++outcome.cache_hits;
+      if (!repeat && prior) ++outcome.cache_prior_hits;
+      if (best == nullptr || e.value < best->value) best = &e;
+      if (tuner.anneal_log == nullptr) continue;
 
-  // Hit statistics by the same serial replay, from a fresh seen-set so
-  // they do not depend on whether an anneal log was attached.
-  std::unordered_set<opt::EvalKey, opt::EvalKeyHash> replay;
-  for (const std::vector<TraceEntry>& slot_trace : traces) {
-    for (const TraceEntry& trace : slot_trace) {
-      if (!replay.insert(trace.key).second) {
-        ++outcome.cache_hits;
-      } else if (trace.prior_epoch) {
-        ++outcome.cache_hits;
-        ++outcome.cache_prior_hits;
+      obs::AnnealRecord rec;
+      rec.label = tuner.anneal_label;
+      if (s == 0) {
+        // Anchors log with temperature 0, outside any chain's numbering;
+        // their best column covers the anchors so far.
+        rec.candidate_value = e.value;
+        rec.current_value = e.value;
+        rec.best_value = best->value;
+        rec.accepted = true;
+      } else {
+        const opt::AnnealStep& st = search.steps[step++];
+        rec.chain = st.chain;
+        rec.iteration = st.iteration;
+        rec.temperature = st.temperature;
+        rec.candidate_value = st.candidate_value;
+        rec.current_value = st.current_value;
+        rec.best_value = st.best_value;
+        rec.accepted = st.accepted;
+        rec.improved = st.improved;
       }
+      rec.cached = cached;
+      tuner.anneal_log->add(std::move(rec));
     }
   }
 
+  outcome.tuning = best->tuning;
+  outcome.result = best->result;
+  outcome.objective = best->value;
   outcome.feasible =
       std::abs(outcome.result.efficiency() - tuner.e0) <= tuner.band + 1e-12;
   return outcome;

@@ -80,8 +80,10 @@ struct TunerConfig {
   /// cache per tune_enablers call (still deduplicates within the tune).
   /// Sharing one cache across tunes — adjacent scale factors along a
   /// scaling path, overlapping path-search splits — lets later tunes
-  /// answer repeated evaluations from earlier epochs.  Thread-safe; the
-  /// outcome is bit-identical with or without sharing.
+  /// answer repeated evaluations from earlier ones.  The outcome is
+  /// bit-identical with or without sharing.  Tunes may share a cache in
+  /// turn, never at the same time: a tune counts a key it never claimed
+  /// as answered by an earlier tune.
   EvalCache* cache = nullptr;
 
   /// Optional shared session pool (non-owning) for the empty-runner
@@ -108,10 +110,13 @@ struct TuneOutcome {
   /// Evaluations answered by memoization, under serial-replay semantics
   /// (anchors first, then chains in index order): an evaluation counts
   /// as a hit when its key was already evaluated earlier in that order
-  /// or by an earlier tune sharing the cache.  Independent of --jobs, so
-  /// the jobs-1/N arms report the same statistics.
+  /// or by an earlier tune sharing the cache (or the disk file).
+  /// Independent of --jobs, so the jobs-1/N arms report the same
+  /// statistics.
   std::size_t cache_hits = 0;
-  /// The subset of cache_hits answered from an earlier tune's epoch.
+  /// The subset of cache_hits that first asked for a key this tune never
+  /// simulated itself: one per key answered by an earlier tune or the
+  /// disk file.
   std::size_t cache_prior_hits = 0;
 };
 
@@ -123,6 +128,10 @@ double penalized_objective(const grid::SimulationResult& result,
 /// Tune the enablers of `config` (bounds from `scase`) with simulated
 /// annealing.  `warm_start` seeds the search (typically the previous
 /// scale factor's optimum, which makes the k-sweep cheap and smooth).
+/// Each evaluation is recorded once; the outcome, its hit statistics and
+/// the anneal log all come from one serial replay of those records in
+/// slot order (anchors, then chains by index), so they are bit-identical
+/// at any --jobs count.
 TuneOutcome tune_enablers(const grid::GridConfig& config,
                           const ScalingCase& scase, const TunerConfig& tuner,
                           const SimRunner& runner,

@@ -21,7 +21,6 @@
 #include "workload/job.hpp"
 
 namespace scal::obs {
-class Telemetry;
 class Histogram;
 }
 
@@ -146,7 +145,7 @@ class MetricsCollector {
 
 /// Final outcome of one simulation run.  The stored fields are declared
 /// by the result schema (grid/result_schema.hpp); this struct adds the
-/// derived terms and the telemetry handle.
+/// derived terms.
 struct SimulationResult {
 #define SCAL_RESULT_MEMBER(type, name, init, block, key) type name = init;
 #define SCAL_RESULT_NO_MEMBER(expr, block, key)
@@ -180,13 +179,6 @@ struct SimulationResult {
   double efficiency_avail() const noexcept {
     return availability > 0.0 ? efficiency() / availability : 0.0;
   }
-
-  /// The telemetry handle the run was instrumented with (null when
-  /// telemetry was off); points at the object the caller attached to
-  /// GridConfig::telemetry, so `result.telemetry->export_all()` works
-  /// even through wrappers like Scenario::run.  Not part of
-  /// the schema: it is process-local and never serialized or compared.
-  obs::Telemetry* telemetry = nullptr;
 };
 
 }  // namespace scal::grid

@@ -831,7 +831,6 @@ SimulationResult GridSystem::assemble_result() {
   r.arrival_cache_evictions = workload::ArrivalCache::instance().evictions();
   r.arrival_cache_store_skips =
       workload::ArrivalCache::instance().store_skips();
-  r.telemetry = config_.telemetry;
   return r;
 }
 

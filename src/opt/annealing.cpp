@@ -1,5 +1,6 @@
 #include "opt/annealing.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,59 +13,42 @@ namespace scal::opt {
 
 namespace {
 
-/// What one chain records per evaluation; replayed to the observer in
-/// chain-major order after the join, with the global best column
-/// recomputed there (a chain cannot know its siblings' values).
-struct StepRecord {
-  std::size_t iteration = 0;
-  double temperature = 0.0;
-  double candidate_value = 0.0;
-  double current_value = 0.0;
-  double chain_best = 0.0;  ///< best within this chain so far
-  bool accepted = false;
-  bool improved = false;
-};
-
+/// One chain's search.  Its steps carry the chain's own best in
+/// `best_value`; anneal() widens that to the global best after the join
+/// (a chain cannot know its siblings' values).
 struct ChainResult {
   Point best_point;
   double best_value = 0.0;
-  std::size_t evaluations = 0;
-  std::size_t accepted_moves = 0;
-  std::size_t improving_moves = 0;
-  std::vector<StepRecord> steps;  ///< only filled when an observer is set
+  std::vector<AnnealStep> steps;
 };
 
 ChainResult run_chain(const Space& space, const Objective& objective,
                       const AnnealingConfig& config, std::size_t chain,
                       std::size_t per_chain, double ratio,
-                      std::uint64_t seed, bool record_steps) {
+                      std::uint64_t seed) {
   util::RandomStream rng(seed);
   ChainResult result;
-  if (record_steps) result.steps.reserve(per_chain);
+  result.steps.reserve(per_chain);
 
   Point current = (chain == 0 && config.initial_point)
                       ? space.clamp(*config.initial_point)
                       : (chain == 0 ? space.center() : space.sample(rng));
   double current_value = objective(current);
-  ++result.evaluations;
   result.best_point = current;
   result.best_value = current_value;
-  if (record_steps) {
-    StepRecord step;
-    step.iteration = 0;
-    step.temperature = config.initial_temperature;
-    step.candidate_value = current_value;
-    step.current_value = current_value;
-    step.chain_best = result.best_value;
-    step.accepted = true;
-    result.steps.push_back(step);
-  }
+  AnnealStep first;
+  first.chain = chain;
+  first.temperature = config.initial_temperature;
+  first.candidate_value = current_value;
+  first.current_value = current_value;
+  first.best_value = result.best_value;
+  first.accepted = true;
+  result.steps.push_back(first);
 
   double temperature = config.initial_temperature;
   for (std::size_t it = 1; it < per_chain; ++it) {
     Point candidate = space.neighbor(current, temperature, rng);
     const double candidate_value = objective(candidate);
-    ++result.evaluations;
 
     const double delta = candidate_value - current_value;
     bool accept = delta <= 0.0;
@@ -77,8 +61,6 @@ ChainResult run_chain(const Space& space, const Objective& objective,
       accept = rng.uniform() < std::exp(-delta / (temperature * scale));
     }
     if (accept) {
-      if (delta < 0.0) ++result.improving_moves;
-      ++result.accepted_moves;
       current = std::move(candidate);
       current_value = candidate_value;
       if (current_value < result.best_value) {
@@ -86,17 +68,16 @@ ChainResult run_chain(const Space& space, const Objective& objective,
         result.best_value = current_value;
       }
     }
-    if (record_steps) {
-      StepRecord step;
-      step.iteration = it;
-      step.temperature = temperature;
-      step.candidate_value = candidate_value;
-      step.current_value = current_value;
-      step.chain_best = result.best_value;
-      step.accepted = accept;
-      step.improved = accept && delta < 0.0;
-      result.steps.push_back(step);
-    }
+    AnnealStep step;
+    step.chain = chain;
+    step.iteration = it;
+    step.temperature = temperature;
+    step.candidate_value = candidate_value;
+    step.current_value = current_value;
+    step.best_value = result.best_value;
+    step.accepted = accept;
+    step.improved = accept && delta < 0.0;
+    result.steps.push_back(step);
     temperature *= ratio;
   }
   return result;
@@ -140,44 +121,30 @@ AnnealingResult anneal(const Space& space, const Objective& objective,
     }
   }
 
-  const bool record_steps = static_cast<bool>(config.observer);
   std::vector<ChainResult> chains(config.restarts);
   exec::parallel_for(
       config.pool, config.restarts, [&](std::size_t c) {
         const Objective& chain_objective =
             chain_objectives.empty() ? objective : chain_objectives[c];
         chains[c] = run_chain(space, chain_objective, config, c, per_chain,
-                              ratio, seeds.at(c), record_steps);
+                              ratio, seeds.at(c));
       });
 
   // Deterministic reduction, chain-major: identical to the historical
   // serial loop's bookkeeping order.
   AnnealingResult result;
+  result.steps.reserve(per_chain * config.restarts);
   bool have_best = false;
-  for (std::size_t c = 0; c < config.restarts; ++c) {
-    const ChainResult& chain = chains[c];
-    if (config.observer) {
-      const double previous_best =
-          have_best ? result.best_value
-                    : std::numeric_limits<double>::infinity();
-      for (const StepRecord& rec : chain.steps) {
-        AnnealStep step;
-        step.chain = c;
-        step.iteration = rec.iteration;
-        step.temperature = rec.temperature;
-        step.candidate_value = rec.candidate_value;
-        step.current_value = rec.current_value;
-        step.best_value = std::min(previous_best, rec.chain_best);
-        step.accepted = rec.accepted;
-        step.improved = rec.improved;
-        config.observer(step);
-      }
+  for (ChainResult& chain : chains) {
+    const double previous_best = have_best
+                                     ? result.best_value
+                                     : std::numeric_limits<double>::infinity();
+    for (AnnealStep& step : chain.steps) {
+      step.best_value = std::min(previous_best, step.best_value);
+      result.steps.push_back(step);
     }
-    result.evaluations += chain.evaluations;
-    result.accepted_moves += chain.accepted_moves;
-    result.improving_moves += chain.improving_moves;
     if (!have_best || chain.best_value < result.best_value) {
-      result.best_point = chain.best_point;
+      result.best_point = std::move(chain.best_point);
       result.best_value = chain.best_value;
       have_best = true;
     }

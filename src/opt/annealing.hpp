@@ -6,14 +6,15 @@
 // Restart chains are independent searches: each chain draws from its
 // own RNG substream (derived from one draw of the caller's stream via
 // exec::SeedSequence) and all cross-chain reductions — best-of point
-// selection, move counters, the observer's global-best column — happen
-// in chain-index order after every chain finished.  The result is
-// therefore bit-identical whether the chains run serially or on a
-// worker pool (docs/PARALLELISM.md).
+// selection and the steps' global-best column — happen in chain-index
+// order after every chain finished.  The result is therefore
+// bit-identical whether the chains run serially or on a worker pool
+// (docs/PARALLELISM.md).
 
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <vector>
 
 #include "opt/space.hpp"
 
@@ -29,29 +30,25 @@ using Objective = std::function<double(const Point&)>;
 
 /// Per-chain objective maker: called once per chain, on the caller's
 /// thread, before any chain runs.  Lets stateful objectives (the tuner
-/// tracks the best simulation per evaluation) keep one accumulator per
-/// chain instead of sharing mutable state across workers.
+/// records every evaluation) keep one record list per chain instead of
+/// sharing mutable state across workers.
 using ObjectiveFactory = std::function<Objective(std::size_t chain)>;
 
-/// One objective evaluation, as reported to AnnealingConfig::observer.
-/// Defined here (not in obs) so opt stays free of telemetry deps; the
-/// tuner layer converts these into obs::AnnealRecord rows.
+/// One objective evaluation of one chain.  Defined here (not in obs) so
+/// opt stays free of telemetry deps; the tuner layer converts these into
+/// obs::AnnealRecord rows.
 struct AnnealStep {
   std::size_t chain = 0;
   std::size_t iteration = 0;  ///< 0 = the chain's initial evaluation
   double temperature = 0.0;
   double candidate_value = 0.0;  ///< value of the point just evaluated
   double current_value = 0.0;    ///< chain state after the accept decision
-  double best_value = 0.0;       ///< global best across chains so far
+  /// Best value so far across chains, in chain-major order: chain c's
+  /// steps see every earlier chain's best.
+  double best_value = 0.0;
   bool accepted = false;
   bool improved = false;  ///< accepted and strictly better than current
 };
-
-/// Per-evaluation telemetry hook.  Called once per objective evaluation,
-/// always on the caller's thread and in deterministic (chain-major)
-/// order, after the chains ran; must not mutate search state (it sees
-/// values, not points).
-using AnnealObserver = std::function<void(const AnnealStep&)>;
 
 struct AnnealingConfig {
   std::size_t iterations = 400;    ///< total objective evaluations
@@ -60,8 +57,6 @@ struct AnnealingConfig {
   std::size_t restarts = 1;        ///< independent chains (best-of)
   /// Optional warm start; defaults to Space::center().
   std::optional<Point> initial_point;
-  /// Optional per-iteration observer (empty = no telemetry).
-  AnnealObserver observer;
   /// Optional worker pool; chains run concurrently on pool workers plus
   /// the calling thread.  Null = serial.  Either way the result is
   /// bit-identical.  With a pool and no chain_objective, `objective`
@@ -75,9 +70,9 @@ struct AnnealingConfig {
 struct AnnealingResult {
   Point best_point;
   double best_value = 0.0;
-  std::size_t evaluations = 0;
-  std::size_t accepted_moves = 0;
-  std::size_t improving_moves = 0;
+  /// Every objective evaluation, chain-major (chain 0's steps first, each
+  /// chain's in iteration order).
+  std::vector<AnnealStep> steps;
 };
 
 /// Runs config.restarts independent chains and keeps the best point

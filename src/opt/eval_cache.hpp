@@ -11,15 +11,14 @@
 //
 // Determinism protocol: entries are future-like and first-value-wins.
 // The first acquire() on a missing key *claims* it (an entry holding no
-// value yet, stamped with the current epoch) and must fulfill() or
-// abandon() it; later concurrent callers block until the value lands
-// instead of recomputing it.  Every acquire reports whether the key was
-// already present before the current tune began (`prior_epoch`), which
-// is a deterministic fact independent of intra-tune scheduling — the
-// tuner derives its logical hit statistics and `cached` telemetry flags
-// from that plus a serial replay of its own evaluation order, never
-// from racy physical hit counts — so they are bit-identical at any
-// worker count.
+// value yet) and must fulfill() or abandon() it; later concurrent callers
+// block until the value lands instead of recomputing it.  Which caller
+// physically claims a key depends on scheduling, so the tuner derives its
+// hit statistics and `cached` telemetry flags not from racy physical hit
+// counts but from a serial replay of its own evaluation order plus one
+// scheduling-independent fact: whether the tune claimed the key at all.
+// A key it never claimed was answered by an earlier tune sharing the
+// cache or by the disk file.  Both are bit-identical at any worker count.
 //
 // Persistence: preload() seeds ready entries from disk (marked
 // `from_disk` so reuse telemetry can report disk hits) and snapshot()
@@ -68,58 +67,20 @@ struct EvalKeyHash {
 template <typename Value>
 class EvalCache {
  public:
-  /// Outcome of acquire(): exactly one of three shapes.
-  ///   - value set:  a ready entry answered the key (maybe after a
-  ///     wait); `waited`/`from_disk` say how it got there.
-  ///   - owner:      this caller claimed the key and MUST fulfill() or
-  ///     abandon() it, or waiters deadlock until abandon.
-  struct Acquired {
-    std::optional<Value> value;
-    /// True when the key was claimed, fulfilled or preloaded before the
-    /// current epoch — i.e. by an earlier tune sharing this cache.
-    /// Scheduling-independent, unlike "was the value present at acquire
-    /// time" at high job counts.
-    bool prior_epoch = false;
-    /// This caller owns the evaluation for the key.
-    bool owner = false;
-    /// The value came from another thread's in-flight evaluation.
-    bool waited = false;
-    /// The value was preloaded from a persistent cache file.
-    bool from_disk = false;
-  };
-
-  /// Mark the start of a new tune.  Entries created from now on carry
-  /// the new epoch; existing entries become `prior_epoch` hits.  Call
-  /// between tunes only (not concurrently with acquire/fulfill).
-  void begin_epoch() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    ++epoch_;
-  }
-
-  /// Claim, hit, or wait (see Acquired).  Blocking happens only when
-  /// another thread holds the claim; the wait ends when that owner
-  /// fulfills (value returned) or abandons (this caller re-claims).
-  Acquired acquire(const EvalKey& key) {
+  /// The value stored for `key`, or nullopt for a claim: the caller then
+  /// owns the evaluation and MUST fulfill() or abandon() it, or waiters
+  /// block until it does.  Blocking happens only when another thread
+  /// holds the claim; the wait ends when that owner fulfills (value
+  /// returned) or abandons (this caller re-claims).
+  std::optional<Value> acquire(const EvalKey& key) {
     std::unique_lock<std::mutex> lock(mutex_);
     bool waited = false;
     for (;;) {
       const auto [it, inserted] = entries_.try_emplace(key, Entry{});
-      if (inserted) {
-        // Claimed: stamp with the current epoch; fulfill() keeps it.
-        it->second.epoch = epoch_;
-        Acquired out;
-        out.owner = true;
-        out.waited = waited;
-        return out;
-      }
+      if (inserted) return std::nullopt;  // claimed
       if (it->second.value.has_value()) {
-        Acquired out;
-        out.value = it->second.value;
-        out.prior_epoch = it->second.epoch < epoch_;
-        out.waited = waited;
-        out.from_disk = it->second.from_disk;
         if (it->second.from_disk) ++disk_hits_;
-        return out;
+        return it->second.value;
       }
       // In flight elsewhere: wait for fulfill (value appears) or
       // abandon (entry vanishes, loop re-claims).  Counted once per
@@ -136,19 +97,14 @@ class EvalCache {
   }
 
   /// Publish the owner's result and wake waiters.  First value wins
-  /// (identical by determinism anyway): a ready entry keeps its value
-  /// AND its epoch stamp, and a claim keeps its stamp.  A key nobody
-  /// claimed gets a ready entry stamped with the current epoch.
+  /// (identical by determinism anyway): a ready entry keeps its value.
+  /// A key nobody claimed gets a ready entry.
   void fulfill(const EvalKey& key, const Value& value) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      const auto [it, inserted] = entries_.try_emplace(key, Entry{});
-      if (inserted) {
-        it->second.epoch = epoch_;
-      } else if (it->second.value.has_value()) {
-        return;  // first value wins
-      }
-      it->second.value = value;
+      Entry& entry = entries_[key];
+      if (entry.value.has_value()) return;  // first value wins
+      entry.value = value;
     }
     ready_.notify_all();
   }
@@ -166,15 +122,13 @@ class EvalCache {
   }
 
   /// Seed a ready entry from a persistent cache file.  First-wins like
-  /// fulfill(); stamped with the current epoch, so preloading before the
-  /// first begin_epoch() makes warm entries `prior_epoch` for every
-  /// tune — identical classification to a cold run's own entries.
+  /// fulfill().  No tune claims a preloaded key, so its hits classify
+  /// exactly like answers from an earlier tune of a cold run.
   void preload(const EvalKey& key, const Value& value) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = entries_.try_emplace(key, Entry{});
     if (!inserted) return;
     it->second.value = value;
-    it->second.epoch = epoch_;
     it->second.from_disk = true;
     ++preloaded_;
   }
@@ -196,11 +150,6 @@ class EvalCache {
     return entries_.size();
   }
 
-  std::uint64_t epoch() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return epoch_;
-  }
-
   /// Times an acquire() blocked on another thread's evaluation.
   std::uint64_t in_flight_waits() const {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -219,27 +168,16 @@ class EvalCache {
     return preloaded_;
   }
 
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    epoch_ = 0;
-    in_flight_waits_ = 0;
-    disk_hits_ = 0;
-    preloaded_ = 0;
-  }
-
  private:
   struct Entry {
     /// Empty while the claiming owner is still evaluating (in flight).
     std::optional<Value> value;
-    std::uint64_t epoch = 0;
     bool from_disk = false;
   };
 
   mutable std::mutex mutex_;
   std::condition_variable ready_;
   std::unordered_map<EvalKey, Entry, EvalKeyHash> entries_;
-  std::uint64_t epoch_ = 0;
   std::uint64_t in_flight_waits_ = 0;
   std::uint64_t disk_hits_ = 0;
   std::uint64_t preloaded_ = 0;

@@ -2,9 +2,9 @@
 // scal::Scenario — the one-stop run facade.
 //
 // A Scenario bundles everything one simulation run needs — the
-// grid::GridConfig, the telemetry handle, the fault plan, the policy
-// factory, and the worker pool a sweep may spread over — behind a
-// chainable builder, so callers stop hand-wiring the plumbing:
+// grid::GridConfig, the telemetry handle, the fault plan and the policy
+// factory — behind a chainable builder, so callers stop hand-wiring the
+// plumbing:
 //
 //   auto result = Scenario(bench::case1_base())
 //                     .rms(grid::RmsKind::kLowest)
@@ -104,18 +104,9 @@ class Scenario {
     factory_ = std::move(factory);
     return *this;
   }
-  /// Non-owning worker pool for sweeps over this scenario (a single
-  /// run() is always serial — determinism comes first; sweep drivers
-  /// read the pool back via pool()).
-  Scenario& pool(exec::ThreadPool* workers) {
-    pool_ = workers;
-    return *this;
-  }
-
   // -- Full-config escape hatch.
   grid::GridConfig& config() noexcept { return config_; }
   const grid::GridConfig& config() const noexcept { return config_; }
-  exec::ThreadPool* pool() const noexcept { return pool_; }
 
   /// Validate the config and wire the full system.  The Scenario can be
   /// reused: every call builds a fresh, independent system.
@@ -134,7 +125,6 @@ class Scenario {
  private:
   grid::GridConfig config_{};
   grid::SchedulerFactory factory_;  // empty = by config_.rms
-  exec::ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace scal

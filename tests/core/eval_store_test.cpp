@@ -114,13 +114,6 @@ std::uint64_t bits(double v) {
 
 #define EXPECT_BITEQ(a, b) EXPECT_EQ(bits(a), bits(b))
 
-void expect_bitwise_equal(const grid::SimulationResult& a,
-                          const grid::SimulationResult& b) {
-  test::expect_same_result(a, b);
-  // The telemetry pointer is deliberately NOT serialized.
-  EXPECT_EQ(b.telemetry, nullptr);
-}
-
 TEST(EvalStore, RoundTripIsBitwiseExact) {
   TempFile file("eval_store_roundtrip.evc");
   EvalCache source;
@@ -139,8 +132,8 @@ TEST(EvalStore, RoundTripIsBitwiseExact) {
 
   for (const auto& [k, v] : source.snapshot()) {
     const auto got = loaded.acquire(k);
-    ASSERT_TRUE(got.value.has_value()) << "key lost in round trip";
-    expect_bitwise_equal(v, *got.value);
+    ASSERT_TRUE(got.has_value()) << "key lost in round trip";
+    test::expect_same_result(v, *got);
   }
 }
 
@@ -241,7 +234,7 @@ TEST(EvalStore, SaveSkipsInFlightClaims) {
   TempFile file("eval_store_claims.evc");
   EvalCache cache;
   cache.fulfill(key(1.0, 1.0), make_result(1.0));
-  ASSERT_TRUE(cache.acquire(key(2.0, 2.0)).owner);  // never fulfilled
+  ASSERT_FALSE(cache.acquire(key(2.0, 2.0)).has_value());  // never fulfilled
   EXPECT_EQ(save_eval_cache(cache, file.str(), "test-v1"), 1u);
   cache.abandon(key(2.0, 2.0));
 }
@@ -267,8 +260,8 @@ TEST(EvalStore, SecondSaveReplacesTheFirstAndLeavesNoTempFile) {
   const auto stats = load_eval_cache(loaded, path, "test-v1");
   EXPECT_FALSE(stats.version_mismatch);
   EXPECT_EQ(stats.loaded, 2u);
-  EXPECT_TRUE(loaded.acquire(key(101.0, 99.0)).value.has_value());
-  EXPECT_FALSE(loaded.acquire(key(1.0, 1.0)).value.has_value());
+  EXPECT_TRUE(loaded.acquire(key(101.0, 99.0)).has_value());
+  EXPECT_FALSE(loaded.acquire(key(1.0, 1.0)).has_value());
   EXPECT_EQ(dir.listing(), std::set<std::string>{"cache.evc"});
 }
 

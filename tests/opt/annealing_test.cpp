@@ -79,7 +79,7 @@ TEST(Annealing, HonorsEvaluationBudget) {
   };
   util::RandomStream rng(1, "sa");
   const auto result = anneal(space, counting, config, rng);
-  EXPECT_EQ(calls, result.evaluations);
+  EXPECT_EQ(calls, result.steps.size());
   EXPECT_LE(calls, config.iterations);
   EXPECT_GE(calls, config.iterations - 1);
 }
@@ -151,49 +151,32 @@ TEST(Annealing, ObserverSeesEveryEvaluation) {
   AnnealingConfig config;
   config.iterations = 120;
   config.restarts = 2;
-  std::vector<AnnealStep> steps;
-  config.observer = [&](const AnnealStep& step) { steps.push_back(step); };
+  std::size_t calls = 0;
+  const Objective counting = [&](const Point& p) {
+    ++calls;
+    return sphere(p);
+  };
   util::RandomStream rng(3, "sa");
-  const auto result = anneal(space, sphere, config, rng);
+  const auto result = anneal(space, counting, config, rng);
 
-  ASSERT_EQ(steps.size(), result.evaluations);
+  ASSERT_EQ(result.steps.size(), calls);
   // Each chain opens with an iteration-0 step that is always accepted.
   std::size_t chain_starts = 0;
-  std::size_t accepted = 0, improved = 0;
-  double best_so_far = steps.front().best_value;
-  for (const AnnealStep& s : steps) {
+  double best_so_far = result.steps.front().best_value;
+  for (const AnnealStep& s : result.steps) {
     if (s.iteration == 0) {
       ++chain_starts;
       EXPECT_TRUE(s.accepted);
-    } else {
-      accepted += s.accepted ? 1 : 0;
-      improved += s.improved ? 1 : 0;
     }
     // best_value is monotone non-increasing across the whole search.
     EXPECT_LE(s.best_value, best_so_far + 1e-12);
     best_so_far = s.best_value;
     EXPECT_GT(s.temperature, 0.0);
+    // An improving move is an accepted one.
+    EXPECT_TRUE(s.accepted || !s.improved);
   }
   EXPECT_EQ(chain_starts, config.restarts);
-  EXPECT_EQ(accepted, result.accepted_moves);
-  EXPECT_EQ(improved, result.improving_moves);
-}
-
-TEST(Annealing, ObserverDoesNotPerturbSearch) {
-  const Space space = box(3, -5.0, 5.0);
-  AnnealingConfig config;
-  config.iterations = 400;
-
-  util::RandomStream rng_a(21, "sa");
-  const auto plain = anneal(space, sphere, config, rng_a);
-
-  config.observer = [](const AnnealStep&) {};
-  util::RandomStream rng_b(21, "sa");
-  const auto observed = anneal(space, sphere, config, rng_b);
-
-  EXPECT_EQ(plain.best_value, observed.best_value);
-  EXPECT_EQ(plain.best_point, observed.best_point);
-  EXPECT_EQ(plain.accepted_moves, observed.accepted_moves);
+  EXPECT_EQ(result.steps.back().best_value, result.best_value);
 }
 
 TEST(Annealing, CountsAcceptedAndImprovingMoves) {
@@ -202,8 +185,14 @@ TEST(Annealing, CountsAcceptedAndImprovingMoves) {
   config.iterations = 1000;
   util::RandomStream rng(11, "sa");
   const auto result = anneal(space, sphere, config, rng);
-  EXPECT_GT(result.accepted_moves, 0u);
-  EXPECT_GE(result.accepted_moves, result.improving_moves);
+  std::size_t accepted = 0, improved = 0;
+  for (const AnnealStep& s : result.steps) {
+    if (s.iteration == 0) continue;  // the chain's start, not a move
+    accepted += s.accepted ? 1 : 0;
+    improved += s.improved ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GE(accepted, improved);
 }
 
 TEST(Annealing, RestartsPickBestChainAndSumEvaluations) {
@@ -211,16 +200,14 @@ TEST(Annealing, RestartsPickBestChainAndSumEvaluations) {
   AnnealingConfig config;
   config.iterations = 240;
   config.restarts = 4;
-  std::vector<AnnealStep> steps;
-  config.observer = [&](const AnnealStep& step) { steps.push_back(step); };
   util::RandomStream rng(17, "sa");
   const auto result = anneal(space, sphere, config, rng);
+  const std::vector<AnnealStep>& steps = result.steps;
 
-  // evaluations is the sum over chains, which together exhaust the
-  // budget (each chain gets its near-equal share of config.iterations).
-  EXPECT_EQ(result.evaluations, steps.size());
-  EXPECT_GE(result.evaluations, config.iterations - config.restarts);
-  EXPECT_LE(result.evaluations, config.iterations);
+  // The chains together exhaust the budget (each chain gets its
+  // near-equal share of config.iterations).
+  EXPECT_GE(steps.size(), config.iterations - config.restarts);
+  EXPECT_LE(steps.size(), config.iterations);
 
   // The returned best is the minimum over every chain's own best.
   std::vector<double> chain_best(config.restarts,
@@ -235,9 +222,8 @@ TEST(Annealing, RestartsPickBestChainAndSumEvaluations) {
       *std::min_element(chain_best.begin(), chain_best.end());
   EXPECT_DOUBLE_EQ(result.best_value, overall);
 
-  // The observer sees every chain exactly once, as one contiguous
-  // chain-major block: iteration restarts from 0 precisely at each
-  // chain boundary.
+  // Every chain appears exactly once, as one contiguous chain-major
+  // block: iteration restarts from 0 precisely at each chain boundary.
   for (std::size_t c = 0; c < config.restarts; ++c) {
     EXPECT_GT(chain_steps[c], 0u) << "chain " << c << " never observed";
   }
@@ -260,23 +246,18 @@ TEST(Annealing, PoolAndSerialChainsAreBitIdentical) {
   config.iterations = 300;
   config.restarts = 4;
 
-  std::vector<AnnealStep> serial_steps;
-  config.observer = [&](const AnnealStep& s) { serial_steps.push_back(s); };
   util::RandomStream rng_serial(23, "sa");
   const auto serial = anneal(space, rastrigin, config, rng_serial);
 
   exec::ThreadPool pool(3);
   config.pool = &pool;
-  std::vector<AnnealStep> pooled_steps;
-  config.observer = [&](const AnnealStep& s) { pooled_steps.push_back(s); };
   util::RandomStream rng_pooled(23, "sa");
   const auto pooled = anneal(space, rastrigin, config, rng_pooled);
 
   EXPECT_EQ(serial.best_point, pooled.best_point);
   EXPECT_EQ(serial.best_value, pooled.best_value);
-  EXPECT_EQ(serial.evaluations, pooled.evaluations);
-  EXPECT_EQ(serial.accepted_moves, pooled.accepted_moves);
-  EXPECT_EQ(serial.improving_moves, pooled.improving_moves);
+  const std::vector<AnnealStep>& serial_steps = serial.steps;
+  const std::vector<AnnealStep>& pooled_steps = pooled.steps;
   ASSERT_EQ(serial_steps.size(), pooled_steps.size());
   for (std::size_t i = 0; i < serial_steps.size(); ++i) {
     EXPECT_EQ(serial_steps[i].chain, pooled_steps[i].chain);
@@ -286,6 +267,8 @@ TEST(Annealing, PoolAndSerialChainsAreBitIdentical) {
     EXPECT_EQ(serial_steps[i].current_value, pooled_steps[i].current_value);
     EXPECT_EQ(serial_steps[i].best_value, pooled_steps[i].best_value);
     EXPECT_EQ(serial_steps[i].accepted, pooled_steps[i].accepted);
+    EXPECT_EQ(serial_steps[i].improved, pooled_steps[i].improved);
+    EXPECT_EQ(serial_steps[i].temperature, pooled_steps[i].temperature);
   }
 }
 
@@ -311,7 +294,7 @@ TEST(Annealing, ChainObjectiveFactoryIsCalledOncePerChain) {
     EXPECT_GT(c, 0u);
     total += c;
   }
-  EXPECT_EQ(total, result.evaluations);
+  EXPECT_EQ(total, result.steps.size());
 }
 
 }  // namespace

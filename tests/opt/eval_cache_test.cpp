@@ -29,15 +29,12 @@ std::optional<int> stored(const EvalCache<int>& cache, const EvalKey& k) {
 
 TEST(EvalCache, MissThenHit) {
   EvalCache<int> cache;
-  const auto miss = cache.acquire(key(1.0, 2.0));
-  EXPECT_TRUE(miss.owner);
-  EXPECT_FALSE(miss.value.has_value());
+  EXPECT_FALSE(cache.acquire(key(1.0, 2.0)).has_value());  // claimed
   cache.fulfill(key(1.0, 2.0), 42);
-  const auto hit = cache.acquire(key(1.0, 2.0));
-  EXPECT_FALSE(hit.owner);
-  ASSERT_TRUE(hit.value.has_value());
-  EXPECT_EQ(*hit.value, 42);
+  EXPECT_EQ(cache.acquire(key(1.0, 2.0)), 42);
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.in_flight_waits(), 0u);
+  EXPECT_EQ(cache.disk_hits(), 0u);
 }
 
 TEST(EvalCache, KeysAreExactNoTolerance) {
@@ -49,7 +46,7 @@ TEST(EvalCache, KeysAreExactNoTolerance) {
   // Same point under a different configuration digest is also distinct.
   EXPECT_FALSE(stored(cache, key(1.0, 2.0, 9, 2)).has_value());
   EXPECT_FALSE(stored(cache, key(1.0, 2.0, 1, 9)).has_value());
-  EXPECT_TRUE(cache.acquire(key(1.0 + 1e-15, 2.0)).owner);
+  EXPECT_FALSE(cache.acquire(key(1.0 + 1e-15, 2.0)).has_value());
   cache.abandon(key(1.0 + 1e-15, 2.0));
   EXPECT_EQ(stored(cache, key(1.0, 2.0)), 1);
 }
@@ -58,49 +55,15 @@ TEST(EvalCache, FirstInsertWins) {
   EvalCache<int> cache;
   cache.fulfill(key(3.0, 4.0), 10);
   cache.fulfill(key(3.0, 4.0), 20);
-  EXPECT_EQ(*cache.acquire(key(3.0, 4.0)).value, 10);
+  EXPECT_EQ(cache.acquire(key(3.0, 4.0)), 10);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(EvalCache, PriorEpochClassification) {
-  EvalCache<int> cache;
-  cache.begin_epoch();
-  cache.fulfill(key(1.0, 1.0), 1);
-  // Stored this epoch: a hit, but not a prior-epoch one.
-  const auto current = cache.acquire(key(1.0, 1.0));
-  EXPECT_TRUE(current.value.has_value());
-  EXPECT_FALSE(current.prior_epoch);
-  // Absent keys are never prior-epoch.
-  EXPECT_FALSE(cache.acquire(key(2.0, 2.0)).prior_epoch);
-  cache.abandon(key(2.0, 2.0));
-
-  cache.begin_epoch();
-  EXPECT_TRUE(cache.acquire(key(1.0, 1.0)).prior_epoch);
-  // A second value must not reclassify the entry as current-epoch.
-  cache.fulfill(key(1.0, 1.0), 99);
-  const auto prior = cache.acquire(key(1.0, 1.0));
-  EXPECT_TRUE(prior.prior_epoch);
-  EXPECT_EQ(*prior.value, 1);
-  // A genuinely new entry this epoch is not prior.
-  cache.fulfill(key(2.0, 2.0), 2);
-  EXPECT_FALSE(cache.acquire(key(2.0, 2.0)).prior_epoch);
-}
-
-TEST(EvalCache, ClearResetsEverything) {
-  EvalCache<int> cache;
-  cache.begin_epoch();
-  cache.fulfill(key(1.0, 1.0), 1);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.epoch(), 0u);
-  EXPECT_TRUE(cache.snapshot().empty());
 }
 
 TEST(EvalCache, ConcurrentHammerStaysConsistent) {
   // Many threads acquire an overlapping key set whose value is a pure
   // function of the key, fulfilling what they own — every hit must
   // return that function's value (first-value-wins over identical
-  // values), and nothing is prior-epoch within the one tune.
+  // values).
   EvalCache<int> cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 32;
@@ -112,14 +75,11 @@ TEST(EvalCache, ConcurrentHammerStaysConsistent) {
       for (int round = 0; round < kRounds; ++round) {
         const int i = (round * 7 + t * 3) % kKeys;
         const EvalKey k = key(static_cast<double>(i), 0.5);
-        const auto got = cache.acquire(k);
-        if (got.owner) {
+        const std::optional<int> got = cache.acquire(k);
+        if (!got) {
           cache.fulfill(k, i * 10);
-        } else {
-          if (!got.value || *got.value != i * 10) {
-            ++bad_reads[static_cast<size_t>(t)];
-          }
-          if (got.prior_epoch) ++bad_reads[static_cast<size_t>(t)];
+        } else if (*got != i * 10) {
+          ++bad_reads[static_cast<size_t>(t)];
         }
       }
     });
@@ -132,43 +92,13 @@ TEST(EvalCache, ConcurrentHammerStaysConsistent) {
   }
 }
 
-TEST(EvalCacheAcquire, OwnerThenHit) {
-  EvalCache<int> cache;
-  auto first = cache.acquire(key(1.0, 2.0));
-  EXPECT_TRUE(first.owner);
-  EXPECT_FALSE(first.value.has_value());
-  EXPECT_FALSE(first.waited);
-  cache.fulfill(key(1.0, 2.0), 7);
-  const auto second = cache.acquire(key(1.0, 2.0));
-  EXPECT_FALSE(second.owner);
-  ASSERT_TRUE(second.value.has_value());
-  EXPECT_EQ(*second.value, 7);
-  EXPECT_FALSE(second.waited);
-  EXPECT_FALSE(second.from_disk);
-}
-
-TEST(EvalCacheAcquire, ClaimCarriesCurrentEpochStamp) {
-  // A claim must classify exactly like a stored value: not prior-epoch
-  // within the claiming tune, prior-epoch in the next.
-  EvalCache<int> cache;
-  cache.begin_epoch();
-  const auto claimed = cache.acquire(key(1.0, 1.0));
-  EXPECT_TRUE(claimed.owner);
-  EXPECT_FALSE(claimed.prior_epoch);
-  cache.fulfill(key(1.0, 1.0), 1);
-  EXPECT_FALSE(cache.acquire(key(1.0, 1.0)).prior_epoch);
-  cache.begin_epoch();
-  EXPECT_TRUE(cache.acquire(key(1.0, 1.0)).prior_epoch);
-}
-
 TEST(EvalCacheAcquire, AbandonLetsWaiterReclaim) {
   EvalCache<int> cache;
   const EvalKey k = key(5.0, 5.0);
-  ASSERT_TRUE(cache.acquire(k).owner);
+  ASSERT_FALSE(cache.acquire(k).has_value());
   std::atomic<bool> reclaimed{false};
   std::thread waiter([&] {
-    const auto got = cache.acquire(k);  // blocks until abandon
-    if (got.owner) {
+    if (!cache.acquire(k)) {  // blocks until abandon, then claims
       reclaimed = true;
       cache.fulfill(k, 11);
     }
@@ -177,7 +107,7 @@ TEST(EvalCacheAcquire, AbandonLetsWaiterReclaim) {
   cache.abandon(k);
   waiter.join();
   EXPECT_TRUE(reclaimed);
-  EXPECT_EQ(*cache.acquire(k).value, 11);
+  EXPECT_EQ(cache.acquire(k), 11);
   EXPECT_GE(cache.in_flight_waits(), 1u);
 }
 
@@ -195,12 +125,12 @@ TEST(EvalCacheAcquire, InFlightDedupHammer) {
     threads.emplace_back([&] {
       for (int i = 0; i < kKeys; ++i) {
         const EvalKey k = key(static_cast<double>(i), 0.25);
-        const auto got = cache.acquire(k);
-        if (got.owner) {
+        const std::optional<int> got = cache.acquire(k);
+        if (!got) {
           owners[static_cast<std::size_t>(i)]++;
           std::this_thread::sleep_for(std::chrono::milliseconds(5));
           cache.fulfill(k, i * 100);
-        } else if (!got.value || *got.value != i * 100) {
+        } else if (*got != i * 100) {
           ++bad;
         }
       }
@@ -218,25 +148,22 @@ TEST(EvalCachePersist, PreloadMarksEntriesFromDisk) {
   EvalCache<int> cache;
   cache.preload(key(1.0, 1.0), 5);
   EXPECT_EQ(cache.preloaded(), 1u);
-  cache.begin_epoch();
-  const auto got = cache.acquire(key(1.0, 1.0));
-  ASSERT_TRUE(got.value.has_value());
-  EXPECT_EQ(*got.value, 5);
-  EXPECT_TRUE(got.from_disk);
-  EXPECT_TRUE(got.prior_epoch);  // preloaded pre-epoch = warm for every tune
+  EXPECT_EQ(cache.acquire(key(1.0, 1.0)), 5);
   EXPECT_EQ(cache.disk_hits(), 1u);
-  // Preload is first-wins: it never clobbers a computed entry.
+  // Preload is first-wins: it never clobbers a computed entry, and a
+  // computed entry's hits are not disk hits.
   cache.fulfill(key(2.0, 2.0), 7);
   cache.preload(key(2.0, 2.0), 8);
-  EXPECT_EQ(*cache.acquire(key(2.0, 2.0)).value, 7);
+  EXPECT_EQ(cache.acquire(key(2.0, 2.0)), 7);
   EXPECT_EQ(cache.preloaded(), 1u);
+  EXPECT_EQ(cache.disk_hits(), 1u);
 }
 
 TEST(EvalCachePersist, SnapshotSkipsInFlightClaims) {
   EvalCache<int> cache;
   cache.fulfill(key(1.0, 1.0), 1);
   cache.fulfill(key(2.0, 2.0), 2);
-  ASSERT_TRUE(cache.acquire(key(3.0, 3.0)).owner);  // never fulfilled
+  ASSERT_FALSE(cache.acquire(key(3.0, 3.0)).has_value());  // never fulfilled
   const auto entries = cache.snapshot();
   EXPECT_EQ(entries.size(), 2u);
   for (const auto& [k, v] : entries) {

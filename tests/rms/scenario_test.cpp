@@ -109,13 +109,5 @@ TEST(Scenario, RunKindsBitIdenticalUnderPool) {
   }
 }
 
-TEST(Scenario, PoolAccessorRoundTrips) {
-  exec::ThreadPool pool(1);
-  Scenario s;
-  EXPECT_EQ(s.pool(), nullptr);
-  s.pool(&pool);
-  EXPECT_EQ(s.pool(), &pool);
-}
-
 }  // namespace
 }  // namespace scal
