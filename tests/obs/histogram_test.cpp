@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -124,7 +125,11 @@ TEST(HistogramRegistry, FindOrCreateKeepsStableReferences) {
   Histogram& a = reg.histogram("a");
   a.record(1.0);
   // Growing the registry must not invalidate earlier references.
-  for (int i = 0; i < 100; ++i) reg.histogram("h" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) {
+    std::string name = "h";
+    name += std::to_string(i);
+    reg.histogram(name);
+  }
   Histogram& a2 = reg.histogram("a");
   EXPECT_EQ(&a, &a2);
   EXPECT_EQ(a2.count(), 1u);

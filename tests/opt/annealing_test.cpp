@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "exec/thread_pool.hpp"
 
@@ -28,8 +30,9 @@ double rastrigin(const Point& p) {
 Space box(std::size_t dims, double lo, double hi) {
   std::vector<Variable> vars;
   for (std::size_t i = 0; i < dims; ++i) {
-    vars.push_back({"x" + std::to_string(i), VarKind::kContinuous, lo, hi,
-                    false});
+    std::string name = "x";
+    name += std::to_string(i);
+    vars.push_back({std::move(name), VarKind::kContinuous, lo, hi, false});
   }
   return Space(std::move(vars));
 }
