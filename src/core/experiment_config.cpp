@@ -101,9 +101,17 @@ T get_count(const util::IniFile& ini, const std::string& key, T fallback) {
   return static_cast<T>(v);
 }
 
+/// The INI key of an enabler: its name under `tuning.`.  The INI has
+/// no grid.control_plane key, so it has none for the control-plane
+/// enablers either.
+std::string tuning_key(const grid::Enabler& e) {
+  return std::string("tuning.") + e.name;
+}
+
 /// The complete key vocabulary, used to reject typos.
 const std::set<std::string>& known_keys() {
-  static const std::set<std::string> keys = {
+  static const std::set<std::string> keys = [] {
+    std::set<std::string> k = {
       "grid.nodes", "grid.topology", "grid.cluster_size",
       "grid.estimators_per_cluster", "grid.service_rate", "grid.rms",
       "grid.seed", "grid.horizon", "grid.update_suppression",
@@ -114,14 +122,17 @@ const std::set<std::string>& known_keys() {
       "workload.benefit_lo", "workload.benefit_hi",
       "workload.diurnal_amplitude", "workload.diurnal_period",
       "workload.origin_hotspot_weight",
-      "tuning.update_interval", "tuning.neighborhood_size",
-      "tuning.link_delay_scale", "tuning.volunteer_interval",
       "procedure.case", "procedure.scale_factors",
       "procedure.chain_warm_start", "procedure.warm_evaluations",
       "tuner.e0", "tuner.band", "tuner.evaluations", "tuner.restarts",
       "tuner.penalty_weight", "tuner.seed",
       "experiment.rms_kinds", "experiment.csv_path",
-  };
+    };
+    for (const grid::Enabler& e : grid::kEnablers) {
+      if (!e.control_plane) k.insert(tuning_key(e));
+    }
+    return k;
+  }();
   return keys;
 }
 
@@ -181,15 +192,14 @@ ExperimentConfig experiment_from_ini(const util::IniFile& ini) {
   wl.origin_hotspot_weight = ini.get_double("workload.origin_hotspot_weight",
                                             wl.origin_hotspot_weight);
 
-  auto& t = g.tuning;
-  t.update_interval =
-      ini.get_double("tuning.update_interval", t.update_interval);
-  t.neighborhood_size =
-      get_count(ini, "tuning.neighborhood_size", t.neighborhood_size);
-  t.link_delay_scale =
-      ini.get_double("tuning.link_delay_scale", t.link_delay_scale);
-  t.volunteer_interval =
-      ini.get_double("tuning.volunteer_interval", t.volunteer_interval);
+  for (const grid::Enabler& e : grid::kEnablers) {
+    if (e.control_plane) continue;
+    if (e.integer()) {
+      g.tuning.*e.count = get_count(ini, tuning_key(e), g.tuning.*e.count);
+    } else {
+      g.tuning.*e.real = ini.get_double(tuning_key(e), g.tuning.*e.real);
+    }
+  }
 
   ProcedureConfig& p = config.procedure;
   p.scase = case_from_name(ini.get_string("procedure.case", "case1"));
@@ -271,12 +281,14 @@ util::IniFile experiment_to_ini(const ExperimentConfig& config) {
   ini.set_double("workload.origin_hotspot_weight",
                  g.workload.origin_hotspot_weight);
 
-  ini.set_double("tuning.update_interval", g.tuning.update_interval);
-  ini.set_int("tuning.neighborhood_size",
-              static_cast<std::int64_t>(g.tuning.neighborhood_size));
-  ini.set_double("tuning.link_delay_scale", g.tuning.link_delay_scale);
-  ini.set_double("tuning.volunteer_interval",
-                 g.tuning.volunteer_interval);
+  for (const grid::Enabler& e : grid::kEnablers) {
+    if (e.control_plane) continue;
+    if (e.integer()) {
+      ini.set_int(tuning_key(e), static_cast<std::int64_t>(g.tuning.*e.count));
+    } else {
+      ini.set_double(tuning_key(e), g.tuning.*e.real);
+    }
+  }
 
   const ProcedureConfig& p = config.procedure;
   ini.set("procedure.case", case_name(p.scase));

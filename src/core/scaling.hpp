@@ -10,7 +10,11 @@
 // In every case the workload (job arrival rate) scales in the same
 // proportion as the scaling variable, as the paper prescribes.
 
+#include <bitset>
+#include <initializer_list>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "grid/config.hpp"
@@ -27,47 +31,20 @@ enum class ScalingVariableKind {
 
 std::string to_string(ScalingVariableKind kind);
 
-/// Which enablers the tuner may adjust, with their bounds.
-struct EnablerBounds {
-  bool tune_update_interval = true;
-  double update_interval_lo = 1.0;
-  double update_interval_hi = 150.0;
+/// A set of grid::kEnablers rows: bit i stands for kEnablers[i].
+using EnablerSet = std::bitset<std::size(grid::kEnablers)>;
 
-  bool tune_neighborhood = true;
-  std::uint32_t neighborhood_lo = 1;
-  std::uint32_t neighborhood_hi = 8;
-
-  bool tune_link_delay = true;
-  double link_delay_lo = 0.25;  // faster control links are purchasable
-  double link_delay_hi = 1.6;
-
-  bool tune_volunteer_interval = false;
-  double volunteer_interval_lo = 10.0;
-  double volunteer_interval_hi = 300.0;
-
-  // Control-plane aggregation knobs (docs/CONTROL_PLANE.md).  Off by
-  // default: they only make sense when GridConfig::control_plane is set,
-  // and the paper's own Tables 2-5 do not include them.  Turn them on
-  // (e.g. via with_aggregation()) and the tuner searches fan-out, batch
-  // size, and flush interval per (RMS kind, k) alongside the paper's
-  // enablers.
-  bool tune_agg_fanout = false;
-  std::uint32_t agg_fanout_lo = 1;
-  std::uint32_t agg_fanout_hi = 8;
-
-  bool tune_agg_batch = false;
-  std::uint32_t agg_batch_lo = 1;
-  std::uint32_t agg_batch_hi = 32;
-
-  bool tune_agg_flush = false;
-  double agg_flush_lo = 0.0;  // 0 = forward immediately (linear, not log)
-  double agg_flush_hi = 12.0;
-};
+/// The rows with these names; an unknown name throws
+/// std::invalid_argument.
+EnablerSet enabler_set(std::initializer_list<std::string_view> names);
 
 struct ScalingCase {
   std::string name;
   ScalingVariableKind variable = ScalingVariableKind::kNetworkSize;
-  EnablerBounds enablers;
+  /// The enablers the tuner adjusts: Tables 2-4's unless a case says
+  /// otherwise.
+  EnablerSet enablers = enabler_set(
+      {"update_interval", "neighborhood_size", "link_delay_scale"});
 
   /// The paper's four cases, with the enabler sets of Tables 2-5
   /// (Cases 1-3: update interval, neighborhood size, link delay;
@@ -77,11 +54,13 @@ struct ScalingCase {
   static ScalingCase case3_estimators();
   static ScalingCase case4_neighborhood();
 
-  /// This case with the aggregation-tree enablers switched on (the
-  /// ext_aggregation experiment; requires GridConfig::control_plane).
+  /// This case with the control-plane enablers (the aggregation tree's
+  /// fan-out, batch size and flush interval) switched on: the
+  /// ext_aggregation experiment; requires GridConfig::control_plane.
   ScalingCase with_aggregation() const;
 
-  /// Human-readable scaling-variable and enabler lists (Tables 2-5 rows).
+  /// Human-readable scaling-variable and enabler lists (Tables 2-5 rows,
+  /// in the paper's order).
   std::vector<std::string> scaling_variable_rows() const;
   std::vector<std::string> enabler_rows() const;
 };

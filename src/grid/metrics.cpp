@@ -27,7 +27,7 @@ void MetricsCollector::record_completion(const workload::Job& job,
                                          double service_time,
                                          double control_cost) {
   ++counts_.jobs_completed;
-  counts_.control_overhead += control_cost;
+  counts_.H_control += control_cost;
   const double response = completion - job.arrival;
   sink_.record_response(response);
   if (response_hist_ != nullptr) response_hist_->record(response);
@@ -39,21 +39,20 @@ void MetricsCollector::record_completion(const workload::Job& job,
   // be within benefit_factor times the job's actual run time.
   if (response <= job.benefit_factor * service_time) {
     ++counts_.jobs_succeeded;
-    counts_.useful_work += service_time;
+    counts_.F += service_time;
   } else {
     ++counts_.jobs_missed_deadline;
-    counts_.wasted_work += service_time;
+    counts_.H_wasted += service_time;
   }
 }
 
 void MetricsCollector::record_unfinished(double partial_service_time) {
-  ++counts_.jobs_unfinished;
-  counts_.wasted_work += partial_service_time;
+  counts_.H_wasted += partial_service_time;
 }
 
 void MetricsCollector::record_job_killed(double partial_service_time) {
   ++counts_.jobs_killed;
-  counts_.wasted_work += partial_service_time;
+  counts_.H_wasted += partial_service_time;
 }
 
 }  // namespace scal::grid

@@ -26,33 +26,42 @@ class Histogram;
 
 namespace scal::grid {
 
-/// Every MetricsCollector counter.  The collector keeps its counts in
-/// one of these, so probes and exporters read a consistent mid-run view
-/// through MetricsCollector::snapshot().
-struct MetricsSnapshot {
-  double useful_work = 0.0;
-  double wasted_work = 0.0;
-  double control_overhead = 0.0;
-  std::uint64_t jobs_arrived = 0;
-  std::uint64_t jobs_local = 0;
-  std::uint64_t jobs_remote = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_succeeded = 0;
-  std::uint64_t jobs_missed_deadline = 0;
-  std::uint64_t jobs_unfinished = 0;
-  std::uint64_t polls = 0;
-  std::uint64_t transfers = 0;
-  std::uint64_t auctions = 0;
-  std::uint64_t adverts = 0;
-  std::uint64_t updates_received = 0;
-  std::uint64_t updates_suppressed = 0;
-  // Fault subsystem (all zero on a fault-free run).
-  std::uint64_t jobs_killed = 0;
-  std::uint64_t jobs_requeued = 0;
-  std::uint64_t jobs_lost = 0;
-  std::uint64_t round_retries = 0;
-  std::uint64_t status_evictions = 0;
-  std::uint64_t blackout_drops = 0;
+/// Final outcome of one simulation run.  The stored fields are declared
+/// by the result schema (grid/result_schema.hpp); this struct adds the
+/// derived terms.
+struct SimulationResult {
+#define SCAL_RESULT_MEMBER(type, name, init, block, key) type name = init;
+#define SCAL_RESULT_NO_MEMBER(expr, block, key)
+  SCAL_RESULT_SCHEMA(SCAL_RESULT_MEMBER, SCAL_RESULT_NO_MEMBER)
+#undef SCAL_RESULT_MEMBER
+#undef SCAL_RESULT_NO_MEMBER
+
+  double G() const noexcept {
+    return G_scheduler + G_estimator + G_middleware + G_aggregator;
+  }
+  double H() const noexcept { return H_control + H_wasted; }
+  /// E = F / (F + G + H); 0 when no work was done.
+  double efficiency() const noexcept {
+    const double total = F + G() + H();
+    return total > 0.0 ? F / total : 0.0;
+  }
+
+  /// Fraction of tree traffic absorbed by coalescing (the G-reduction
+  /// mechanism's direct readout).
+  double ctrl_coalescing_ratio() const noexcept {
+    return ctrl_updates_in > 0
+               ? static_cast<double>(ctrl_updates_coalesced) /
+                     static_cast<double>(ctrl_updates_in)
+               : 0.0;
+  }
+
+  /// Availability-adjusted efficiency E_A = E / A: efficiency per unit of
+  /// capacity that actually existed, so churn runs compare to fault-free
+  /// runs on equal footing (can exceed E when the RMS exploits the
+  /// surviving capacity well).
+  double efficiency_avail() const noexcept {
+    return availability > 0.0 ? efficiency() / availability : 0.0;
+  }
 };
 
 class MetricsCollector {
@@ -120,9 +129,9 @@ class MetricsCollector {
   }
   void count_blackout_drop() { ++counts_.blackout_drops; }
 
-  /// Every counter (F/H parts here exclude G, which GridSystem reads off
-  /// the servers); valid mid-run.
-  const MetricsSnapshot& snapshot() const noexcept { return counts_; }
+  /// The result fields the collector counts (F, H, the job and
+  /// protocol counters; GridSystem fills the rest), valid mid-run.
+  const SimulationResult& snapshot() const noexcept { return counts_; }
 
   std::uint64_t response_count() const noexcept {
     return sink_.response_count();
@@ -134,51 +143,13 @@ class MetricsCollector {
   double response_p95() const { return sink_.response_p95(); }
 
  private:
-  MetricsSnapshot counts_;
+  SimulationResult counts_;
   ResultSink sink_;
   obs::Histogram* wait_hist_ = nullptr;
   obs::Histogram* response_hist_ = nullptr;
   obs::Histogram* slowdown_hist_ = nullptr;
   obs::Histogram* queue_depth_hist_ = nullptr;
   obs::Histogram* staleness_hist_ = nullptr;
-};
-
-/// Final outcome of one simulation run.  The stored fields are declared
-/// by the result schema (grid/result_schema.hpp); this struct adds the
-/// derived terms.
-struct SimulationResult {
-#define SCAL_RESULT_MEMBER(type, name, init, block, key) type name = init;
-#define SCAL_RESULT_NO_MEMBER(expr, block, key)
-  SCAL_RESULT_SCHEMA(SCAL_RESULT_MEMBER, SCAL_RESULT_NO_MEMBER)
-#undef SCAL_RESULT_MEMBER
-#undef SCAL_RESULT_NO_MEMBER
-
-  double G() const noexcept {
-    return G_scheduler + G_estimator + G_middleware + G_aggregator;
-  }
-  double H() const noexcept { return H_control + H_wasted; }
-  /// E = F / (F + G + H); 0 when no work was done.
-  double efficiency() const noexcept {
-    const double total = F + G() + H();
-    return total > 0.0 ? F / total : 0.0;
-  }
-
-  /// Fraction of tree traffic absorbed by coalescing (the G-reduction
-  /// mechanism's direct readout).
-  double ctrl_coalescing_ratio() const noexcept {
-    return ctrl_updates_in > 0
-               ? static_cast<double>(ctrl_updates_coalesced) /
-                     static_cast<double>(ctrl_updates_in)
-               : 0.0;
-  }
-
-  /// Availability-adjusted efficiency E_A = E / A: efficiency per unit of
-  /// capacity that actually existed, so churn runs compare to fault-free
-  /// runs on equal footing (can exceed E when the RMS exploits the
-  /// surviving capacity well).
-  double efficiency_avail() const noexcept {
-    return availability > 0.0 ? efficiency() / availability : 0.0;
-  }
 };
 
 }  // namespace scal::grid

@@ -422,10 +422,9 @@ void GridSystem::probe_tick() {
   obs::TimeSeriesProbe* probe = config_.telemetry->probe();
   obs::ProbeSample sample;
   sample.at = sim_.now();
-  const MetricsSnapshot& m = metrics_.snapshot();
-  sample.F = m.useful_work;
+  sample.F = metrics_.snapshot().F;
   sample.G = current_overhead_work();
-  sample.H = m.control_overhead + m.wasted_work;
+  sample.H = metrics_.snapshot().H();
   fill_probe_state(sample);
   probe->add(sample);
   // The final row lands exactly at the horizon (appended from the
@@ -730,11 +729,9 @@ SimulationResult GridSystem::run() {
 }
 
 SimulationResult GridSystem::assemble_result() {
-  const MetricsSnapshot& m = metrics_.snapshot();
-  SimulationResult r;
-  r.F = m.useful_work;
-  r.H_wasted = m.wasted_work;
-  r.H_control = m.control_overhead;
+  // F, H and the job, protocol and robustness counters as the collector
+  // counted them; the rest is read off the servers, network and caches.
+  SimulationResult r = metrics_.snapshot();
   for (const auto& sched : schedulers_) {
     const double work = sched->work_in_system_time();
     r.G_scheduler += work;
@@ -764,19 +761,7 @@ SimulationResult GridSystem::assemble_result() {
     }
   }
 
-  r.jobs_arrived = m.jobs_arrived;
-  r.jobs_local = m.jobs_local;
-  r.jobs_remote = m.jobs_remote;
-  r.jobs_completed = m.jobs_completed;
-  r.jobs_succeeded = m.jobs_succeeded;
-  r.jobs_missed_deadline = m.jobs_missed_deadline;
-  r.jobs_unfinished = m.jobs_arrived - m.jobs_completed;
-  r.polls = m.polls;
-  r.transfers = m.transfers;
-  r.auctions = m.auctions;
-  r.adverts = m.adverts;
-  r.updates_received = m.updates_received;
-  r.updates_suppressed = m.updates_suppressed;
+  r.jobs_unfinished = r.jobs_arrived - r.jobs_completed;
   r.network_messages = network_->messages_sent();
   r.messages_dropped = network_->messages_dropped();
   r.events_dispatched = sim_.dispatched_events();
@@ -786,16 +771,10 @@ SimulationResult GridSystem::assemble_result() {
     r.resource_crashes = injector_->counters().crashes;
     r.resource_recoveries = injector_->counters().recoveries;
     r.aggregator_blackouts = injector_->counters().aggregator_blackouts;
-    r.jobs_killed = m.jobs_killed;
-    r.jobs_requeued = m.jobs_requeued;
-    r.jobs_lost = m.jobs_lost;
-    r.round_retries = m.round_retries;
-    r.status_evictions = m.status_evictions;
     r.messages_delayed = network_->messages_delayed();
     r.messages_duplicated = network_->messages_duplicated();
     // Scheduler-side drops are counted by the mixin; estimator-side
     // drops are the items their down servers discarded.
-    r.blackout_drops = m.blackout_drops;
     for (const auto& cluster : estimators_) {
       for (const auto& est : cluster) {
         r.blackout_drops += est->items_discarded();

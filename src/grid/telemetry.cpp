@@ -94,16 +94,14 @@ std::string config_json(const GridConfig& config) {
   put(obj, "heterogeneity", config.heterogeneity);
   put(obj, "control_loss_probability", config.control_loss_probability);
   put(obj, "mean_interarrival", config.workload.mean_interarrival);
-  const Tuning& t = config.tuning;
   obs::JsonObject tuning;
-  put(tuning, "update_interval", t.update_interval);
-  put(tuning, "neighborhood_size", t.neighborhood_size);
-  put(tuning, "link_delay_scale", t.link_delay_scale);
-  put(tuning, "volunteer_interval", t.volunteer_interval);
-  if (config.control_plane) {
-    put(tuning, "agg_fanout", t.agg_fanout);
-    put(tuning, "agg_batch", t.agg_batch);
-    put(tuning, "agg_flush", t.agg_flush);
+  for (const Enabler& e : kEnablers) {
+    if (e.control_plane && !config.control_plane) continue;
+    if (e.integer()) {
+      put(tuning, e.name, config.tuning.*e.count);
+    } else {
+      put(tuning, e.name, config.tuning.*e.real);
+    }
   }
   obj.raw("tuning", tuning.str());
   if (config.control_plane) obj.field("control_plane", true);

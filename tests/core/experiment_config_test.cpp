@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace scal::core {
 namespace {
@@ -164,6 +165,33 @@ TEST(ExperimentConfig, RoundTripsThroughIni) {
   EXPECT_DOUBLE_EQ(reparsed.procedure.tuner.band, 0.07);
   EXPECT_EQ(reparsed.kinds, original.kinds);
   EXPECT_EQ(reparsed.csv_path, "/tmp/x.csv");
+}
+
+TEST(ExperimentConfig, TuningKeysAreThePaperEnablers) {
+  // Every paper enabler round-trips under tuning.<name>; the INI has no
+  // grid.control_plane key, so it writes and accepts no aggregation key.
+  ExperimentConfig original;
+  original.grid.tuning.update_interval = 33.5;
+  original.grid.tuning.neighborhood_size = 6;
+  original.grid.tuning.link_delay_scale = 0.75;
+  original.grid.tuning.volunteer_interval = 90.0;
+  const util::IniFile ini = experiment_to_ini(original);
+  std::vector<std::string> tuning_keys;
+  for (const auto& [key, value] : ini.values()) {
+    if (key.rfind("tuning.", 0) == 0) tuning_keys.push_back(key);
+  }
+  EXPECT_EQ(tuning_keys,
+            (std::vector<std::string>{
+                "tuning.link_delay_scale", "tuning.neighborhood_size",
+                "tuning.update_interval", "tuning.volunteer_interval"}));
+  const grid::Tuning back = experiment_from_ini(ini).grid.tuning;
+  EXPECT_EQ(back.update_interval, 33.5);
+  EXPECT_EQ(back.neighborhood_size, 6u);
+  EXPECT_EQ(back.link_delay_scale, 0.75);
+  EXPECT_EQ(back.volunteer_interval, 90.0);
+  EXPECT_THROW(experiment_from_ini(
+                   util::IniFile::parse("[tuning]\nagg_batch = 4\n")),
+               std::runtime_error);
 }
 
 TEST(ExperimentConfig, TracePathKeyIsTheTraceSource) {

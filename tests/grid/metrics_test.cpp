@@ -30,9 +30,9 @@ TEST(MetricsCollector, SuccessWithinBenefitWindow) {
   // Response 19 <= 2 * service(10) = 20: success.
   m.record_completion(j, 29.0, 10.0, 0.5);
   EXPECT_EQ(m.snapshot().jobs_succeeded, 1u);
-  EXPECT_DOUBLE_EQ(m.snapshot().useful_work, 10.0);
-  EXPECT_DOUBLE_EQ(m.snapshot().wasted_work, 0.0);
-  EXPECT_DOUBLE_EQ(m.snapshot().control_overhead, 0.5);
+  EXPECT_DOUBLE_EQ(m.snapshot().F, 10.0);
+  EXPECT_DOUBLE_EQ(m.snapshot().H_wasted, 0.0);
+  EXPECT_DOUBLE_EQ(m.snapshot().H_control, 0.5);
 }
 
 TEST(MetricsCollector, MissBeyondBenefitWindow) {
@@ -41,8 +41,8 @@ TEST(MetricsCollector, MissBeyondBenefitWindow) {
   // Response 21 > 20: miss; its work counts as waste.
   m.record_completion(j, 31.0, 10.0, 0.5);
   EXPECT_EQ(m.snapshot().jobs_missed_deadline, 1u);
-  EXPECT_DOUBLE_EQ(m.snapshot().useful_work, 0.0);
-  EXPECT_DOUBLE_EQ(m.snapshot().wasted_work, 10.0);
+  EXPECT_DOUBLE_EQ(m.snapshot().F, 0.0);
+  EXPECT_DOUBLE_EQ(m.snapshot().H_wasted, 10.0);
 }
 
 TEST(MetricsCollector, ExactBoundaryCountsAsSuccess) {
@@ -55,8 +55,10 @@ TEST(MetricsCollector, ExactBoundaryCountsAsSuccess) {
 TEST(MetricsCollector, UnfinishedAddsWaste) {
   MetricsCollector m;
   m.record_unfinished(7.5);
-  EXPECT_EQ(m.snapshot().jobs_unfinished, 1u);
-  EXPECT_DOUBLE_EQ(m.snapshot().wasted_work, 7.5);
+  // The collector books the waste only; the result counts unfinished
+  // jobs as arrived - completed.
+  EXPECT_DOUBLE_EQ(m.snapshot().H_wasted, 7.5);
+  EXPECT_EQ(m.snapshot().jobs_completed, 0u);
 }
 
 TEST(MetricsCollector, ResponseTimeSamplesRecorded) {

@@ -73,7 +73,7 @@ TEST(ReserveUnit, LoadedHolderUsesReservationToShedWork) {
     }
   });
   grid.system->run();
-  const grid::MetricsSnapshot& m = grid.system->metrics().snapshot();
+  const grid::SimulationResult& m = grid.system->metrics().snapshot();
   EXPECT_GT(m.polls, 0u);      // probes
   EXPECT_GT(m.transfers, 0u);  // accepted handoffs
 }
