@@ -43,7 +43,7 @@ int main() {
   Table t1({"variable", "value", "comments"});
   t1.set_align(1, util::Align::kLeft);
   t1.set_align(2, util::Align::kLeft);
-  t1.add_row({"T_CPU", Table::fixed(base.protocol.t_cpu, 0) + " time units",
+  t1.add_row({"T_CPU", Table::fixed(base.workload.t_cpu, 0) + " time units",
               "jobs with execution time <= T_CPU are LOCAL, else REMOTE"});
   t1.add_row({"T_l", Table::fixed(base.protocol.t_l, 1),
               "threshold load at a scheduler"});

@@ -75,7 +75,7 @@ std::string topology_digest(const GridConfig& config) {
 TEST(Digest, PlainConfigValuesArePinned) {
   const GridConfig config = plain_config();
   EXPECT_EQ(hex(config_digest(config)),
-            "ad2975b87268ae41:167dcdefb7b64e81");
+            "8c352411abda71a3:1448a05bc3136d39");
   EXPECT_EQ(hex(workload_digest(config)),
             "d2221bbc175e4405:6f327b9e9824cf9e");
   EXPECT_EQ(topology_digest(config),
@@ -85,7 +85,7 @@ TEST(Digest, PlainConfigValuesArePinned) {
 TEST(Digest, BusyConfigValuesArePinned) {
   const GridConfig config = busy_config();
   EXPECT_EQ(hex(config_digest(config)),
-            "05f1626ee218d594:e293bc7288ac06ef");
+            "216b7ed5c252f301:d6be8e0fcc1b2057");
   EXPECT_EQ(hex(workload_digest(config)),
             "0ccf81f523d31048:9d10643ba74b8df5");
   EXPECT_EQ(topology_digest(config),
