@@ -103,7 +103,6 @@ void Aggregator::forward_buffer(std::uint64_t absorbed) {
   }
   buffer_.clear();
   ++batches_;
-  updates_out_ += batch.size();
   if (coalescing_hist_ != nullptr) {
     coalescing_hist_->record(static_cast<double>(absorbed));
   }

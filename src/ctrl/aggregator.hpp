@@ -62,7 +62,6 @@ class Aggregator : public sim::Server {
 
   net::NodeId node() const noexcept { return node_; }
   std::uint64_t updates_in() const noexcept { return updates_in_; }
-  std::uint64_t updates_out() const noexcept { return updates_out_; }
   std::uint64_t updates_coalesced() const noexcept { return coalesced_; }
   std::uint64_t batches_out() const noexcept { return batches_; }
 
@@ -100,7 +99,6 @@ class Aggregator : public sim::Server {
   bool blackout_ = false;
 
   std::uint64_t updates_in_ = 0;
-  std::uint64_t updates_out_ = 0;
   std::uint64_t coalesced_ = 0;
   std::uint64_t batches_ = 0;
 

@@ -18,7 +18,6 @@ Estimator::Estimator(sim::Simulator& sim, sim::EntityId id, ClusterId cluster,
 }
 
 void Estimator::receive_update(StatusUpdate update) {
-  ++updates_;
   submit(process_cost_, [this, update]() mutable {
     obs::PhaseProfiler::Scope scope(profiler_, update_phase_);
     integrate(update);
@@ -27,7 +26,6 @@ void Estimator::receive_update(StatusUpdate update) {
 
 void Estimator::receive_bundle(std::vector<StatusUpdate> updates) {
   if (updates.empty()) return;
-  updates_ += updates.size();
   submit(process_cost_ * static_cast<double>(updates.size()),
          [this, ups = std::move(updates)]() mutable {
            obs::PhaseProfiler::Scope scope(profiler_, update_phase_);
@@ -64,7 +62,6 @@ void Estimator::flush() {
     batch.cluster = cluster_;
     batch.estimator = index_;
     batch.updates.swap(buffer_);
-    ++batches_;
     forward_(std::move(batch));
   });
 }

@@ -37,8 +37,6 @@ class Estimator : public sim::Server {
 
   ClusterId cluster() const noexcept { return cluster_; }
   std::uint32_t index() const noexcept { return index_; }
-  std::uint64_t updates_handled() const noexcept { return updates_; }
-  std::uint64_t batches_forwarded() const noexcept { return batches_; }
 
   /// Attach the (optional) phase profiler: update processing runs
   /// inside the given phase.  Null profiler = one pointer test.
@@ -66,8 +64,6 @@ class Estimator : public sim::Server {
   /// (negative = never seen).
   std::vector<double> last_load_;
   bool flush_scheduled_ = false;
-  std::uint64_t updates_ = 0;
-  std::uint64_t batches_ = 0;
 
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::PhaseId update_phase_ = 0;

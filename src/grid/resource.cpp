@@ -109,7 +109,6 @@ void Resource::begin_service() {
   busy_time_ += total;
   completion_event_ = sim().schedule_in(total, [this]() {
     credit_skipped_ticks(now());
-    ++executed_;
     metrics_->record_job_event(in_service_->id, JobEvent::kComplete, now(),
                                index_);
     metrics_->record_completion(*in_service_, now(), current_service_time_,

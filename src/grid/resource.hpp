@@ -93,7 +93,6 @@ class Resource : public sim::Entity {
 
   ClusterId cluster() const noexcept { return cluster_; }
   ResourceIndex index() const noexcept { return index_; }
-  std::uint64_t jobs_executed() const noexcept { return executed_; }
   double busy_time() const noexcept { return busy_time_; }
 
   double service_rate() const noexcept { return service_rate_; }
@@ -145,7 +144,6 @@ class Resource : public sim::Entity {
   double downtime_ = 0.0;
   std::function<void(std::vector<workload::Job>)> kill_handler_;
 
-  std::uint64_t executed_ = 0;
   double busy_time_ = 0.0;
 };
 

@@ -21,7 +21,6 @@ void Network::send(NodeId src, NodeId dst, double size,
                    sim::EventFn on_arrival) {
   const double d = predict_delay(src, dst, size);
   ++messages_;
-  bytes_ += size;
   sim().schedule_in(d, std::move(on_arrival));
 }
 
@@ -76,7 +75,6 @@ void Network::send_unreliable(NodeId src, NodeId dst, double size,
     }
     const double d = predict_delay(src, dst, size) + extra;
     ++messages_;
-    bytes_ += size;
     sim().schedule_in(d, std::move(on_arrival));
     return;
   }

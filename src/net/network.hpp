@@ -69,13 +69,11 @@ class Network : public sim::Entity {
   double delay_scale() const noexcept { return delay_scale_; }
 
   std::uint64_t messages_sent() const noexcept { return messages_; }
-  double bytes_sent() const noexcept { return bytes_; }
 
  private:
   const Router& router_;
   double delay_scale_ = 1.0;
   std::uint64_t messages_ = 0;
-  double bytes_ = 0.0;
   double loss_probability_ = 0.0;
   std::optional<util::RandomStream> loss_rng_;
   std::uint64_t dropped_ = 0;

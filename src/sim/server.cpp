@@ -1,6 +1,5 @@
 #include "sim/server.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -37,9 +36,7 @@ void Server::submit(Time cost, EventFn done) {
     return;
   }
   note_queue_change();
-  offered_work_ += cost;
   queue_.push_back(Item{cost, std::move(done)});
-  max_queue_ = std::max(max_queue_, queue_.size());
   if (!in_service_) start_next();
 }
 
@@ -63,7 +60,6 @@ void Server::start_next() {
 }
 
 void Server::finish_service() {
-  ++completed_;
   if (trace_ != nullptr) trace_->end(trace_tid_, now());
   // Detach before invoking: the callable may submit more work, which
   // would overwrite current_done_ when service starts.

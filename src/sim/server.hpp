@@ -29,8 +29,6 @@ class Server : public Entity {
 
   /// Total time this server has spent serving items.
   Time busy_time() const noexcept { return busy_time_; }
-  /// Total service cost ever submitted (busy time + backlog).
-  Time offered_work() const noexcept { return offered_work_; }
   /// Work-in-system time: busy time plus the time-integral of the
   /// waiting queue.  Equals the summed sojourn of work items.  This is
   /// the overhead quantity G(k) uses: for a server that keeps up it is
@@ -40,15 +38,11 @@ class Server : public Entity {
   Time work_in_system_time() const noexcept {
     return busy_time_ + queue_time_integral();
   }
-  /// Items fully served.
-  std::uint64_t completed() const noexcept { return completed_; }
   /// Items currently waiting (excluding the one in service).
   std::size_t queue_length() const noexcept { return queue_.size(); }
   bool busy() const noexcept { return in_service_; }
   /// Time-integral of queue length (for mean-queue statistics).
   double queue_time_integral() const noexcept;
-  /// Largest backlog observed.
-  std::size_t max_queue_length() const noexcept { return max_queue_; }
 
   /// Fault hook: while down the server discards every submitted item
   /// (the work is never offered, so it cannot inflate G) and going down
@@ -95,9 +89,6 @@ class Server : public Entity {
   bool down_ = false;
   std::uint64_t discarded_ = 0;
   Time busy_time_ = 0.0;
-  Time offered_work_ = 0.0;
-  std::uint64_t completed_ = 0;
-  std::size_t max_queue_ = 0;
   mutable Time last_queue_change_ = 0.0;
   mutable double queue_integral_ = 0.0;
 };
