@@ -5,7 +5,8 @@
 // them (core/eval_store.cpp), grid::fill_manifest renders the manifest's
 // result blocks from them, and the tests compare results by walking
 // them.  Adding a result field is one FIELD row plus the code that
-// computes it (GridSystem::assemble_result).
+// computes it: a MetricsCollector count, which lands in the field
+// directly, or GridSystem::assemble_result.
 //
 // Two row kinds, in declaration order:
 //   FIELD(type, name, init, block, key)  stored member `type name = init;`
