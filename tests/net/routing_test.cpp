@@ -372,32 +372,79 @@ void expect_oracle_bits_in_every_order(const Graph& g) {
   }
 }
 
-class RoutingOracle : public ::testing::Test {
- protected:
-  void SetUp() override { SharedTreeCache::instance().clear(); }
-  void TearDown() override { SharedTreeCache::instance().clear(); }
-};
+/// Asks a sharing router each query in each of the three orders and,
+/// after each, reads the source's tree back from the shared cache.  The
+/// router settles in (distance, node) order and stops right after the
+/// destination, and the cache keeps the deepest tree a source has
+/// published, so the cached tree has settled exactly the reachable
+/// nodes ranked at or before the farthest destination asked of that
+/// source so far: every reachable node once an unreachable one was
+/// asked.  Positive link latencies make the rank exact (a zero-latency
+/// link could reach an equally distant node only after the destination).
+/// `exhausted` is left out: the cache keeps the first of two equally
+/// deep trees, which may lack the later one's flag.
+void expect_settle_depth_in_every_order(const Graph& g) {
+  const auto n = static_cast<NodeId>(g.node_count());
+  std::vector<std::vector<OracleRoute>> oracle;
+  for (NodeId src = 0; src < n; ++src) {
+    oracle.push_back(oracle_routes(g, src));
+  }
+  // rank[src][dst]: reachable nodes v with (latency[v], v) <=
+  // (latency[dst], dst); for an unreachable dst, every reachable node.
+  std::vector<std::vector<std::size_t>> rank(n, std::vector<std::size_t>(n));
+  for (NodeId src = 0; src < n; ++src) {
+    const std::vector<OracleRoute>& from = oracle[src];
+    for (NodeId dst = 0; dst < n; ++dst) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (from[v].latency == kInf) continue;
+        const bool at_or_before =
+            from[dst].latency == kInf || from[v].latency < from[dst].latency ||
+            (from[v].latency == from[dst].latency && v <= dst);
+        rank[src][dst] += at_or_before ? 1 : 0;
+      }
+    }
+  }
+  const std::pair<Order, const char*> orders[] = {
+      {Order::kNearFirst, "near-first"},
+      {Order::kFarFirst, "far-first"},
+      {Order::kInterleaved, "interleaved"}};
+  const SharedTreeCache::Key topology = graph_digest(g);
+  for (const auto& [order, name] : orders) {
+    SharedTreeCache::instance().clear();
+    Router router(g);
+    router.share_trees();
+    std::vector<std::size_t> deepest(n, 0);
+    for (const auto& [src, dst] : queries(oracle, order)) {
+      (void)router.route(src, dst);
+      deepest[src] = std::max(deepest[src], rank[src][dst]);
+      const auto tree = SharedTreeCache::instance().lookup(topology, src);
+      ASSERT_NE(tree, nullptr) << name << " " << src << "->" << dst;
+      EXPECT_EQ(tree->settled_count, deepest[src])
+          << name << " " << src << "->" << dst;
+    }
+  }
+}
 
-TEST_F(RoutingOracle, PreferentialAttachmentTopology) {
+Graph preferential_attachment_graph() {
   TopologyConfig config;
   config.nodes = 120;
   util::RandomStream rng(42, "routing-oracle");
-  expect_oracle_bits_in_every_order(generate_topology(config, rng));
+  return generate_topology(config, rng);
 }
 
-TEST_F(RoutingOracle, TransitStubTopology) {
+Graph transit_stub_graph() {
   TopologyConfig config;
   config.kind = TopologyKind::kTransitStub;
   config.nodes = 90;
   util::RandomStream rng(5, "routing-oracle");
-  expect_oracle_bits_in_every_order(generate_topology(config, rng));
+  return generate_topology(config, rng);
 }
 
-TEST_F(RoutingOracle, TieHeavyIntegerLatencies) {
-  // An 8x8 grid of unit-latency links with chords of latency 2, so most
-  // nodes have several shortest paths; bandwidths vary per link, so the
-  // strict-`<` tie rule (first relaxed predecessor wins) shows in the
-  // inverse-bandwidth sum.  Three more nodes form an unreachable island.
+/// An 8x8 grid of unit-latency links with chords of latency 2, so most
+/// nodes have several shortest paths; bandwidths vary per link, so the
+/// strict-`<` tie rule (first relaxed predecessor wins) shows in the
+/// inverse-bandwidth sum.  Three more nodes form an unreachable island.
+Graph tie_heavy_grid() {
   constexpr NodeId kSide = 8;
   Graph g(kSide * kSide + 3);
   const auto at = [](NodeId r, NodeId c) { return r * kSide + c; };
@@ -415,7 +462,31 @@ TEST_F(RoutingOracle, TieHeavyIntegerLatencies) {
   }
   g.add_edge(kSide * kSide, kSide * kSide + 1, 1.0, 1.0);
   g.add_edge(kSide * kSide + 1, kSide * kSide + 2, 1.0, 2.0);
-  expect_oracle_bits_in_every_order(g);
+  return g;
+}
+
+class RoutingOracle : public ::testing::Test {
+ protected:
+  void SetUp() override { SharedTreeCache::instance().clear(); }
+  void TearDown() override { SharedTreeCache::instance().clear(); }
+};
+
+TEST_F(RoutingOracle, PreferentialAttachmentTopology) {
+  expect_oracle_bits_in_every_order(preferential_attachment_graph());
+}
+
+TEST_F(RoutingOracle, TransitStubTopology) {
+  expect_oracle_bits_in_every_order(transit_stub_graph());
+}
+
+TEST_F(RoutingOracle, TieHeavyIntegerLatencies) {
+  expect_oracle_bits_in_every_order(tie_heavy_grid());
+}
+
+TEST_F(RoutingOracle, SettleDepthIsRankOfFarthestQuery) {
+  expect_settle_depth_in_every_order(preferential_attachment_graph());
+  expect_settle_depth_in_every_order(transit_stub_graph());
+  expect_settle_depth_in_every_order(tie_heavy_grid());
 }
 
 }  // namespace
