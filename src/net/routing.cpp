@@ -1,7 +1,5 @@
 #include "net/routing.hpp"
 
-#include <algorithm>
-#include <functional>
 #include <stdexcept>
 
 #include "net/tree_cache.hpp"
@@ -42,16 +40,15 @@ std::shared_ptr<const SourceTree> Router::settle(NodeId src,
     tree->info.resize(trees_.size());
     tree->settled.assign(trees_.size(), 0);
     tree->info[src].latency = 0.0;
-    tree->frontier.emplace_back(0.0, src);
+    tree->frontier.push(util::QuadHeap::key(0.0, src));
   }
   std::vector<RouteInfo>& info = tree->info;
-  auto& heap = tree->frontier;
-  const std::greater<> cmp;
+  util::QuadHeap& heap = tree->frontier;
   bool settled_dst = false;
   while (!heap.empty()) {
-    const auto [d, u] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    heap.pop_back();
+    const util::QuadHeap::Key top = heap.pop();
+    const double d = util::QuadHeap::value_of(top);
+    const auto u = static_cast<NodeId>(util::QuadHeap::tag_of(top));
     if (d > info[u].latency) continue;  // superseded entry
     tree->settled[u] = 1;
     ++tree->settled_count;
@@ -62,8 +59,7 @@ std::shared_ptr<const SourceTree> Router::settle(NodeId src,
       if (nd < info[l.to].latency) {
         info[l.to].latency = nd;
         info[l.to].inv_bandwidth = info[u].inv_bandwidth + 1.0 / l.bandwidth;
-        heap.emplace_back(nd, l.to);
-        std::push_heap(heap.begin(), heap.end(), cmp);
+        heap.push(util::QuadHeap::key(nd, l.to));
       }
     }
     if (u == dst) {

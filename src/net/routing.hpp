@@ -9,11 +9,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/graph.hpp"
 #include "obs/phase_profiler.hpp"
+#include "util/quad_heap.hpp"
 
 namespace scal::net {
 
@@ -39,15 +39,17 @@ struct RouteInfo {
 struct SourceTree {
   std::vector<RouteInfo> info;  ///< indexed by node; latency is the distance
   std::vector<char> settled;    ///< info[v] is final
-  /// Min-heap of (distance, node) in std::push_heap/pop_heap order.
-  std::vector<std::pair<double, NodeId>> frontier;
+  /// Min-heap of (distance, node) keys: util::QuadHeap::key(distance,
+  /// node).  A node's distance only strictly decreases, so no two
+  /// entries tie and any exact min-heap pops the same sequence.
+  util::QuadHeap frontier;
   std::size_t settled_count = 0;
   bool exhausted = false;  ///< the frontier ran dry: the rest is unreachable
 
   /// Approximate resident payload, for the shared cache's byte budget.
   std::size_t bytes() const noexcept {
     return info.capacity() * sizeof(RouteInfo) + settled.capacity() +
-           frontier.capacity() * sizeof(std::pair<double, NodeId>);
+           frontier.bytes();
   }
 };
 

@@ -10,8 +10,10 @@
 // Entries are the immutable net::SourceTree values routers hold in their
 // slots, behind shared_ptr, so concurrent readers never observe a
 // mutating Dijkstra frontier.  A router that needs to settle *further*
-// than a tree reaches settles a copy (copy-on-extend) and publishes it;
-// publication is first-publish-wins with strictly-deeper upgrades, and
+// than a tree reaches settles a copy (copy-on-extend) and publishes it.
+// The frontier is a util::QuadHeap that shrinks as it pops, so a copy
+// carries only the entries still queued, not the tree's peak frontier.
+// Publication is first-publish-wins with strictly-deeper upgrades, and
 // every tree agrees on its settled prefix (Dijkstra finalizes in global
 // distance order), so which tree a reader adopts can never change a
 // route.

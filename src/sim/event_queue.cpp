@@ -1,26 +1,12 @@
 #include "sim/event_queue.hpp"
 
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace scal::sim {
 
-EventQueue::EventQueue() : heap_(kArity - 1, kPadKey) {}
-
-std::uint64_t EventQueue::time_key(Time at) noexcept {
-  const auto bits = std::bit_cast<std::uint64_t>(at + 0.0);
-  const auto negative = static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(bits) >> 63);
-  return bits ^ (negative | kSignBit);
-}
-
-Time EventQueue::key_time(std::uint64_t key) noexcept {
-  const auto negative = ~static_cast<std::uint64_t>(
-      static_cast<std::int64_t>(key) >> 63);
-  return std::bit_cast<Time>(key ^ (negative | kSignBit));
-}
+EventQueue::EventQueue() : heap_(Heap::kArity - 1, Heap::kPad) {}
 
 EventId EventQueue::push(Time at, EventFn fn) {
   if (pushed_ >= kMaxPushes) {
@@ -28,12 +14,11 @@ EventId EventQueue::push(Time at, EventFn fn) {
   }
   // Keep kArity - 1 pads past the new last entry.  Grown before the slot
   // is taken, so a failed allocation leaves the queue unchanged.
-  if (heap_.size() < size_ + kArity) heap_.push_back(kPadKey);
+  if (heap_.size() < size_ + Heap::kArity) heap_.push_back(Heap::kPad);
   const std::uint32_t slot = acquire_slot();
   fn_at(slot) = std::move(fn);
-  const Key key = (Key{time_key(at)} << 64) |
-                  (pushed_++ << kSlotBits | slot);
-  sift_up(size_++, key);
+  const Key key = Heap::key(at, pushed_++ << kSlotBits | slot);
+  Heap::sift_up(heap_.data(), size_++, key, track_position());
   return make_id(gen_[slot], slot);
 }
 
@@ -76,53 +61,19 @@ void EventQueue::fire_top() {
   fn_at(release.slot)();
 }
 
-void EventQueue::sift_up(std::size_t pos, Key moving) noexcept {
-  Key* const heap = heap_.data();
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / kArity;
-    if (!(moving < heap[parent])) break;
-    heap[pos] = heap[parent];
-    pos_[slot_of(heap[pos])] = static_cast<std::uint32_t>(pos);
-    pos = parent;
-  }
-  heap[pos] = moving;
-  pos_[slot_of(moving)] = static_cast<std::uint32_t>(pos);
-}
-
-void EventQueue::sift_down(std::size_t pos, Key moving) noexcept {
-  Key* const heap = heap_.data();
-  const std::size_t n = size_;
-  for (;;) {
-    const std::size_t first = kArity * pos + 1;
-    if (first >= n) break;
-    // Pads stand in for missing children, so all four are always
-    // readable.  Index arithmetic on compare results compiles to
-    // conditional moves; ties keep the lower index.
-    const std::size_t a = first + (heap[first + 1] < heap[first]);
-    const std::size_t b = first + 2 + (heap[first + 3] < heap[first + 2]);
-    const std::size_t child = heap[b] < heap[a] ? b : a;
-    if (!(heap[child] < moving)) break;
-    heap[pos] = heap[child];
-    pos_[slot_of(heap[pos])] = static_cast<std::uint32_t>(pos);
-    pos = child;
-  }
-  heap[pos] = moving;
-  pos_[slot_of(moving)] = static_cast<std::uint32_t>(pos);
-}
-
 void EventQueue::erase_at(std::size_t pos) noexcept {
   assert(pos < size_);
   const std::size_t last = --size_;
   const Key moved = heap_[last];
-  heap_[last] = kPadKey;
+  heap_[last] = Heap::kPad;
   if (pos == last) return;
   // The replacement came from the bottom, so it can only need to move
   // down — unless its new parent is later than it (possible when it
   // came from a different subtree), in which case sift up.
-  if (pos > 0 && moved < heap_[(pos - 1) / kArity]) {
-    sift_up(pos, moved);
+  if (pos > 0 && moved < heap_[(pos - 1) / Heap::kArity]) {
+    Heap::sift_up(heap_.data(), pos, moved, track_position());
   } else {
-    sift_down(pos, moved);
+    Heap::sift_down(heap_.data(), size_, pos, moved, track_position());
   }
 }
 
@@ -130,8 +81,10 @@ std::uint32_t EventQueue::remove_top() noexcept {
   const std::uint32_t slot = slot_of(heap_[0]);
   const std::size_t last = --size_;
   const Key moved = heap_[last];
-  heap_[last] = kPadKey;
-  if (last != 0) sift_down(0, moved);
+  heap_[last] = Heap::kPad;
+  if (last != 0) {
+    Heap::sift_down(heap_.data(), size_, 0, moved, track_position());
+  }
   return slot;
 }
 

@@ -6,11 +6,13 @@
 // scalability procedure's reproducibility rests on.
 //
 // Layout (docs/PERFORMANCE.md, "Event queue"):
-//   - heap_: a 4-ary min-heap of 16-byte integer keys.  The high word is
-//     the timestamp's IEEE bits mapped to an order-preserving unsigned
-//     integer; the low word is (insertion seq << 24 | slot).  One 128-bit
-//     compare orders two events by (time, seq), and the smallest of four
-//     children is picked with conditional moves, not branches.
+//   - heap_: 16-byte integer keys in util::QuadHeap's 4-ary layout,
+//     moved by its shared sift steps.  The high word is the timestamp's
+//     util::order_key(); the low word is (insertion seq << 24 | slot).
+//     One 128-bit compare orders two events by (time, seq), and the
+//     smallest of four children is picked with conditional moves, not
+//     branches.  heap_ keeps its high-water length: pads fill it past
+//     the live entries.
 //   - pos_: each slot's heap position (while pending) in a compact uint32
 //     array, so cancel() removes an event eagerly in O(log n) and a sift
 //     step writes 4 bytes instead of touching the closure's slot.
@@ -28,6 +30,7 @@
 
 #include "sim/time.hpp"
 #include "util/inline_fn.hpp"
+#include "util/quad_heap.hpp"
 
 namespace scal::sim {
 
@@ -69,7 +72,7 @@ class EventQueue {
   Time next_time() const;
   /// next_time() without the emptiness check; precondition: !empty().
   Time peek_time() const noexcept {
-    return key_time(static_cast<std::uint64_t>(heap_[0] >> 64));
+    return util::QuadHeap::value_of(heap_[0]);
   }
 
   /// Pop the earliest live event.  Precondition: !empty().
@@ -92,25 +95,14 @@ class EventQueue {
   std::size_t arena_size() const noexcept { return gen_.size(); }
 
  private:
-  __extension__ using Key = unsigned __int128;
+  using Heap = util::QuadHeap;
+  using Key = Heap::Key;
 
-  static constexpr std::size_t kArity = 4;
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
   static constexpr std::uint32_t kNoFree = 0xFFFFFFFFu;
-  /// Fills heap_ past the last live entry, so every node always has four
-  /// readable children and the min-child pick needs no bounds branch.
-  static constexpr Key kPadKey = ~Key{0};
   /// Slots per chunk: 64 closures of 208 bytes, 13 KiB.
   static constexpr unsigned kChunkShift = 6;
-
-  static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
-
-  /// Order-preserving map of a double onto an unsigned integer: flip the
-  /// sign bit of non-negative values and every bit of negative ones.
-  /// `at + 0.0` first turns -0.0 into +0.0.
-  static std::uint64_t time_key(Time at) noexcept;
-  static Time key_time(std::uint64_t key) noexcept;
 
   static std::uint32_t slot_of(Key key) noexcept {
     return static_cast<std::uint32_t>(key) & kSlotMask;
@@ -123,10 +115,13 @@ class EventQueue {
     return chunks_[slot >> kChunkShift][slot & ((1u << kChunkShift) - 1)];
   }
 
-  /// Place `moving` at `pos` or above it (heap order restored).
-  void sift_up(std::size_t pos, Key moving) noexcept;
-  /// Place `moving` at `pos` or below it (heap order restored).
-  void sift_down(std::size_t pos, Key moving) noexcept;
+  /// The sift steps' callback: record the heap position of each entry
+  /// they place.
+  auto track_position() noexcept {
+    return [pos = pos_.data()](Key key, std::size_t at) {
+      pos[slot_of(key)] = static_cast<std::uint32_t>(at);
+    };
+  }
   /// Remove the heap entry at `pos` (swap-with-last + re-sift).
   void erase_at(std::size_t pos) noexcept;
   /// Take the earliest entry off the heap and return its slot, whose
