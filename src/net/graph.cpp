@@ -1,6 +1,7 @@
 #include "net/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
 
@@ -16,7 +17,11 @@ void Graph::add_edge(NodeId a, NodeId b, double latency, double bandwidth) {
     throw std::out_of_range("Graph::add_edge: node out of range");
   }
   if (a == b) throw std::invalid_argument("Graph::add_edge: self-loop");
-  if (!(latency >= 0.0) || !(bandwidth > 0.0)) {
+  // Finite only: an infinite latency would leave a linked node
+  // unreachable, and an infinite bandwidth would make delay independent
+  // of message size.
+  if (!(latency >= 0.0) || !std::isfinite(latency) || !(bandwidth > 0.0) ||
+      !std::isfinite(bandwidth)) {
     throw std::invalid_argument("Graph::add_edge: bad link parameters");
   }
   adj_[a].push_back(Link{b, latency, bandwidth});

@@ -25,6 +25,8 @@ class Graph {
 
   NodeId add_node();
   /// Add an undirected edge; both directions share latency/bandwidth.
+  /// Throws std::invalid_argument unless latency is finite and >= 0 and
+  /// bandwidth is finite and > 0.
   void add_edge(NodeId a, NodeId b, double latency, double bandwidth);
 
   std::size_t node_count() const noexcept { return adj_.size(); }

@@ -215,9 +215,12 @@ Graph generate_topology(const TopologyConfig& config,
   if (config.nodes == 0) {
     throw std::invalid_argument("generate_topology: zero nodes");
   }
+  // Graph::add_edge checks each link too; this rejects a bad config
+  // before any draw, also one with no links to add.
   if (!(config.latency_min >= 0.0) ||
       !(config.latency_max >= config.latency_min) ||
-      !(config.bandwidth > 0.0)) {
+      !std::isfinite(config.latency_max) || !(config.bandwidth > 0.0) ||
+      !std::isfinite(config.bandwidth)) {
     throw std::invalid_argument("generate_topology: bad link parameters");
   }
   Graph g;

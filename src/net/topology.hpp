@@ -61,6 +61,8 @@ struct TopologyConfig {
 };
 
 /// Generate a connected topology from the config and RNG stream.
+/// Throws std::invalid_argument for zero nodes, or unless 0 <=
+/// latency_min <= latency_max < inf and 0 < bandwidth < inf.
 Graph generate_topology(const TopologyConfig& config,
                         util::RandomStream& rng);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace scal::net {
 namespace {
 
@@ -41,6 +43,23 @@ TEST(Graph, RejectsBadLinkParameters) {
   Graph g(2);
   EXPECT_THROW(g.add_edge(0, 1, -1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(g.add_edge(0, 1, 1.0, 0.0), std::invalid_argument);
+}
+
+TEST(Graph, RejectsNonFiniteLinkParameters) {
+  // An infinite latency would leave the far end unreachable although the
+  // graph is connected; an infinite bandwidth would make delay ignore
+  // message size.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Graph g(2);
+  EXPECT_THROW(g.add_edge(0, 1, kInf, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, kNaN, 1.0), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, 1.0, kInf), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, 1.0, kNaN), std::invalid_argument);
+  EXPECT_EQ(g.edge_count(), 0u);
+  g.add_edge(0, 1, std::numeric_limits<double>::max(),
+             std::numeric_limits<double>::max());  // finite: accepted
+  EXPECT_EQ(g.edge_count(), 1u);
 }
 
 TEST(Graph, ConnectivityDetection) {
