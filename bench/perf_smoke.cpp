@@ -1,8 +1,8 @@
 // Perf smoke suite: the standing fixed-seed benchmark that gives every
 // PR a perf trajectory (docs/PERFORMANCE.md).  Micro kernels (event
-// churn at 64 and 1,024 pending events, cancel churn, routing, ...) plus
-// one Case-1 macro point per RMS kind, all serial, all deterministic in
-// their pinned seeds.  Emits
+// churn at 64 and 1,024 pending events, cancel churn, routing, cold
+// settling, ...) plus one Case-1 macro point per RMS kind, all serial,
+// all deterministic in their pinned seeds.  Emits
 // machine-readable BENCH_<label>.json with ns/item, items/s, wall time,
 // and peak RSS; tools/check_perf_regression.py compares two such files.
 //
@@ -180,6 +180,29 @@ Sample routing_queries() {
       (void)router.delay(src, dst, 1.0);
     }
     return queries + kHot;
+  });
+}
+
+/// Cold settling at Case 2's size: a fresh router over the default
+/// 1,000-node topology, and every node asks one destination, so each
+/// query settles a new source tree as far as that destination — the
+/// work every cold-built grid repeats (the benchmark's cold_case2).
+/// routing_queries barely sees it under its million hot queries.
+Sample routing_cold_settle() {
+  net::TopologyConfig tc;
+  tc.nodes = 1000;
+  util::RandomStream rng(42, "perf-smoke-topology");
+  const net::Graph graph = net::generate_topology(tc, rng);
+  return timed("routing_cold_settle", 15, [&] {
+    net::Router router(graph);
+    std::uint64_t queries = 0;
+    for (std::size_t src = 0; src < tc.nodes; ++src) {
+      (void)router.delay(static_cast<net::NodeId>(src),
+                         static_cast<net::NodeId>((src * 7 + 1) % tc.nodes),
+                         1.0);
+      ++queries;
+    }
+    return queries;
   });
 }
 
@@ -511,6 +534,7 @@ int main(int argc, char** argv) {
   samples.push_back(event_churn_deep());
   samples.push_back(event_cancel_churn());
   samples.push_back(routing_queries());
+  samples.push_back(routing_cold_settle());
   samples.push_back(shared_tree_sweep());
   samples.push_back(aggregation_churn());
   samples.push_back(workload_generation("workload_generation", {}));
