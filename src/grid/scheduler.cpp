@@ -67,12 +67,6 @@ void SchedulerBase::init_tables(const std::vector<ClusterId>& clusters) {
   for (const ClusterId c : clusters) {
     // Optimistic zero-load start: schedulers know their membership from
     // deployment; the first status batches correct any drift.
-    if (std::vector<ResourceView>* existing = find_table(c)) {
-      candidate_count_ -= existing->size();
-      existing->assign(system_->resource_count(c), ResourceView{});
-      candidate_count_ += existing->size();
-      continue;
-    }
     ClusterTable table{c, {}};
     table.views.assign(system_->resource_count(c), ResourceView{});
     candidate_count_ += table.views.size();
@@ -198,6 +192,14 @@ void SchedulerBase::enable_robustness(double staleness_window,
   retry_backoff_base_ = retry_backoff_base;
 }
 
+void SchedulerBase::retry_round(std::uint32_t attempt,
+                                sim::EventFn restart) {
+  system_->metrics().count_round_retry();
+  system_->simulator().schedule_in(
+      retry_backoff_base_ * static_cast<double>(1u << attempt),
+      std::move(restart));
+}
+
 void SchedulerBase::deliver_requeue(workload::Job job) {
   job.attempts += 1;
   if (job.attempts > requeue_budget_) {
@@ -269,8 +271,6 @@ void SchedulerBase::handle_message(const RmsMessage& msg) {
   SCAL_DEBUG("scheduler " << cluster_ << " ignoring " << to_string(msg.kind)
                           << " from " << msg.from);
 }
-
-std::size_t SchedulerBase::parked_jobs() const { return 0; }
 
 void SchedulerBase::dispatch(ClusterId cluster, ResourceIndex r,
                              workload::Job job) {

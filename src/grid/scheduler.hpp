@@ -1,14 +1,15 @@
 #pragma once
-// Base class for the seven RMS policies.  A scheduler is a FIFO server:
-// every action — making a placement decision, digesting a status batch,
-// handling a protocol message — is a costed work item, and the sum of
-// the costs offered to all schedulers is the dominant part of the RMS
-// overhead G(k).
+// Base class for the nine RMS kinds (the paper's seven, HIER and
+// RANDOM).  A scheduler is a FIFO server: every action — making a
+// placement decision, digesting a status batch, handling a protocol
+// message — is a costed work item, and the sum of the costs offered to
+// all schedulers is the dominant part of the RMS overhead G(k).
 //
 // The base class owns the status tables (per-cluster resource load
 // views built from estimator batches), the dispatch/transfer plumbing,
-// and the messaging helpers; subclasses in src/rms implement the seven
-// protocols by overriding the handle_* hooks.
+// the messaging helpers and the robustness mixin's retry step;
+// subclasses in src/rms implement the protocols by overriding the
+// handle_* hooks.
 
 #include <cstdint>
 #include <vector>
@@ -50,10 +51,6 @@ class SchedulerBase : public sim::Server {
   /// before the simulation starts.
   virtual void on_start() {}
 
-  /// Jobs parked inside the policy (pending polls, wait queues) at the
-  /// horizon; counted as unfinished.
-  virtual std::size_t parked_jobs() const;
-
   ClusterId cluster() const noexcept { return cluster_; }
   net::NodeId node() const noexcept { return node_; }
 
@@ -92,7 +89,7 @@ class SchedulerBase : public sim::Server {
   void deliver_requeue(workload::Job job);
 
  protected:
-  // -- Hooks the seven policies implement.
+  // -- Hooks the policies implement.
   virtual void handle_job(workload::Job job) = 0;
   virtual void handle_message(const RmsMessage& msg);
   /// Called after a batch is folded into the tables.
@@ -160,14 +157,15 @@ class SchedulerBase : public sim::Server {
   bool should_retry(std::uint32_t attempt) const noexcept {
     return staleness_window_ > 0.0 && attempt < retry_budget_;
   }
-  /// Backoff before retry number `attempt` + 1: base * 2^attempt.
-  double retry_backoff(std::uint32_t attempt) const noexcept {
-    return retry_backoff_base_ * static_cast<double>(1u << attempt);
-  }
+  /// The retry step of a round that failed on attempt `attempt` (checked
+  /// with should_retry first): counts the retry, then runs `restart`
+  /// after the backoff base * 2^attempt.  The repeat round's messages
+  /// are charged to G like the first round's.
+  void retry_round(std::uint32_t attempt, sim::EventFn restart);
 
  public:
   /// Called once by GridSystem during wiring: seed the status tables for
-  /// the clusters this scheduler tracks.
+  /// the clusters this scheduler tracks (distinct ids).
   void init_tables(const std::vector<ClusterId>& clusters);
 
   /// Attach the (optional) phase profiler: scheduling decisions and

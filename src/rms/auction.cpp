@@ -4,12 +4,6 @@
 
 namespace scal::rms {
 
-void AuctionScheduler::handle_job(workload::Job job) {
-  // "A scheduler follows the same process as in LOWEST for initial
-  // scheduling."
-  LowestScheduler::handle_job(std::move(job));
-}
-
 void AuctionScheduler::handle_idle_resource(grid::ResourceIndex /*resource*/,
                                             std::uint32_t estimator) {
   // Pace per estimator: at most one auction per accumulation window per

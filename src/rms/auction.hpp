@@ -21,7 +21,6 @@ class AuctionScheduler : public LowestScheduler {
   bool wants_idle_events() const override { return true; }
 
  protected:
-  void handle_job(workload::Job job) override;
   void handle_message(const grid::RmsMessage& msg) override;
   void handle_idle_resource(grid::ResourceIndex resource,
                             std::uint32_t estimator) override;

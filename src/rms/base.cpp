@@ -1,5 +1,7 @@
 #include "rms/base.hpp"
 
+#include <algorithm>
+
 namespace scal::rms {
 
 void DistributedSchedulerBase::schedule_local(workload::Job job) {
@@ -25,6 +27,56 @@ void DistributedSchedulerBase::handle_message(const grid::RmsMessage& msg) {
   SchedulerBase::handle_message(msg);
 }
 
+void DistributedSchedulerBase::advertise(grid::MsgKind kind) {
+  for (const grid::ClusterId peer : random_peers(tuning().neighborhood_size)) {
+    system().metrics().count_advert();
+    grid::RmsMessage msg;
+    msg.kind = kind;
+    send_message(peer, std::move(msg), costs().sched_advert);
+  }
+}
+
+void DistributedSchedulerBase::start_volunteering() {
+  // Desynchronize the volunteering rounds across schedulers.
+  const double offset = rng().uniform(0.0, tuning().volunteer_interval);
+  system().simulator().schedule_in(offset, [this]() { volunteer_tick(); });
+}
+
+void DistributedSchedulerBase::volunteer_tick() {
+  // "Periodically, a scheduler checks RUS for the resources in its
+  // cluster" — an idle resource (RUS below delta) triggers volunteering.
+  // Under the robustness mixin only fresh views count: a crashed
+  // resource's frozen "idle" entry must not keep attracting work.
+  const auto& t = table(cluster());
+  const bool has_idle = std::any_of(
+      t.begin(), t.end(), [this](const grid::ResourceView& v) {
+        return view_usable(v) && v.load < protocol().delta;
+      });
+  if (has_idle) advertise(grid::MsgKind::kVolunteer);
+  system().simulator().schedule_in(tuning().volunteer_interval,
+                                   [this]() { volunteer_tick(); });
+}
+
+void DistributedSchedulerBase::request_demand(grid::ClusterId volunteer,
+                                              workload::Job job) {
+  const std::uint64_t token = next_token();
+  grid::RmsMessage demand;
+  demand.kind = grid::MsgKind::kDemandRequest;
+  demand.token = token;
+  demand.a = job.exec_time;  // the job's resource demands
+  negotiating_.emplace(token, std::move(job));
+  // Watchdog: a lost request or reply must never strand the job.
+  system().simulator().schedule_in(protocol().reply_timeout, [this, token]() {
+    const auto it = negotiating_.find(token);
+    if (it == negotiating_.end()) return;
+    workload::Job stranded = std::move(it->second);
+    negotiating_.erase(it);
+    schedule_local(std::move(stranded));
+  });
+  system().metrics().count_poll();
+  send_message(volunteer, std::move(demand), costs().sched_poll);
+}
+
 void DistributedSchedulerBase::reply_demand(const grid::RmsMessage& msg) {
   grid::RmsMessage reply;
   reply.kind = grid::MsgKind::kDemandReply;
@@ -34,26 +86,12 @@ void DistributedSchedulerBase::reply_demand(const grid::RmsMessage& msg) {
   send_message(msg.from, std::move(reply), costs().sched_poll);
 }
 
-void DistributedSchedulerBase::arm_negotiation_watchdog(
-    util::TokenMap<std::uint64_t, workload::Job>& negotiating,
-    std::uint64_t token) {
-  system().simulator().schedule_in(
-      protocol().reply_timeout, [this, &negotiating, token]() {
-        const auto it = negotiating.find(token);
-        if (it == negotiating.end()) return;
-        workload::Job stranded = std::move(it->second);
-        negotiating.erase(it);
-        schedule_local(std::move(stranded));
-      });
-}
-
 bool DistributedSchedulerBase::decide_demand_reply(
-    const grid::RmsMessage& msg,
-    util::TokenMap<std::uint64_t, workload::Job>& negotiating) {
-  const auto it = negotiating.find(msg.token);
-  if (it == negotiating.end()) return false;
+    const grid::RmsMessage& msg) {
+  const auto it = negotiating_.find(msg.token);
+  if (it == negotiating_.end()) return false;
   workload::Job job = std::move(it->second);
-  negotiating.erase(it);
+  negotiating_.erase(it);
   const double local_att =
       estimate_awt(cluster()) + estimate_ert(job.exec_time);
   const double remote_att = msg.a + predict_transfer_delay(msg.from);

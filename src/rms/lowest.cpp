@@ -1,5 +1,7 @@
 #include "rms/lowest.hpp"
 
+#include <cmath>
+
 namespace scal::rms {
 
 void LowestScheduler::handle_job(workload::Job job) {
@@ -29,7 +31,7 @@ void LowestScheduler::start_poll_round(workload::Job job,
     grid::RmsMessage poll;
     poll.kind = grid::MsgKind::kPollRequest;
     poll.token = token;
-    poll.a = it->second.job.exec_time;  // S-I reuses this field; harmless here
+    poll.a = it->second.job.exec_time;  // demand, for S-I's ERT estimate
     send_message(peer, std::move(poll), costs().sched_poll);
   }
   // Watchdog: lost replies (failure injection) must never strand a job.
@@ -40,16 +42,12 @@ void LowestScheduler::start_poll_round(workload::Job job,
         PollRound late = std::move(round_it->second);
         pending_.erase(round_it);
         // Robustness mixin: a round with zero replies (dead or
-        // blacked-out peers) retries with exponential backoff; the
-        // repeat polls are charged to G like the first round's.
+        // blacked-out peers) retries with exponential backoff.
         if (!late.any_reply && should_retry(late.attempt)) {
-          system().metrics().count_round_retry();
-          const std::uint32_t next = late.attempt + 1;
-          system().simulator().schedule_in(
-              retry_backoff(late.attempt),
-              [this, job = std::move(late.job), next]() mutable {
-                start_poll_round(std::move(job), next);
-              });
+          retry_round(late.attempt, [this, job = std::move(late.job),
+                                     next = late.attempt + 1]() mutable {
+            start_poll_round(std::move(job), next);
+          });
           return;
         }
         conclude_round(std::move(late));
@@ -62,8 +60,8 @@ void LowestScheduler::handle_message(const grid::RmsMessage& msg) {
       grid::RmsMessage reply;
       reply.kind = grid::MsgKind::kPollReply;
       reply.token = msg.token;
-      reply.a = least_load(cluster());
-      reply.b = busy_fraction(cluster());
+      reply.a = quote(msg.a);
+      reply.b = busy_fraction(cluster());  // RUS
       send_message(msg.from, std::move(reply), costs().sched_poll);
       return;
     }
@@ -71,11 +69,14 @@ void LowestScheduler::handle_message(const grid::RmsMessage& msg) {
       const auto it = pending_.find(msg.token);
       if (it == pending_.end()) return;
       PollRound& round = it->second;
-      if (!round.any_reply || msg.a < round.best_load ||
-          (msg.a == round.best_load && msg.b < round.best_rus)) {
+      const double value = msg.a + reply_delay(msg.from);
+      const double tie = tie_tolerance();
+      if (!round.any_reply || value < round.best_quote - tie ||
+          (std::abs(value - round.best_quote) <= tie &&
+           msg.b < round.best_rus)) {
         round.any_reply = true;
         round.best_cluster = msg.from;
-        round.best_load = msg.a;
+        round.best_quote = value;
         round.best_rus = msg.b;
       }
       if (--round.awaiting == 0) {
@@ -90,10 +91,19 @@ void LowestScheduler::handle_message(const grid::RmsMessage& msg) {
   }
 }
 
+double LowestScheduler::quote(double /*demand*/) const {
+  return least_load(cluster());
+}
+
+bool LowestScheduler::beats_local(const PollRound& round) const {
+  // Zhou's LOWEST keeps the job unless a remote cluster reports a
+  // strictly less-loaded resource; the local table is scanned only when
+  // some peer replied.
+  return round.any_reply && round.best_quote < least_load(cluster());
+}
+
 void LowestScheduler::conclude_round(PollRound round) {
-  // Transfer only when a remote cluster reports a strictly less-loaded
-  // resource than ours (Zhou's LOWEST keeps the job otherwise).
-  if (round.any_reply && round.best_load < least_load(cluster())) {
+  if (beats_local(round)) {
     transfer_job(round.best_cluster, std::move(round.job));
   } else {
     schedule_local(std::move(round.job));

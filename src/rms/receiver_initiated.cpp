@@ -4,35 +4,6 @@
 
 namespace scal::rms {
 
-void ReceiverInitiatedScheduler::on_start() {
-  // Desynchronize the volunteering rounds across schedulers.
-  const double offset = rng().uniform(0.0, tuning().volunteer_interval);
-  system().simulator().schedule_in(offset, [this]() { volunteer_tick(); });
-}
-
-void ReceiverInitiatedScheduler::volunteer_tick() {
-  // "Periodically, a scheduler checks RUS for the resources in its
-  // cluster" — an idle resource (RUS below delta) triggers volunteering.
-  const auto& t = table(cluster());
-  // Under the robustness mixin only fresh views count: a crashed
-  // resource's frozen "idle" entry must not keep attracting work.
-  const auto idle = [this](const grid::ResourceView& v) {
-    return view_usable(v) && v.load < protocol().delta;
-  };
-  const bool has_idle = std::any_of(t.begin(), t.end(), idle);
-  if (has_idle) {
-    for (const grid::ClusterId peer :
-         random_peers(tuning().neighborhood_size)) {
-      system().metrics().count_advert();
-      grid::RmsMessage msg;
-      msg.kind = grid::MsgKind::kVolunteer;
-      send_message(peer, std::move(msg), costs().sched_advert);
-    }
-  }
-  system().simulator().schedule_in(tuning().volunteer_interval,
-                                   [this]() { volunteer_tick(); });
-}
-
 void ReceiverInitiatedScheduler::handle_job(workload::Job job) {
   if (job.job_class == workload::JobClass::kLocal ||
       busy_fraction(cluster()) <= protocol().t_l) {
@@ -79,22 +50,14 @@ void ReceiverInitiatedScheduler::handle_message(const grid::RmsMessage& msg) {
       if (wait_queue_.empty()) return;  // nothing to offer the volunteer
       workload::Job job = std::move(wait_queue_.front());
       wait_queue_.pop_front();
-      const std::uint64_t token = next_token();
-      grid::RmsMessage demand;
-      demand.kind = grid::MsgKind::kDemandRequest;
-      demand.token = token;
-      demand.a = job.exec_time;  // the head job's resource demands
-      negotiating_.emplace(token, std::move(job));
-      arm_negotiation_watchdog(negotiating_, token);
-      system().metrics().count_poll();
-      send_message(msg.from, std::move(demand), costs().sched_poll);
+      request_demand(msg.from, std::move(job));
       return;
     }
     case grid::MsgKind::kDemandRequest:
       reply_demand(msg);
       return;
     case grid::MsgKind::kDemandReply:
-      decide_demand_reply(msg, negotiating_);
+      decide_demand_reply(msg);
       return;
     default:
       DistributedSchedulerBase::handle_message(msg);

@@ -10,7 +10,6 @@
 // local cluster drains below T_l, or a timeout fires.
 
 #include <deque>
-#include "util/token_map.hpp"
 
 #include "rms/base.hpp"
 
@@ -21,25 +20,18 @@ class ReceiverInitiatedScheduler : public DistributedSchedulerBase {
   using DistributedSchedulerBase::DistributedSchedulerBase;
 
   bool uses_middleware() const override { return true; }
-  void on_start() override;
-  std::size_t parked_jobs() const override {
-    return wait_queue_.size() + negotiating_.size();
-  }
+  void on_start() override { start_volunteering(); }
 
  protected:
   void handle_job(workload::Job job) override;
   void handle_message(const grid::RmsMessage& msg) override;
   void after_batch(const grid::StatusBatch& batch) override;
 
-  /// Periodic volunteering round (also reused by tests).
-  void volunteer_tick();
-
  private:
   void park_job(workload::Job job);
   void drain_wait_queue_locally();
 
   std::deque<workload::Job> wait_queue_;
-  util::TokenMap<std::uint64_t, workload::Job> negotiating_;
 };
 
 }  // namespace scal::rms

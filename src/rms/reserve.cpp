@@ -14,12 +14,7 @@ void ReserveScheduler::maybe_advertise() {
   // cluster does not spam reservations on every status batch.
   if (now() - last_advert_ < tuning().volunteer_interval) return;
   last_advert_ = now();
-  for (const grid::ClusterId peer : random_peers(tuning().neighborhood_size)) {
-    system().metrics().count_advert();
-    grid::RmsMessage msg;
-    msg.kind = grid::MsgKind::kReservation;
-    send_message(peer, std::move(msg), costs().sched_advert);
-  }
+  advertise(grid::MsgKind::kReservation);
 }
 
 ReserveScheduler::Reservation* ReserveScheduler::freshest_reservation() {
@@ -60,13 +55,11 @@ void ReserveScheduler::probe_reservation(workload::Job job,
           Probe stranded = std::move(it->second);
           probing_.erase(it);
           if (should_retry(stranded.attempt)) {
-            system().metrics().count_round_retry();
-            const std::uint32_t next = stranded.attempt + 1;
-            system().simulator().schedule_in(
-                retry_backoff(stranded.attempt),
-                [this, job = std::move(stranded.job), next]() mutable {
-                  probe_reservation(std::move(job), next);
-                });
+            retry_round(stranded.attempt,
+                        [this, job = std::move(stranded.job),
+                         next = stranded.attempt + 1]() mutable {
+                          probe_reservation(std::move(job), next);
+                        });
             return;
           }
           schedule_local(std::move(stranded.job));

@@ -16,8 +16,6 @@ class ReserveScheduler : public DistributedSchedulerBase {
  public:
   using DistributedSchedulerBase::DistributedSchedulerBase;
 
-  std::size_t parked_jobs() const override { return probing_.size(); }
-
  protected:
   void handle_job(workload::Job job) override;
   void handle_message(const grid::RmsMessage& msg) override;

@@ -6,42 +6,39 @@
 // status (RUS).  The approximate turnaround time ATT = AWT + ERT (plus
 // the transfer delay for remote sites) picks the target; ties within
 // tolerance psi break toward the smallest RUS.
+//
+// The round itself is LOWEST's; S-I changes what a peer quotes, the
+// transfer delay added to each reply, the tie tolerance, and the
+// comparison against the local ATT.
 
-#include "util/token_map.hpp"
-
-#include "rms/base.hpp"
+#include "rms/lowest.hpp"
 
 namespace scal::rms {
 
-class SenderInitiatedScheduler : public DistributedSchedulerBase {
+class SenderInitiatedScheduler : public LowestScheduler {
  public:
-  using DistributedSchedulerBase::DistributedSchedulerBase;
+  using LowestScheduler::LowestScheduler;
 
   bool uses_middleware() const override { return true; }
-  std::size_t parked_jobs() const override { return pending_.size(); }
 
  protected:
-  void handle_job(workload::Job job) override;
-  void handle_message(const grid::RmsMessage& msg) override;
-
-  /// The S-I poll round; Sy-I falls back to this when it has no fresh
-  /// advertisement.  `attempt` counts robustness retries.
-  void start_att_poll(workload::Job job, std::uint32_t attempt = 0);
-
- private:
-  struct AttRound {
-    workload::Job job;
-    std::size_t awaiting = 0;
-    grid::ClusterId best_cluster = 0;
-    double best_att = 0.0;
-    double best_rus = 0.0;
-    bool any_reply = false;
-    std::uint32_t attempt = 0;
-  };
-
-  void conclude_att_round(AttRound round);
-
-  util::TokenMap<std::uint64_t, AttRound> pending_;
+  /// ATT = AWT + ERT for a job of demand `demand`.
+  double quote(double demand) const override {
+    return estimate_awt(cluster()) + estimate_ert(demand);
+  }
+  double reply_delay(grid::ClusterId peer) const override {
+    return predict_transfer_delay(peer);
+  }
+  double tie_tolerance() const override { return protocol().psi; }
+  bool beats_local(const PollRound& round) const override {
+    // The local ATT is estimated before the replies are looked at, so
+    // its table scan runs (and counts stale entries) even when no peer
+    // answered.  Ties within psi stay local (the local site's RUS is
+    // free to use).
+    const double local_att =
+        estimate_awt(cluster()) + estimate_ert(round.job.exec_time);
+    return round.any_reply && round.best_quote < local_att - protocol().psi;
+  }
 };
 
 }  // namespace scal::rms

@@ -1,25 +1,6 @@
 #include "rms/symmetric.hpp"
 
-#include <algorithm>
-
 namespace scal::rms {
-
-void SymmetricScheduler::on_start() {
-  const double offset = rng().uniform(0.0, tuning().volunteer_interval);
-  system().simulator().schedule_in(offset, [this]() { volunteer_tick(); });
-}
-
-void SymmetricScheduler::volunteer_tick() {
-  const auto& t = table(cluster());
-  // Fresh views only under robustness (see ReceiverInitiatedScheduler).
-  const bool has_idle = std::any_of(
-      t.begin(), t.end(), [this](const grid::ResourceView& v) {
-        return view_usable(v) && v.load < protocol().delta;
-      });
-  if (has_idle) broadcast_volunteer();
-  system().simulator().schedule_in(tuning().volunteer_interval,
-                                   [this]() { volunteer_tick(); });
-}
 
 void SymmetricScheduler::handle_idle_resource(grid::ResourceIndex /*resource*/,
                                               std::uint32_t estimator) {
@@ -33,16 +14,7 @@ void SymmetricScheduler::handle_idle_resource(grid::ResourceIndex /*resource*/,
     return;
   }
   last_event_broadcast_[estimator] = now();
-  broadcast_volunteer();
-}
-
-void SymmetricScheduler::broadcast_volunteer() {
-  for (const grid::ClusterId peer : random_peers(tuning().neighborhood_size)) {
-    system().metrics().count_advert();
-    grid::RmsMessage msg;
-    msg.kind = grid::MsgKind::kVolunteer;
-    send_message(peer, std::move(msg), costs().sched_advert);
-  }
+  advertise(grid::MsgKind::kVolunteer);
 }
 
 const grid::ClusterId* SymmetricScheduler::freshest_advert() {
@@ -69,19 +41,11 @@ void SymmetricScheduler::handle_job(workload::Job job) {
     // R-I style handshake with the advertiser.
     const grid::ClusterId dst = *advertiser;
     adverts_.erase(dst);  // consume the advertisement
-    const std::uint64_t token = next_token();
-    grid::RmsMessage demand;
-    demand.kind = grid::MsgKind::kDemandRequest;
-    demand.token = token;
-    demand.a = job.exec_time;
-    negotiating_.emplace(token, std::move(job));
-    arm_negotiation_watchdog(negotiating_, token);
-    system().metrics().count_poll();
-    send_message(dst, std::move(demand), costs().sched_poll);
+    request_demand(dst, std::move(job));
     return;
   }
   // No usable advertisement: sender-initiated fallback.
-  start_att_poll(std::move(job));
+  start_poll_round(std::move(job));
 }
 
 void SymmetricScheduler::handle_message(const grid::RmsMessage& msg) {
@@ -93,7 +57,7 @@ void SymmetricScheduler::handle_message(const grid::RmsMessage& msg) {
       reply_demand(msg);
       return;
     case grid::MsgKind::kDemandReply:
-      decide_demand_reply(msg, negotiating_);
+      decide_demand_reply(msg);
       return;
     default:
       SenderInitiatedScheduler::handle_message(msg);

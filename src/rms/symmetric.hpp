@@ -18,10 +18,7 @@ class SymmetricScheduler : public SenderInitiatedScheduler {
   using SenderInitiatedScheduler::SenderInitiatedScheduler;
 
   bool wants_idle_events() const override { return true; }
-  void on_start() override;
-  std::size_t parked_jobs() const override {
-    return SenderInitiatedScheduler::parked_jobs() + negotiating_.size();
-  }
+  void on_start() override { start_volunteering(); }
 
  protected:
   void handle_job(workload::Job job) override;
@@ -30,13 +27,10 @@ class SymmetricScheduler : public SenderInitiatedScheduler {
                             std::uint32_t estimator) override;
 
  private:
-  void volunteer_tick();
-  void broadcast_volunteer();
   /// Freshest live advertisement within the TTL, or nullptr.
   const grid::ClusterId* freshest_advert();
 
   util::TokenMap<grid::ClusterId, sim::Time> adverts_;
-  util::TokenMap<std::uint64_t, workload::Job> negotiating_;
   /// Event-driven broadcasts are paced per estimator trigger stream.
   util::TokenMap<std::uint32_t, sim::Time> last_event_broadcast_;
   grid::ClusterId freshest_cache_ = 0;

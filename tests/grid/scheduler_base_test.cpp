@@ -126,11 +126,6 @@ TEST(SchedulerBase, BatchesFlowDuringRun) {
   EXPECT_GT(total_batches, 0u);
 }
 
-TEST(SchedulerBase, ParkedJobsDefaultsToZero) {
-  ProbeGrid grid;
-  EXPECT_EQ(grid.schedulers[0]->parked_jobs(), 0u);
-}
-
 TEST(SchedulerBase, TraceReplayDrivesDeliverJob) {
   // Build a 3-job trace, replay it, and check the probe saw exactly it.
   std::vector<workload::Job> jobs(3);

@@ -45,43 +45,57 @@ TEST(AnalyticG, CentralIsPureDecisionCost) {
   EXPECT_NEAR(r.G_scheduler, expected, 0.05 * expected);
 }
 
-TEST(AnalyticG, LowestIsDecisionsPollsTransfers) {
-  const grid::GridConfig config = quiet_config(grid::RmsKind::kLowest);
-  const auto r = Scenario(config).run();
-  ASSERT_GT(r.polls, 0u);
+/// The policies that place REMOTE jobs with the shared poll round
+/// (AUCTION's initial placement is LOWEST's; with no status reports it
+/// never sees an idle resource, so it holds no auction).
+constexpr grid::RmsKind kPollRoundKinds[] = {
+    grid::RmsKind::kLowest, grid::RmsKind::kSenderInitiated,
+    grid::RmsKind::kAuction};
 
-  const double local_resources = static_cast<double>(
-      config.cluster_size - 1 - config.estimators_per_cluster);
-  const double per_decision =
-      config.costs.sched_decision_base +
-      config.costs.sched_decision_per_candidate * local_resources;
-  // Each poll (request) costs: send + receive + reply-send +
-  // reply-receive, all at sched_poll.
-  const double poll_cost =
-      static_cast<double>(r.polls) * 4.0 * config.costs.sched_poll;
-  // Each transfer costs sched_transfer at sender and receiver.
-  const double transfer_cost = static_cast<double>(r.transfers) * 2.0 *
-                               config.costs.sched_transfer;
-  // Work-in-system also contains the sender-side burst serialization:
-  // a round's L_p send items queue behind one another, adding
-  // sched_poll * (0 + 1 + ... + (L_p - 1)) of waiting per round.
-  const double lp = static_cast<double>(config.tuning.neighborhood_size);
-  const double rounds = static_cast<double>(r.polls) / lp;
-  const double burst_wait =
-      rounds * config.costs.sched_poll * lp * (lp - 1.0) / 2.0;
-  const double expected =
-      static_cast<double>(r.jobs_arrived) * per_decision + poll_cost +
-      transfer_cost + burst_wait;
-  EXPECT_NEAR(r.G_scheduler, expected, 0.05 * expected);
+TEST(AnalyticG, LowestIsDecisionsPollsTransfers) {
+  for (const grid::RmsKind kind : kPollRoundKinds) {
+    SCOPED_TRACE(grid::to_string(kind));
+    const grid::GridConfig config = quiet_config(kind);
+    const auto r = Scenario(config).run();
+    ASSERT_GT(r.polls, 0u);
+    EXPECT_EQ(r.auctions, 0u);
+
+    const double local_resources = static_cast<double>(
+        config.cluster_size - 1 - config.estimators_per_cluster);
+    const double per_decision =
+        config.costs.sched_decision_base +
+        config.costs.sched_decision_per_candidate * local_resources;
+    // Each poll (request) costs: send + receive + reply-send +
+    // reply-receive, all at sched_poll.
+    const double poll_cost =
+        static_cast<double>(r.polls) * 4.0 * config.costs.sched_poll;
+    // Each transfer costs sched_transfer at sender and receiver.
+    const double transfer_cost = static_cast<double>(r.transfers) * 2.0 *
+                                 config.costs.sched_transfer;
+    // Work-in-system also contains the sender-side burst serialization:
+    // a round's L_p send items queue behind one another, adding
+    // sched_poll * (0 + 1 + ... + (L_p - 1)) of waiting per round.
+    const double lp = static_cast<double>(config.tuning.neighborhood_size);
+    const double rounds = static_cast<double>(r.polls) / lp;
+    const double burst_wait =
+        rounds * config.costs.sched_poll * lp * (lp - 1.0) / 2.0;
+    const double expected =
+        static_cast<double>(r.jobs_arrived) * per_decision + poll_cost +
+        transfer_cost + burst_wait;
+    EXPECT_NEAR(r.G_scheduler, expected, 0.05 * expected);
+  }
 }
 
 TEST(AnalyticG, PollCountMatchesRemoteJobsTimesLp) {
-  const grid::GridConfig config = quiet_config(grid::RmsKind::kLowest);
-  const auto r = Scenario(config).run();
-  // With empty (zero) tables everywhere, every REMOTE job polls exactly
-  // L_p peers (and the "strictly better" rule keeps jobs local after).
-  EXPECT_EQ(r.polls,
-            r.jobs_remote * config.tuning.neighborhood_size);
+  for (const grid::RmsKind kind : kPollRoundKinds) {
+    SCOPED_TRACE(grid::to_string(kind));
+    const grid::GridConfig config = quiet_config(kind);
+    const auto r = Scenario(config).run();
+    // With empty (zero) tables everywhere, every REMOTE job polls exactly
+    // L_p peers (and the "strictly better" rule keeps jobs local after).
+    EXPECT_EQ(r.polls,
+              r.jobs_remote * config.tuning.neighborhood_size);
+  }
 }
 
 TEST(AnalyticG, MiddlewareChargesPerHopMessage) {

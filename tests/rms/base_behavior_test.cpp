@@ -15,10 +15,10 @@ class ProbePolicy : public DistributedSchedulerBase {
   using DistributedSchedulerBase::DistributedSchedulerBase;
 
   std::vector<grid::RmsMessage> received;
-  util::TokenMap<std::uint64_t, workload::Job> negotiating;
 
   using DistributedSchedulerBase::decide_demand_reply;
   using DistributedSchedulerBase::reply_demand;
+  using DistributedSchedulerBase::request_demand;
   using DistributedSchedulerBase::schedule_local;
   using DistributedSchedulerBase::transfer_job;
 
@@ -33,7 +33,7 @@ class ProbePolicy : public DistributedSchedulerBase {
       return;
     }
     if (msg.kind == grid::MsgKind::kDemandReply) {
-      decide_demand_reply(msg, negotiating);
+      decide_demand_reply(msg);
       return;
     }
     DistributedSchedulerBase::handle_message(msg);
@@ -85,31 +85,25 @@ TEST(DistributedBase, TransferDeliversJobAndCounts) {
 TEST(DistributedBase, DemandHandshakeTransfersWhenRemoteWins) {
   TwoClusterGrid grid;
   ProbePolicy& holder = *grid.scheds[0];
-  // Make the local cluster look terrible: every resource heavily loaded.
-  grid::RmsMessage demand;
-  demand.kind = grid::MsgKind::kDemandRequest;
-  demand.token = 77;
-  demand.a = 800.0;
-  holder.negotiating.emplace(77, remote_job(9));
-  // Fake the reply directly: volunteer quotes a tiny ATT.
-  grid::RmsMessage reply;
-  reply.kind = grid::MsgKind::kDemandReply;
-  reply.token = 77;
-  reply.from = 1;
-  reply.a = 0.0;  // instant turnaround over there
   // Pre-load local table with misery so local_att is large.
   for (int i = 0; i < 40; ++i) holder.deliver_job(remote_job(200 + i));
   grid.system->simulator().run(10.0);
-  holder.deliver_message(reply);
+  // Offer a job to the idle cluster 1, which quotes its ATT (ERT only).
+  holder.request_demand(1, remote_job(9));
   grid.system->simulator().run(50.0);
   // The job was transferred to cluster 1 (it received a kJobTransfer).
-  bool transferred = false;
-  for (const auto& m : grid.scheds[1]->received) {
-    transferred |= m.kind == grid::MsgKind::kJobTransfer && m.job &&
-                   m.job->id == 9u;
-  }
-  EXPECT_TRUE(transferred);
-  EXPECT_TRUE(holder.negotiating.empty());
+  ASSERT_EQ(grid.scheds[1]->received.size(), 2u);
+  EXPECT_EQ(grid.scheds[1]->received[0].kind,
+            grid::MsgKind::kDemandRequest);
+  EXPECT_DOUBLE_EQ(grid.scheds[1]->received[0].a, 800.0);
+  EXPECT_EQ(grid.scheds[1]->received[1].kind, grid::MsgKind::kJobTransfer);
+  ASSERT_TRUE(grid.scheds[1]->received[1].job.has_value());
+  EXPECT_EQ(grid.scheds[1]->received[1].job->id, 9u);
+  // The reply settled the negotiation: a repeat of it is ignored.
+  ASSERT_FALSE(holder.received.empty());
+  const grid::RmsMessage reply = holder.received.back();
+  ASSERT_EQ(reply.kind, grid::MsgKind::kDemandReply);
+  EXPECT_FALSE(holder.decide_demand_reply(reply));
 }
 
 TEST(DistributedBase, DemandReplyForUnknownTokenIgnored) {
@@ -118,8 +112,7 @@ TEST(DistributedBase, DemandReplyForUnknownTokenIgnored) {
   reply.kind = grid::MsgKind::kDemandReply;
   reply.token = 12345;
   reply.from = 1;
-  EXPECT_FALSE(grid.scheds[0]->decide_demand_reply(
-      reply, grid.scheds[0]->negotiating));
+  EXPECT_FALSE(grid.scheds[0]->decide_demand_reply(reply));
 }
 
 TEST(DistributedBase, ReplyDemandQuotesAttAndRus) {
