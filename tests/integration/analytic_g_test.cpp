@@ -91,8 +91,8 @@ TEST(AnalyticG, PollCountMatchesRemoteJobsTimesLp) {
     SCOPED_TRACE(grid::to_string(kind));
     const grid::GridConfig config = quiet_config(kind);
     const auto r = Scenario(config).run();
-    // With empty (zero) tables everywhere, every REMOTE job polls exactly
-    // L_p peers (and the "strictly better" rule keeps jobs local after).
+    // With no status traffic and no faults, every REMOTE job polls
+    // exactly L_p peers once: no round is skipped or retried.
     EXPECT_EQ(r.polls,
               r.jobs_remote * config.tuning.neighborhood_size);
   }
