@@ -29,16 +29,6 @@ constexpr const char* kFaultSpec = "churn:mtbf=200,mttr=25;net:drop=0.02";
 constexpr std::uint64_t kSeeds[] = {42, 7};
 constexpr double kProbeInterval = 25.0;
 
-/// Every policy, the two extensions included (kAllRmsKinds holds the
-/// paper's seven).
-constexpr RmsKind kKinds[] = {
-    RmsKind::kCentral,         RmsKind::kLowest,
-    RmsKind::kReserve,         RmsKind::kAuction,
-    RmsKind::kSenderInitiated, RmsKind::kReceiverInitiated,
-    RmsKind::kSymmetric,       RmsKind::kHierarchical,
-    RmsKind::kRandom,
-};
-
 struct Row {
   std::string label;
   GridConfig config;
@@ -53,13 +43,6 @@ GridConfig base_config(RmsKind kind, std::uint64_t seed) {
   config.seed = seed;
   config.job_log = true;
   return config;
-}
-
-void aggregate(GridConfig& config) {
-  config.control_plane = true;
-  config.tuning.agg_fanout = 2;
-  config.tuning.agg_batch = 4;
-  config.tuning.agg_flush = 5.0;
 }
 
 /// Every row of one kind, in file order.
@@ -78,7 +61,7 @@ std::vector<Row> rows_for(RmsKind kind) {
                       "/seed" + std::to_string(seed);
           row.config = base_config(kind, seed);
           if (faults) row.config.faults = fault::FaultPlan::parse(kFaultSpec);
-          if (ctrl) aggregate(row.config);
+          if (ctrl) test::aggregate(row.config);
           row.config.result_mode = mode;
           rows.push_back(std::move(row));
         }
@@ -100,7 +83,7 @@ std::vector<Row> rows_for(RmsKind kind) {
   } else if (kind == RmsKind::kSenderInitiated) {
     Row row{name + "/ctrl/streaming/probe", base_config(kind, kSeeds[1]),
             true};
-    aggregate(row.config);
+    test::aggregate(row.config);
     row.config.result_mode = ResultMode::kStreaming;
     rows.push_back(std::move(row));
   }
@@ -126,19 +109,13 @@ TEST_P(OutcomeGolden, MatchesGoldenLines) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, OutcomeGolden, ::testing::ValuesIn(kKinds),
-    [](const ::testing::TestParamInfo<RmsKind>& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllKinds, OutcomeGolden,
+                         ::testing::ValuesIn(test::kEveryKind),
+                         test::kind_param_name);
 
 TEST(OutcomeGoldenFile, HoldsExactlyTheMatrixRows) {
   std::set<std::string> labels;
-  for (const RmsKind kind : kKinds) {
+  for (const RmsKind kind : test::kEveryKind) {
     for (const Row& row : rows_for(kind)) labels.insert(row.label);
   }
   std::set<std::string> file_labels;

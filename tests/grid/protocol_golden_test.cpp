@@ -42,14 +42,6 @@ constexpr std::pair<const char*, const char*> kPlans[] = {
     {"lossy", kLossySpec}, {"harsh", kHarshSpec}};
 constexpr std::uint64_t kSeeds[] = {42, 7};
 
-constexpr RmsKind kKinds[] = {
-    RmsKind::kCentral,         RmsKind::kLowest,
-    RmsKind::kReserve,         RmsKind::kAuction,
-    RmsKind::kSenderInitiated, RmsKind::kReceiverInitiated,
-    RmsKind::kSymmetric,       RmsKind::kHierarchical,
-    RmsKind::kRandom,
-};
-
 struct Row {
   std::string label;
   GridConfig config;
@@ -72,12 +64,7 @@ std::vector<Row> rows_for(RmsKind kind) {
         row.config.job_log = true;
         row.config.workload.mean_interarrival = 2.0;
         row.config.faults = fault::FaultPlan::parse(spec);
-        if (ctrl) {
-          row.config.control_plane = true;
-          row.config.tuning.agg_fanout = 2;
-          row.config.tuning.agg_batch = 4;
-          row.config.tuning.agg_flush = 5.0;
-        }
+        if (ctrl) test::aggregate(row.config);
         rows.push_back(std::move(row));
       }
     }
@@ -119,19 +106,13 @@ TEST_P(ProtocolGolden, MatchesGoldenLines) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllKinds, ProtocolGolden, ::testing::ValuesIn(kKinds),
-    [](const ::testing::TestParamInfo<RmsKind>& info) {
-      std::string name = to_string(info.param);
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
-    });
+INSTANTIATE_TEST_SUITE_P(AllKinds, ProtocolGolden,
+                         ::testing::ValuesIn(test::kEveryKind),
+                         test::kind_param_name);
 
 TEST(ProtocolGoldenFile, HoldsExactlyTheMatrixRows) {
   std::set<std::string> labels;
-  for (const RmsKind kind : kKinds) {
+  for (const RmsKind kind : test::kEveryKind) {
     for (const Row& row : rows_for(kind)) labels.insert(row.label);
   }
   std::set<std::string> file_labels;

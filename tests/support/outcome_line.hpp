@@ -1,6 +1,7 @@
 #pragma once
-// The line a whole-run golden pins for one run, and the golden files
-// that hold those lines.  A line reads
+// What the whole-run goldens (outcome, protocol) share: the kinds they
+// sweep, the line they pin for one run, and the files holding those
+// lines.  A line reads
 //
 //   label  events_dispatched  updates_suppressed  updates_received
 //   result-hash  job-log-hash  [probe-hash]
@@ -32,6 +33,35 @@
 #include "workload/arrival_cache.hpp"
 
 namespace scal::test {
+
+/// Every policy, the two extensions included (grid::kAllRmsKinds holds
+/// the paper's seven).
+inline constexpr grid::RmsKind kEveryKind[] = {
+    grid::RmsKind::kCentral,         grid::RmsKind::kLowest,
+    grid::RmsKind::kReserve,         grid::RmsKind::kAuction,
+    grid::RmsKind::kSenderInitiated, grid::RmsKind::kReceiverInitiated,
+    grid::RmsKind::kSymmetric,       grid::RmsKind::kHierarchical,
+    grid::RmsKind::kRandom,
+};
+
+/// The goldens' gtest parameter name for a kind ("S-I" becomes "S_I").
+inline std::string kind_param_name(
+    const ::testing::TestParamInfo<grid::RmsKind>& info) {
+  std::string name = grid::to_string(info.param);
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
+/// The control plane the golden rows turn on: fan-out 2, batches of 4,
+/// flushed every 5 time units.
+inline void aggregate(grid::GridConfig& config) {
+  config.control_plane = true;
+  config.tuning.agg_fanout = 2;
+  config.tuning.agg_batch = 4;
+  config.tuning.agg_flush = 5.0;
+}
 
 inline std::string probe_hash(const obs::TimeSeriesProbe& probe) {
   Hash64 h;
